@@ -3,7 +3,7 @@
 from .spaces import ActionSpace
 from .losses import (CallableLoss, LossFunction, PiecewiseConstantLoss,
                      PiecewiseLinearLoss, SeparableProductLoss)
-from .kernels import BandwidthGrid, RectKernel, snap_bandwidth
+from .kernels import BandwidthGrid, RectKernel
 from .policies import (PolicyClass, VersionSpace, exact_max_packing,
                        packing_number, projected_actions, union_ball_volume)
 from .environments import (AdversarialSequence, FiniteContexts,

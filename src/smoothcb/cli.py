@@ -79,7 +79,7 @@ def _floats(text: str) -> List[float]:
     return [float(_parse_value(s)) for s in text.split(",")]
 
 
-def _add_common(p: argparse.ArgumentParser, env_required: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     # not enforced by argparse so a --config file may supply it
     p.add_argument("--env", default=None,
                    help="instance spec, e.g. absolute:astar=0.3")
@@ -124,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lb.add_argument("--index", type=int, default=1,
                       help="hidden cell index for the loaded instance")
     p_lb.add_argument("--R", type=float, default=10.0)
-    _add_common(p_lb, env_required=False)
+    _add_common(p_lb)
 
 
     return ap

@@ -49,13 +49,10 @@ class CorralMaster:
     """Mirror-descent master over bucketed stable learners."""
 
     def __init__(self, pc: PolicyClass, buckets: KernelBuckets, T: int,
-                 eta: float, beta: float = 1.0,
-                 grid: Optional[BandwidthGrid] = None):
+                 eta: float):
         self.pc = pc
         self.buckets = buckets
         self.T = T
-        self.beta = beta
-        self.grid = grid
         ids = buckets.bucket_ids
         self.bucket_ids = ids
         B = len(ids)
@@ -173,7 +170,6 @@ def build(kernels: Optional[Sequence[RectKernel]], pc: PolicyClass, T: int,
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must lie in [0,1]")
     d = pc.space.d
-    grid = None
     if mode == GENERIC:
         if not kernels:
             raise ValueError("generic mode needs an explicit kernel family")
@@ -208,8 +204,7 @@ def build(kernels: Optional[Sequence[RectKernel]], pc: PolicyClass, T: int,
         kernels = [RectKernel(pc.space, h) for h in sorted(hs)]
     else:
         raise ValueError(f"unknown corral mode: {mode!r}")
-    return CorralMaster(pc, KernelBuckets(kernels), T, eta=eta, beta=beta,
-                        grid=grid)
+    return CorralMaster(pc, KernelBuckets(kernels), T, eta=eta)
 
 
 def uniform_h_regret_suite(losses: np.ndarray, env, pc: PolicyClass, T: int,

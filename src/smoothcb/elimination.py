@@ -5,7 +5,9 @@ surviving policies, plays a mixture of uniform exploration and smoothed
 policy draws, estimates every survivor's smoothed loss by importance
 weighting with median-of-means aggregation across batches, and prunes
 policies that fall behind the empirical best by more than the epoch radius
-allows.
+allows.  An epoch is played as one batch on every space kind and context
+class: contexts, survivor centres, mixed draws with their propensities,
+realized losses, then the (survivors x rounds) matrix of estimates.
 
 Two schedules: the fixed-bandwidth variant keeps h_m = h and halves the
 radius r_m = 2^-m; the Lipschitz variant halves the bandwidth h_m = 2^-m
@@ -15,17 +17,16 @@ with radius r_m = L * 2^-m.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .environments import (BERNOULLI, DETERMINISTIC, GAUSSIAN, FiniteContexts,
-                           StochasticEnv)
-from .estimators import IWSample, iw_estimate, median_of_means
+from .environments import StochasticEnv
+from .estimators import median_of_means
 from .kernels import RectKernel
 from .policies import PolicyClass, VersionSpace, union_ball_volume
-from .spaces import CUBE, GRID, RING
+from .spaces import GRID
 
 VARIANT_S = "s"
 VARIANT_L = "l"
@@ -100,44 +101,27 @@ class _ContextGeometry:
 
     def __init__(self, space, centers: np.ndarray, h: float,
                  rng: Optional[np.random.Generator] = None):
-        self.space = space
-        self.h = h
-        self.centers = centers
-        k = centers.shape[0]
         if space.kind == GRID:
-            pts = space.grid_points()
             self.meas = np.full(space.M, 1.0 / space.M)
-            self.A = np.abs(pts[None, :] - centers[:, None]) <= h + 1e-12
-            self.mids = pts
-        elif space.kind == RING or space.d == 1:
+            self.mids = space.grid_points()
+        elif space.d == 1:
             cuts = {0.0, 1.0}
             for c in centers:
                 for lo, hi in space.ball_intervals(c, h):
                     cuts.add(lo)
                     cuts.add(hi)
             bs = np.array(sorted(cuts))
-            self.meas = np.diff(bs)
-            mids = (bs[:-1] + bs[1:]) / 2.0
-            keep = self.meas > 1e-15
-            self.meas = self.meas[keep]
-            self.mids = mids[keep]
-            if space.kind == RING:
-                dd = np.abs(centers[:, None] - self.mids[None, :])
-                dist = np.minimum(dd, 1.0 - dd)
-            else:
-                dist = np.abs(centers[:, None] - self.mids[None, :])
-            self.A = dist <= h
+            meas = np.diff(bs)
+            keep = meas > 1e-15
+            self.meas = meas[keep]
+            self.mids = ((bs[:-1] + bs[1:]) / 2.0)[keep]
         else:
             rng = rng or np.random.default_rng(0)
-            draws = rng.uniform(0.0, 1.0, size=(self.N_MC, space.d))
+            self.mids = rng.uniform(0.0, 1.0, size=(self.N_MC, space.d))
             self.meas = np.full(self.N_MC, 1.0 / self.N_MC)
-            c2 = centers.reshape(k, 1, -1)
-            dist = np.max(np.abs(c2 - draws[None, :, :]), axis=2)
-            self.A = dist <= h
-            self.mids = draws
-        self.vols = space.ball_volumes(centers, h)
         # density of each survivor's kernel on each segment
-        self.dens = self.A / self.vols[:, None]
+        self.dens = RectKernel(space, h).densities(centers[:, None],
+                                                   self.mids[None])
 
     def mixture(self, Q: np.ndarray, mu: float) -> np.ndarray:
         return mu + (1.0 - mu) * (Q @ self.dens)
@@ -153,15 +137,16 @@ def solve_variance_program(
         pc: PolicyClass, vs: VersionSpace, h: float, mu: float,
         panel, tol: float = 1e-3, iter_cap: int = 5000,
         rng: Optional[np.random.Generator] = None,
-) -> Tuple[np.ndarray, float, int]:
+) -> Tuple[np.ndarray, float, int, float]:
     """Minimize max_pi E_x E_{a~K_h(pi(x))}[1/q(a|x)] over simplex weights Q.
 
     q(a|x) = mu + (1-mu) sum_j Q_j K_h(pi_j(x))(a).  Entropic mirror ascent
     toward the worst-off policy, with the exact max-pi objective evaluated
     each iteration; stops once the value reaches V/(1-mu)*(1+tol), the
-    certified optimum bound.  Returns (Q, value at Q, iterations).  Raises
-    SolverFailure when the cap is hit and the best value still exceeds
-    V/(1-mu)*(1+10*tol).
+    certified optimum bound, where V is the panel-weighted volume of the
+    union of the survivors' h-balls.  Returns (Q, value at Q, iterations,
+    V).  Raises SolverFailure when the cap is hit and the best value still
+    exceeds V/(1-mu)*(1+10*tol).
     """
     if not 0.0 < mu <= 0.5:
         raise ValueError("mu must lie in (0, 1/2]")
@@ -169,7 +154,6 @@ def solve_variance_program(
     support = vs.indices
     k = len(support)
     space = pc.space
-    kappa = RectKernel(space, h).kappa()
     geoms = []
     V = 0.0
     for x, w in zip(xs, ws):
@@ -199,7 +183,7 @@ def solve_variance_program(
         if value < best_val:
             best_val, best_Q = value, Q.copy()
         if value <= target:
-            return Q, value, iters
+            return Q, value, iters, V
         Q_sum += Q
         if iters % 10 == 0:
             Q_bar = Q_sum / iters
@@ -207,7 +191,7 @@ def solve_variance_program(
             if val_bar < best_val:
                 best_val, best_Q = val_bar, Q_bar.copy()
             if val_bar <= target:
-                return Q_bar, val_bar, iters
+                return Q_bar, val_bar, iters, V
         eta = 0.5 / value
         logq = np.log(np.maximum(Q, 1e-300)) + eta * terms
         logq -= logq.max()
@@ -215,7 +199,7 @@ def solve_variance_program(
         Q = Q / Q.sum()
     if best_val > hard_target:
         raise SolverFailure(best_val, hard_target)
-    return best_Q, best_val, iters
+    return best_Q, best_val, iters, V
 
 
 # ---------------------------------------------------------------------------
@@ -239,17 +223,14 @@ class SmoothPolicyElimination:
             return self.config.h, 2.0 ** (-m)
         return 2.0 ** (-m), self.config.L * 2.0 ** (-m)
 
-    # -- single-round interface (reference implementation) ---------------
+    # -- one epoch -------------------------------------------------------
 
     def start_epoch(self, m: int, vs: VersionSpace, panel,
                     rng: Optional[np.random.Generator] = None) -> EpochState:
         h_m, r_m = self.schedule(m)
         mu_m = min(0.5, r_m)
-        xs, ws = panel
-        V_m = sum(w * union_ball_volume(vs, x, h_m, rng=rng)
-                  for x, w in zip(xs, ws))
         kappa = RectKernel(self.pc.space, h_m).kappa()
-        Q, value, iters = solve_variance_program(
+        Q, value, iters, V_m = solve_variance_program(
             self.pc, vs, h_m, mu_m, panel, tol=self.config.tol,
             iter_cap=self.config.iter_cap, rng=rng)
         tilde_n = math.ceil(320.0 * kappa * V_m / (r_m * r_m))
@@ -258,35 +239,45 @@ class SmoothPolicyElimination:
                           n_m=tilde_n * self.delta_T, Q=Q,
                           solver_value=value, solver_iters=iters)
 
-    def propensity(self, state: EpochState, x, a) -> float:
-        kern = RectKernel(self.pc.space, state.h_m)
-        centers = np.atleast_1d(self.pc.actions_at(x))[state.vs.indices]
-        dens = kern.densities(centers, a)
-        return float(state.mu_m + (1.0 - state.mu_m) * np.dot(state.Q, dens))
+    def _centers(self, vs: VersionSpace, values, index) -> np.ndarray:
+        """Survivors' actions per round, shape (rounds, survivors), plus a
+        trailing d on the cube; round i has context values[index[i]]."""
+        acts = np.stack([np.atleast_1d(self.pc.actions_at(x)) for x in values])
+        return acts[:, vs.indices][index]
 
-    def act(self, state: EpochState, x, rng: np.random.Generator):
-        """One mixed-exploration draw; returns (action, propensity)."""
+    def propensity(self, state: EpochState, centers: np.ndarray, a):
+        """(q, dens) at one action per row of survivor centres.
+
+        dens[i, j] is survivor j's kernel density at a[i]; q[i] is the
+        mixture density mu + (1 - mu) * sum_j Q_j dens[i, j].
+        """
+        dens = RectKernel(self.pc.space, state.h_m).densities(centers, a)
+        return state.mu_m + (1.0 - state.mu_m) * dens @ state.Q, dens
+
+    def act(self, state: EpochState, centers: np.ndarray,
+            rng: np.random.Generator):
+        """One mixed-exploration draw per row of survivor centres.
+
+        Returns (actions, propensities, densities) as in ``propensity``.
+        """
+        n = len(centers)
         space = self.pc.space
-        if rng.random() < state.mu_m:
-            a = space.sample_uniform(rng)
-        else:
-            j = int(rng.choice(len(state.Q), p=state.Q))
-            center = self.pc.act(int(state.vs.indices[j]), x)
-            a = space.sample_ball(center, state.h_m, rng)
-        return a, self.propensity(state, x, a)
+        explore = rng.random(n) < state.mu_m
+        pick = rng.choice(len(state.Q), size=n, p=state.Q)
+        uniform = space.sample_uniform(rng, size=n)
+        ball = space.sample_ball(centers[np.arange(n), pick], state.h_m, rng)
+        if ball.ndim > 1:
+            explore = explore[:, None]
+        a = np.where(explore, uniform, ball)
+        q, dens = self.propensity(state, centers, a)
+        return a, q, dens
 
-    def end_epoch(self, state: EpochState,
-                  samples: Sequence[IWSample]) -> VersionSpace:
-        """Median-of-means scores, threshold pruning, next version space."""
-        if len(samples) != state.n_m:
-            raise ValueError("end_epoch needs exactly n_m samples")
-        kern = RectKernel(self.pc.space, state.h_m)
-        support = state.vs.indices
-        scores = np.empty(len(support))
-        for out_i, pi in enumerate(support):
-            ests = [iw_estimate(kern, self.pc, int(pi), s) for s in samples]
-            scores[out_i] = median_of_means(ests, k=self.delta_T)
-        return self._prune(state, scores)
+    def end_epoch(self, state: EpochState, est: np.ndarray) -> VersionSpace:
+        """Median-of-means scores of the (survivors x n_m) estimates,
+        threshold pruning, next version space."""
+        if np.shape(est)[-1] != state.n_m:
+            raise ValueError("end_epoch needs n_m estimates per policy")
+        return self._prune(state, median_of_means(est, k=self.delta_T))
 
     def _prune(self, state: EpochState, scores: np.ndarray) -> VersionSpace:
         thresh = scores.min() + 3.0 * state.r_m
@@ -294,7 +285,21 @@ class SmoothPolicyElimination:
         new_mask[state.vs.indices[scores <= thresh]] = True
         return VersionSpace(self.pc, new_mask, m=state.m + 1)
 
-    # -- full run (vectorized where the geometry allows) -----------------
+    def _play_epoch(self, state: EpochState, n: int,
+                    rng: np.random.Generator, rng_env: np.random.Generator):
+        """Play n rounds; returns (actions, losses, mean losses, estimates).
+
+        estimates has shape (survivors, n): the per-round IW estimate of
+        each survivor's smoothed loss.
+        """
+        values, index = self.env.contexts.sample_many(rng_env, n)
+        a, q, dens = self.act(state, self._centers(state.vs, values, index),
+                              rng)
+        loss, mean = self.env.realize_many(values, index, a, rng_env)
+        dens *= (loss / q)[:, None]  # in place: no second (n x k) array
+        return a, loss, mean, dens.T
+
+    # -- full run ----------------------------------------------------------
 
     def run(self, rng: np.random.Generator,
             rng_env: Optional[np.random.Generator] = None) -> dict:
@@ -302,12 +307,11 @@ class SmoothPolicyElimination:
         and loss noise so the environment stream is reproducible on its own.
         """
         cfg = self.config
-        env = self.env
         T = cfg.T
         rng_env = rng_env or rng
-        panel = env.context_panel(cfg.n_ctx, rng)
+        panel = self.env.context_panel(cfg.n_ctx, rng)
         vs = VersionSpace(self.pc)
-        actions: List = []
+        actions: List[np.ndarray] = []
         losses: List[np.ndarray] = []
         mean_losses: List[np.ndarray] = []
         epoch_rows = []
@@ -335,115 +339,13 @@ class SmoothPolicyElimination:
             })
             t += n_play
             if full:
-                scores = self._mom_scores(est)
-                vs = self._prune(state, scores)
+                vs = self.end_epoch(state, est)
+            del est  # free the estimates before the next epoch is played
             m += 1
         return {
-            "actions": np.concatenate(actions) if self.pc.space.d == 1
-            else np.concatenate(actions, axis=0),
+            "actions": np.concatenate(actions),
             "losses": np.concatenate(losses),
             "mean_losses": np.concatenate(mean_losses),
             "epochs": epoch_rows,
             "final_version_space": vs,
         }
-
-    def _mom_scores(self, est: np.ndarray) -> np.ndarray:
-        k, n = est.shape
-        batch_means = est.reshape(k, self.delta_T, -1).mean(axis=2)
-        batch_means.sort(axis=1)
-        return batch_means[:, (self.delta_T - 1) // 2]
-
-    def _play_epoch(self, state: EpochState, n: int,
-                    rng: np.random.Generator, rng_env: np.random.Generator):
-        """Play n rounds; returns (actions, losses, mean losses, estimates).
-
-        estimates has shape (survivors, n): the per-round IW estimate of
-        each survivor's smoothed loss.
-        """
-        env = self.env
-        space = self.pc.space
-        fast = (isinstance(env.contexts, FiniteContexts)
-                and space.kind in (RING, CUBE) and space.d == 1)
-        if not fast:
-            return self._play_epoch_slow(state, n, rng, rng_env)
-        ctx_vals = env.contexts.values
-        ctx_idx = (np.zeros(n, dtype=int) if len(ctx_vals) == 1 else
-                   rng_env.choice(len(ctx_vals), size=n,
-                                  p=env.contexts.weights))
-        acts_all = np.stack([np.atleast_1d(self.pc.actions_at(x))
-                             for x in ctx_vals])  # (n_x, |Pi|)
-        support = state.vs.indices
-        h, mu = state.h_m, state.mu_m
-
-        explore = rng.random(n) < mu
-        pi_pick = rng.choice(len(state.Q), size=n, p=state.Q)
-        centers_picked = acts_all[ctx_idx, support[pi_pick]]
-        u_explore = rng.uniform(0.0, 1.0, size=n)
-        u_ball = rng.uniform(-h, h, size=n)
-        if space.kind == RING:
-            if 2 * h < 1.0:
-                ball = np.mod(centers_picked + u_ball, 1.0)
-            else:
-                ball = rng.uniform(0.0, 1.0, size=n)
-        else:
-            lo = np.maximum(0.0, centers_picked - h)
-            hi = np.minimum(1.0, centers_picked + h)
-            ball = lo + (u_ball + h) / (2 * h) * (hi - lo)
-        a = np.where(explore, u_explore, ball)
-
-        # propensities and per-survivor densities
-        cent_sup = acts_all[:, support]  # (n_x, k)
-        cent_rounds = cent_sup[ctx_idx]  # (n, k)
-        dd = np.abs(cent_rounds - a[:, None])
-        if space.kind == RING:
-            dist = np.minimum(dd, 1.0 - dd)
-            vols = np.full_like(cent_rounds, min(1.0, 2 * h))
-        else:
-            dist = dd
-            vols = (np.minimum(1.0, cent_rounds + h)
-                    - np.maximum(0.0, cent_rounds - h))
-        dens = np.where(dist <= h, 1.0 / vols, 0.0)  # (n, k)
-        q = mu + (1.0 - mu) * dens @ state.Q
-
-        loss_arr, mean_arr = self._realize_losses(ctx_vals, ctx_idx, a, rng_env)
-        est = dens.T * (loss_arr / q)[None, :]
-        return a, loss_arr, mean_arr, est
-
-    def _realize_losses(self, ctx_vals, ctx_idx, a, rng):
-        env = self.env
-        n = len(a)
-        means = np.empty(n)
-        for ci, x in enumerate(ctx_vals):
-            sel = ctx_idx == ci
-            if np.any(sel):
-                mean = env.mean_loss_of(x)
-                means[sel] = np.atleast_1d(mean(a[sel]))
-        if env.noise == DETERMINISTIC:
-            return means, means
-        if env.noise == BERNOULLI:
-            return (rng.random(n) < means).astype(float), means
-        noisy = np.clip(means + env.sigma * rng.standard_normal(n), 0.0, 1.0)
-        return noisy, means
-
-    def _play_epoch_slow(self, state: EpochState, n: int,
-                         rng: np.random.Generator,
-                         rng_env: np.random.Generator):
-        kern = RectKernel(self.pc.space, state.h_m)
-        support = state.vs.indices
-        a_list, loss_list, mean_list = [], [], []
-        est = np.zeros((len(support), n))
-        for i in range(n):
-            x = self.env.contexts.sample(rng_env)
-            a, q = self.act(state, x, rng)
-            loss = self.env.realize_at(x, a, rng_env)
-            a_list.append(a)
-            loss_list.append(loss)
-            mean_list.append(float(np.atleast_1d(
-                self.env.mean_loss_of(x)(a))[0]))
-            centers = np.atleast_1d(self.pc.actions_at(x))
-            if centers.ndim == 1 and self.pc.space.d > 1:
-                centers = centers[None, :]
-            centers = centers[support]
-            est[:, i] = kern.densities(centers, a) * loss / q
-        return (np.asarray(a_list), np.asarray(loss_list),
-                np.asarray(mean_list), est)

@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .kernels import RectKernel
-from .losses import (BernoulliRealization, CallableLoss, LossFunction,
-                     PiecewiseConstantLoss, PiecewiseLinearLoss)
+from .losses import (CallableLoss, LossFunction, PiecewiseConstantLoss,
+                     PiecewiseLinearLoss)
 from .policies import PolicyClass
 from .spaces import ActionSpace
 
@@ -36,6 +37,16 @@ class FiniteContexts:
                 len(self.values) - 1)
         return self.values[i]
 
+    def sample_many(self, rng: np.random.Generator, n: int):
+        """n i.i.d. contexts as (values, index).
+
+        Round i's context is values[index[i]].
+        """
+        if len(self.values) == 1:
+            return self.values, np.zeros(n, dtype=int)
+        return self.values, rng.choice(len(self.values), size=n,
+                                       p=self.weights)
+
     def panel(self, n_ctx: int, rng: np.random.Generator):
         return self.values, self.weights
 
@@ -49,34 +60,16 @@ class SamplerContexts:
     def sample(self, rng: np.random.Generator):
         return self.draw(rng)
 
+    def sample_many(self, rng: np.random.Generator, n: int):
+        """n i.i.d. contexts as (values, index).
+
+        Round i's context is values[index[i]].
+        """
+        return [self.draw(rng) for _ in range(n)], np.arange(n)
+
     def panel(self, n_ctx: int, rng: np.random.Generator):
         vals = [self.draw(rng) for _ in range(n_ctx)]
         return vals, np.full(n_ctx, 1.0 / n_ctx)
-
-
-class _LazyNoisyRealization(LossFunction):
-    """Point-evaluated noisy realization with per-point caching."""
-
-    def __init__(self, mean: LossFunction, rng: np.random.Generator,
-                 sigma: float):
-        self.mean = mean
-        self.rng = rng
-        self.sigma = sigma
-        self._cache: Dict = {}
-
-    def _one(self, a) -> float:
-        key = float(a) if np.ndim(a) == 0 else tuple(np.asarray(a).ravel())
-        if key not in self._cache:
-            mu = float(np.atleast_1d(self.mean(a))[0])
-            self._cache[key] = float(np.clip(
-                mu + self.sigma * self.rng.standard_normal(), 0.0, 1.0))
-        return self._cache[key]
-
-    def __call__(self, a):
-        arr = np.asarray(a, dtype=float)
-        if arr.ndim == 0:
-            return self._one(arr)
-        return np.array([self._one(v) for v in arr])
 
 
 class StochasticEnv:
@@ -105,24 +98,8 @@ class StochasticEnv:
 
     # -- sampling -------------------------------------------------------
 
-    def draw_round(self, rng: np.random.Generator):
-        x = self.contexts.sample(rng)
-        mean = self.mean_loss_of(x)
-        if self.noise == DETERMINISTIC:
-            return x, mean
-        if self.noise == BERNOULLI:
-            if isinstance(mean, PiecewiseConstantLoss):
-                vals = (rng.random(len(mean.values)) < mean.values).astype(float)
-                return x, PiecewiseConstantLoss(mean.breaks, vals)
-            return x, BernoulliRealization(mean, rng)
-        return x, _LazyNoisyRealization(mean, rng, self.sigma)
-
     def realize_at(self, x, a, rng: np.random.Generator) -> float:
-        """Realized loss at a single action (fast path for run loops).
-
-        Distributionally identical to drawing the full realized loss and
-        evaluating it once at ``a``.
-        """
+        """Realized loss at a single action (per-round run loops)."""
         mv = self.mean_loss_of(x)(a)
         mu = mv if isinstance(mv, float) else float(np.atleast_1d(mv)[0])
         if self.noise == DETERMINISTIC:
@@ -130,6 +107,27 @@ class StochasticEnv:
         if self.noise == BERNOULLI:
             return float(rng.random() < mu)
         return float(np.clip(mu + self.sigma * rng.standard_normal(), 0.0, 1.0))
+
+    def realize_many(self, values, index, a: np.ndarray,
+                     rng: np.random.Generator):
+        """Realized and mean losses of one action per round.
+
+        Round i has context values[index[i]]; each distinct context's mean
+        loss is built once and evaluated on all of its rounds together.
+        """
+        n = len(a)
+        order = np.argsort(index, kind="stable")
+        starts = np.flatnonzero(np.diff(index[order], prepend=-1))
+        means = np.empty(n)
+        for sel in np.split(order, starts[1:]):
+            mean = self.mean_loss_of(values[index[sel[0]]])
+            means[sel] = np.atleast_1d(mean(a[sel]))
+        if self.noise == DETERMINISTIC:
+            return means, means
+        if self.noise == BERNOULLI:
+            return (rng.random(n) < means).astype(float), means
+        noisy = np.clip(means + self.sigma * rng.standard_normal(n), 0.0, 1.0)
+        return noisy, means
 
     # -- benchmarks -------------------------------------------------------
 
@@ -385,4 +383,8 @@ _NAMED = {
 def make_named_instance(name: str, **params) -> StochasticEnv:
     if name not in _NAMED:
         raise ValueError(f"unknown instance name: {name!r}")
+    known = inspect.signature(_NAMED[name]).parameters
+    for key in params:
+        if key not in known:
+            raise ValueError(f"instance {name!r} has no parameter {key!r}")
     return _NAMED[name](**params)

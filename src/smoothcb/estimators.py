@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -48,23 +47,26 @@ def mom_batch_count(delta: float) -> int:
     return 5 * math.ceil(math.log(1.0 / delta))
 
 
-def median_of_means(values: Sequence[float], delta: float = 0.1,
-                    k: int = None) -> float:
+def median_of_means(values, delta: float = 0.1, k: int = None):
     """Median of k contiguous equal-batch means, k = 5*ceil(ln(1/delta)).
 
-    The caller truncates the input to a multiple of k; an explicit k
-    overrides the delta-derived count.  For even k the lower median is taken
-    (deterministic tie rule).
+    Works along the last axis, so a (policies x samples) matrix gets one
+    score per row; a 1-d input gives a float.  The caller truncates the
+    input to a multiple of k; an explicit k overrides the delta-derived
+    count.  For even k the lower median is taken (deterministic tie rule).
     """
     if k is None:
         k = mom_batch_count(delta)
     v = np.asarray(values, dtype=float)
-    if len(v) < k:
+    n = v.shape[-1]
+    if n < k:
         raise ValueError(f"need at least k={k} values")
-    if len(v) % k != 0:
+    if n % k != 0:
         raise ValueError("number of values must be divisible by k")
-    means = v.reshape(k, -1).mean(axis=1)
-    return float(np.sort(means)[(k - 1) // 2])
+    means = v.reshape(v.shape[:-1] + (k, -1)).mean(axis=-1)
+    means.sort(axis=-1)
+    med = means[..., (k - 1) // 2]
+    return float(med) if v.ndim == 1 else med
 
 
 def mom_error_bound(sigma: float, n: int, delta: float) -> float:

@@ -10,7 +10,6 @@ cardinality grows like D = d * 2^(d+2) * T^2.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 from scipy import integrate as _sciint
@@ -37,23 +36,21 @@ class RectKernel:
         return f"RectKernel({self.space!r}, h={self.h})"
 
     def density(self, center, a) -> float:
-        if self.h == 0.0:
-            raise ValueError("Dirac kernel has no density")
-        if self.space.distance(center, a) <= self.h:
-            return 1.0 / self.space.ball_volume(center, self.h)
-        return 0.0
+        return float(self.densities(np.asarray(center, dtype=float)[None],
+                                    np.asarray(a, dtype=float)[None])[0])
 
     def densities(self, centers: np.ndarray, a) -> np.ndarray:
-        """Vectorized density over many centers at a single action."""
+        """Density at one action per round of each of that round's centres.
+
+        Shapes as in ``ActionSpace.distances``: centres (n,) or (n, k), plus
+        a trailing d on the cube, against actions (n,) or (n, d); the result
+        is (n,) or (n, k).
+        """
         if self.h == 0.0:
             raise ValueError("Dirac kernel has no density")
-        if self.space.kind == RING:
-            aa = float(a) if isinstance(a, float) else \
-                float(np.asarray(a).reshape(-1)[0])
-            dd = np.abs(np.asarray(centers, dtype=float) - aa)
-            np.minimum(dd, 1.0 - dd, out=dd)
-            return np.where(dd <= self.h, 1.0 / min(1.0, 2.0 * self.h), 0.0)
         dist = self.space.distances(centers, a)
+        if self.space.kind == RING:
+            return np.where(dist <= self.h, 1.0 / min(1.0, 2.0 * self.h), 0.0)
         vols = self.space.ball_volumes(centers, self.h)
         tol = 1e-12 if self.space.kind == GRID else 0.0
         return np.where(dist <= self.h + tol, 1.0 / vols, 0.0)
@@ -72,12 +69,13 @@ class RectKernel:
             np.abs(pts[:, None] - pts[None, :]) <= self.h + 1e-12, axis=1)
         return float(sp.M / counts.min())
 
-    def sample(self, center, rng: np.random.Generator, size: Optional[int] = None):
+    def sample(self, center, rng: np.random.Generator):
+        """One draw from the kernel centred at ``center``."""
         if self.h == 0.0:
-            return center if size is None else np.repeat(
-                np.atleast_1d(center)[None, :] if self.space.d > 1
-                else np.atleast_1d(center), size, axis=0)
-        return self.space.sample_ball(center, self.h, rng, size=size)
+            return center
+        out = self.space.sample_ball(np.asarray(center, dtype=float)[None],
+                                     self.h, rng)[0]
+        return float(out) if self.space.d == 1 else out
 
     def smoothed_loss(self, center, loss: LossFunction) -> float:
         """<K_h(center), loss>: the mean loss of a uniform ball draw."""
@@ -160,7 +158,3 @@ class BandwidthGrid:
         snapped = math.floor(h * self.D + 1e-12) / self.D
         snapped = min(snapped, 1.0)
         return snapped
-
-
-def snap_bandwidth(grid: BandwidthGrid, h: float) -> float:
-    return grid.snap(h)

@@ -184,30 +184,3 @@ class CallableLoss(LossFunction):
                               points=pts or None, limit=200)
         return val
 
-
-class BernoulliRealization(LossFunction):
-    """Lazy {0,1}-valued realization of a mean loss.
-
-    Evaluation draws Bernoulli(lambda(a)) once per distinct query point and
-    caches the outcome so repeated queries are consistent within the round.
-    """
-
-    def __init__(self, mean: LossFunction, rng: np.random.Generator):
-        self.mean = mean
-        self.rng = rng
-        self._cache: Dict = {}
-
-    def _one(self, a) -> float:
-        key = float(a) if np.ndim(a) == 0 else tuple(np.asarray(a).ravel())
-        if key not in self._cache:
-            p = float(np.atleast_1d(self.mean(a))[0])
-            self._cache[key] = float(self.rng.random() < p)
-        return self._cache[key]
-
-    def __call__(self, a):
-        arr = np.asarray(a, dtype=float)
-        if arr.ndim == 0:
-            return self._one(arr)
-        if arr.ndim == 1 and not isinstance(self.mean, SeparableProductLoss):
-            return np.array([self._one(v) for v in arr])
-        return np.array([self._one(v) for v in arr])

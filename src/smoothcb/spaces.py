@@ -117,19 +117,25 @@ class ActionSpace:
         return abs(float(x[0]) - float(y[0]))
 
     def distances(self, centers: np.ndarray, a) -> np.ndarray:
-        """Vectorized distance from many centers to one action.
+        """Distance from each round's centres to that round's action.
 
-        ``centers`` has shape (n,) for 1-d kinds or (n, d) for the cube.
+        ``centers`` has shape (n,) or (n, k), with a trailing axis d on the
+        cube; ``a`` holds one action per round, shape (n,) or (n, d).  The
+        action's leading axes line up with the centres' leading axes, so a
+        single action against k centres works too.
         """
-        arr = self._as_array(a)
         c = np.asarray(centers, dtype=float)
+        x = np.asarray(a, dtype=float)
+        lead = x.ndim - (self.d > 1)
+        if lead > 0 and c.ndim > x.ndim:
+            x = x.reshape(x.shape[:lead] + (1,) * (c.ndim - x.ndim)
+                          + x.shape[lead:])
+        dd = np.abs(c - x)
         if self.kind == RING:
-            dd = np.abs(c - arr[0])
-            return np.minimum(dd, 1.0 - dd)
-        if self.kind == CUBE:
-            c2 = c.reshape(-1, self.d)
-            return np.max(np.abs(c2 - arr), axis=1)
-        return np.abs(c - arr[0])
+            np.minimum(dd, 1.0 - dd, out=dd)
+        elif self.d > 1:
+            dd = np.max(dd, axis=-1)
+        return dd
 
     def ball_volume(self, a, r: float) -> float:
         """Base measure of the closed ball B(a, r)."""
@@ -146,20 +152,18 @@ class ActionSpace:
         return float(np.sum(np.abs(pts - arr[0]) <= r + 1e-12)) / self.M
 
     def ball_volumes(self, centers: np.ndarray, r: float) -> np.ndarray:
-        """Vectorized ball_volume over an array of centers."""
+        """Vectorized ball_volume; the result has the centres' batch shape."""
         if r < 0:
             raise ValueError("radius must be nonnegative")
         c = np.asarray(centers, dtype=float)
         if self.kind == RING:
-            return np.full(c.shape[0] if c.ndim else 1, min(1.0, 2.0 * r))
+            return np.full(c.shape, min(1.0, 2.0 * r))
         if self.kind == CUBE:
-            c2 = c.reshape(-1, self.d)
-            lo = np.maximum(0.0, c2 - r)
-            hi = np.minimum(1.0, c2 + r)
-            return np.prod(hi - lo, axis=1)
+            side = np.minimum(1.0, c + r) - np.maximum(0.0, c - r)
+            return side if self.d == 1 else np.prod(side, axis=-1)
         pts = self.grid_points()
-        c1 = c.reshape(-1, 1)
-        return np.sum(np.abs(pts[None, :] - c1) <= r + 1e-12, axis=1) / self.M
+        return np.sum(np.abs(pts - c[..., None]) <= r + 1e-12,
+                      axis=-1) / self.M
 
     def ball_intervals(self, a, r: float) -> List[Tuple[float, float]]:
         """The ball B(a, r) as a list of disjoint subintervals of [0, 1].
@@ -196,34 +200,25 @@ class ActionSpace:
             return float(out[0]) if out.ndim == 1 else out[0]
         return out
 
-    def sample_ball(self, center, r: float, rng: np.random.Generator,
-                    size: int = None):
-        """Draw uniformly (under nu) from the closed ball B(center, r)."""
-        n = 1 if size is None else size
+    def sample_ball(self, centers, r: float, rng: np.random.Generator):
+        """One uniform (under nu) draw from each closed ball B(centers[i], r).
+
+        ``centers`` has shape (n,), or (n, d) on the cube; so does the result.
+        """
+        c = np.asarray(centers, dtype=float)
         if self.kind == RING:
-            c0 = center if isinstance(center, float) else \
-                float(self._as_array(center)[0])
+            # the offsets are drawn even when the ball is the whole ring, so
+            # seeded runs keep their draw order
+            u = rng.uniform(-r, r, size=c.shape)
             if 2.0 * r >= 1.0:
-                out = rng.uniform(0.0, 1.0, size=n)
-            else:
-                out = np.mod(c0 + rng.uniform(-r, r, size=n), 1.0)
-            if size is None:
-                return float(out[0])
-            return out
-        arr = self._as_array(center)
+                return rng.uniform(0.0, 1.0, size=c.shape)
+            return np.mod(c + u, 1.0)
         if self.kind == CUBE:
-            lo = np.maximum(0.0, arr - r)
-            hi = np.minimum(1.0, arr + r)
-            out = rng.uniform(lo, hi, size=(n, self.d))
-            if self.d == 1:
-                out = out[:, 0]
-        else:
-            pts = self.grid_points()
-            members = pts[np.abs(pts - arr[0]) <= r + 1e-12]
-            out = members[rng.integers(0, len(members), size=n)]
-        if size is None:
-            return float(out[0]) if out.ndim == 1 else out[0]
-        return out
+            return rng.uniform(np.maximum(0.0, c - r), np.minimum(1.0, c + r))
+        pts = self.grid_points()
+        member = np.abs(pts - c[:, None]) <= r + 1e-12
+        first = np.argmax(member, axis=1)
+        return pts[first + rng.integers(0, member.sum(axis=1))]
 
     # -- diagnostics ---------------------------------------------------
 

@@ -23,7 +23,7 @@ from smoothcb.harness import (RegretTrace, RunConfig, _loop_corral,
                               _loop_elim, _loop_exp4, _rngs,
                               default_policy_class, diagnose, run_one,
                               trace_csv_lines)
-from smoothcb.kernels import BandwidthGrid, RectKernel, snap_bandwidth
+from smoothcb.kernels import BandwidthGrid, RectKernel
 from smoothcb.losses import PiecewiseConstantLoss, PiecewiseLinearLoss
 from smoothcb.policies import PolicyClass, VersionSpace, union_ball_volume
 from smoothcb.spaces import ActionSpace
@@ -87,7 +87,7 @@ def test_02_second_moment_within_volume_bound():
     pc = PolicyClass.constant(RING, centers)
     vs = VersionSpace(pc)
     panel = ([None], np.array([1.0]))
-    Q, _, _ = solve_variance_program(pc, vs, h=h, mu=mu, panel=panel)
+    Q, _, _, _ = solve_variance_program(pc, vs, h=h, mu=mu, panel=panel)
     V = union_ball_volume(vs, None, h)
     kappa = RectKernel(RING, h).kappa()
     m = 10 ** 5
@@ -119,8 +119,8 @@ def test_03_solver_meets_duality_certificate():
         vs = VersionSpace(pc)
         h = float(rng.uniform(0.02, 0.25))
         mu = float(rng.uniform(0.01, 0.5))
-        _, value, _ = solve_variance_program(pc, vs, h=h, mu=mu,
-                                             panel=([None], np.array([1.0])))
+        _, value, _, _ = solve_variance_program(
+            pc, vs, h=h, mu=mu, panel=([None], np.array([1.0])))
         if value > union_ball_volume(vs, None, h) / (1 - mu) * 1.001:
             bad += 1
     elapsed = time.time() - t0
@@ -174,7 +174,7 @@ def test_06_bandwidth_snapping_guarantees():
         grid = BandwidthGrid(1, T)
         for _ in range(1000):
             h = float(rng.uniform(1.0 / T, 0.5))
-            h_hat = snap_bandwidth(grid, h)
+            h_hat = grid.snap(h)
             if 1.0 / h_hat > 2.0 / h + 1e-12:
                 viol += 1
             cuts = np.unique(np.concatenate(

@@ -74,6 +74,13 @@ class TestExitCodes:
                      "--h", "0.1"]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_unknown_environment_parameter(self, capsys):
+        assert main(["run", "--alg", "exp4", "--env", "absolute:foo=1",
+                     "--h", "0.1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "'absolute'" in err and "'foo'" in err
+
     def test_missing_env(self, capsys):
         assert main(["run", "--alg", "exp4", "--h", "0.1"]) == 2
 

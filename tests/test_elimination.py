@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -9,9 +11,10 @@ from smoothcb.elimination import (ElimConfig, EpochState,
                                   solve_variance_program)
 from smoothcb.environments import (FiniteContexts, StochasticEnv,
                                    make_named_instance)
-from smoothcb.estimators import IWSample
+from smoothcb.estimators import IWSample, iw_estimate
+from smoothcb.harness import RunConfig, default_policy_class, run_experiment
 from smoothcb.kernels import RectKernel
-from smoothcb.losses import PiecewiseConstantLoss
+from smoothcb.losses import PiecewiseConstantLoss, PiecewiseLinearLoss
 from smoothcb.policies import PolicyClass, VersionSpace, union_ball_volume
 from smoothcb.spaces import ActionSpace
 
@@ -53,7 +56,7 @@ class TestConfig:
 class TestVarianceProgram:
     def test_single_policy_closed_form(self):
         pc = _ring_pc([0.5])
-        Q, value, _ = solve_variance_program(
+        Q, value, _, _ = solve_variance_program(
             pc, VersionSpace(pc), h=0.1, mu=0.5, panel=_panel())
         # q = 0.5 + 0.5 * 5 inside the ball; value = 0.2 * 5 / 3 = 1/3
         assert Q == pytest.approx([1.0])
@@ -62,13 +65,13 @@ class TestVarianceProgram:
 
     def test_duplicate_policies_same_value(self):
         pc = _ring_pc([0.5, 0.5])
-        _, value, _ = solve_variance_program(
+        _, value, _, _ = solve_variance_program(
             pc, VersionSpace(pc), h=0.1, mu=0.5, panel=_panel())
         assert value == pytest.approx(1.0 / 3.0, abs=1e-3)
 
     def test_two_disjoint_balls_small_mu(self):
         pc = _ring_pc([0.2, 0.7])
-        Q, value, _ = solve_variance_program(
+        Q, value, _, _ = solve_variance_program(
             pc, VersionSpace(pc), h=0.1, mu=0.01, panel=_panel())
         V = 0.4
         assert value <= V / 0.99 * (1 + 1e-3)
@@ -92,7 +95,7 @@ class TestVarianceProgram:
             vs = VersionSpace(pc)
             h = float(rng.uniform(0.03, 0.2))
             mu = float(rng.uniform(0.01, 0.5))
-            _, value, _ = solve_variance_program(
+            _, value, _, _ = solve_variance_program(
                 pc, vs, h=h, mu=mu, panel=_panel())
             V = union_ball_volume(vs, None, h)
             assert value <= V / (1 - mu) * (1 + 1e-3) + 1e-12
@@ -118,20 +121,25 @@ def _make_alg(actions, h=0.1, T=1024, variant="s", L=None, env=None):
     return env, pc, SmoothPolicyElimination(env, pc, cfg)
 
 
+def _rows(alg, state, n):
+    """Survivor centres for n rounds of the single context."""
+    return alg._centers(state.vs, [None], np.zeros(n, dtype=int))
+
+
 class TestSampling:
     def test_propensity_floor(self):
         env, pc, alg = _make_alg([0.2, 0.7])
         state = alg.start_epoch(1, VersionSpace(pc), _panel())
-        rng = np.random.default_rng(1)
-        for _ in range(300):
-            _, q = alg.act(state, None, rng)
-            assert q >= state.mu_m - 1e-12
+        _, q, _ = alg.act(state, _rows(alg, state, 300),
+                          np.random.default_rng(1))
+        assert np.all(q >= state.mu_m - 1e-12)
 
     def test_point_mass_outside_ball(self):
         env, pc, alg = _make_alg([0.2, 0.7])
         state = alg.start_epoch(1, VersionSpace(pc), _panel())
         state.Q = np.array([1.0, 0.0])
-        assert alg.propensity(state, None, 0.7) == pytest.approx(state.mu_m)
+        q, _ = alg.propensity(state, _rows(alg, state, 1), np.array([0.7]))
+        assert q[0] == pytest.approx(state.mu_m)
 
     def test_action_histogram_matches_mixture(self):
         # chi-squared test of the sampler against the exact mixture density
@@ -142,13 +150,39 @@ class TestSampling:
         state.mu_m = 0.3
         rng = np.random.default_rng(2)
         n = 10 ** 5
-        draws = np.array([alg.act(state, None, rng)[0] for _ in range(n)])
+        draws = alg.act(state, _rows(alg, state, n), rng)[0]
         edges = np.linspace(0.0, 1.0, 21)  # ball edges are multiples of 0.05
         counts, _ = np.histogram(draws, bins=edges)
         mids = (edges[:-1] + edges[1:]) / 2.0
-        probs = np.array([alg.propensity(state, None, m) for m in mids]) * 0.05
+        probs = alg.propensity(state, _rows(alg, state, len(mids)),
+                               mids)[0] * 0.05
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
         _, pval = stats.chisquare(counts, probs * n)
+        assert pval > 1e-3
+
+    def test_action_histogram_matches_mixture_cube2(self):
+        # the same test on the 2-d cube, with 0.05 x 0.05 cells
+        env = make_named_instance("needle_h", h=0.125, d=2,
+                                  noise="deterministic")
+        pc = PolicyClass.constant(env.space, [[0.25, 0.25], [0.6, 0.7]])
+        alg = SmoothPolicyElimination(
+            env, pc, ElimConfig(variant="s", T=1024, h=0.15))
+        state = alg.start_epoch(1, VersionSpace(pc), _panel())
+        state.Q = np.array([0.4, 0.6])
+        state.mu_m = 0.3
+        n = 2 * 10 ** 5
+        draws = alg.act(state, _rows(alg, state, n),
+                        np.random.default_rng(3))[0]
+        edges = np.linspace(0.0, 1.0, 21)
+        counts, _, _ = np.histogram2d(draws[:, 0], draws[:, 1],
+                                      bins=[edges, edges])
+        mids = (edges[:-1] + edges[1:]) / 2.0
+        cells = np.stack(np.meshgrid(mids, mids, indexing="ij"),
+                         axis=-1).reshape(-1, 2)
+        probs = alg.propensity(state, _rows(alg, state, len(cells)),
+                               cells)[0] * 0.05 ** 2
+        assert probs.sum() == pytest.approx(1.0, abs=1e-9)
+        _, pval = stats.chisquare(counts.ravel(), probs * n)
         assert pval > 1e-3
 
 
@@ -169,11 +203,8 @@ class TestPruning:
         env, pc, alg = _make_alg([0.5, 0.5, 0.5])
         state = self._tiny_state(alg, pc)
         rng = np.random.default_rng(3)
-        samples = []
-        for _ in range(state.n_m):
-            a, q = alg.act(state, None, rng)
-            samples.append(IWSample(None, a, env.realize_at(None, a, rng), q))
-        nxt = alg.end_epoch(state, samples)
+        est = alg._play_epoch(state, state.n_m, rng, rng)[3]
+        nxt = alg.end_epoch(state, est)
         assert len(nxt) == 3
 
     def test_large_gap_policy_eliminated(self):
@@ -181,11 +212,8 @@ class TestPruning:
         env, pc, alg = _make_alg([0.5, 0.9])
         state = self._tiny_state(alg, pc, r_m=0.05)
         rng = np.random.default_rng(4)
-        samples = []
-        for _ in range(state.n_m):
-            a, q = alg.act(state, None, rng)
-            samples.append(IWSample(None, a, env.realize_at(None, a, rng), q))
-        nxt = alg.end_epoch(state, samples)
+        est = alg._play_epoch(state, state.n_m, rng, rng)[3]
+        nxt = alg.end_epoch(state, est)
         assert list(nxt.indices) == [0]
 
     def test_empirical_minimizer_always_survives(self):
@@ -202,6 +230,118 @@ class TestPruning:
         state = self._tiny_state(alg, pc)
         with pytest.raises(ValueError):
             alg.end_epoch(state, [])
+
+
+def _grid_instance():
+    # two weighted contexts, a tabular class, Gaussian noise; h = 0.2 puts
+    # ball edges exactly on grid points
+    space = ActionSpace.grid(10)
+    losses = [PiecewiseLinearLoss([0.0, 0.3, 1.0], [0.8, 0.1, 0.9]),
+              PiecewiseLinearLoss([0.0, 0.7, 1.0], [0.9, 0.2, 0.6])]
+    env = StochasticEnv(space, FiniteContexts([0, 1], [0.3, 0.7]),
+                        lambda x: losses[x], noise="gaussian", sigma=0.2)
+    table = np.array([[0.1, 0.3, 0.5, 0.7, 0.9], [0.2, 0.4, 0.6, 0.8, 1.0]])
+    return env, PolicyClass.tabular(space, table), 0.2
+
+
+def _sphere_instance():
+    env = make_named_instance("linear_sphere")
+    angles = 2.0 * np.pi * np.arange(8) / 8
+    w = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    return env, PolicyClass.linear_sphere(env.space, w, rescale=True), 0.1
+
+
+def _named(name, n_policies, bandwidth, **params):
+    env = make_named_instance(name, **params)
+    return env, default_policy_class(env, n_policies), bandwidth
+
+
+_INSTANCES = {
+    "ring": lambda: _named("absolute", 8, 0.1),
+    "cube1": lambda: _named("needle_h", 8, 0.1, h=0.125, index=1),
+    "cube2": lambda: _named("needle_h", 9, 0.25, h=0.125, d=2, index=1),
+    "grid": _grid_instance,
+    "sphere": _sphere_instance,
+}
+
+
+class TestOneEpochPath:
+    """The batched epoch on every space kind and both context classes."""
+
+    def _alg(self, name, T=4096):
+        env, pc, h = _INSTANCES[name]()
+        return env, pc, SmoothPolicyElimination(
+            env, pc, ElimConfig(variant="s", T=T, h=h, n_ctx=50))
+
+    def _epoch(self, name):
+        env, pc, alg = self._alg(name)
+        rng = np.random.default_rng(0)
+        panel = env.context_panel(50, rng)
+        return env, pc, alg, alg.start_epoch(1, VersionSpace(pc), panel,
+                                             rng=rng)
+
+    @pytest.mark.parametrize("name", sorted(_INSTANCES))
+    def test_estimates_and_propensities_exact(self, name):
+        env, pc, alg, state = self._epoch(name)
+        n = 200
+        a, loss, _, est = alg._play_epoch(state, n, np.random.default_rng(2),
+                                          np.random.default_rng(1))
+        # the same epoch, step by step
+        rng_env = np.random.default_rng(1)
+        values, index = env.contexts.sample_many(rng_env, n)
+        centers = alg._centers(state.vs, values, index)
+        a2, q, _ = alg.act(state, centers, np.random.default_rng(2))
+        loss2, _ = env.realize_many(values, index, a2, rng_env)
+        assert np.array_equal(a, a2) and np.array_equal(loss, loss2)
+        kern = RectKernel(pc.space, state.h_m)
+        support = state.vs.indices
+        assert est.shape == (len(support), n) and np.any(est > 0)
+        for i in range(n):
+            x = values[index[i]]
+            assert pc.space.contains(a[i])
+            dens = [kern.density(pc.act(int(pi), x), a[i]) for pi in support]
+            mix = state.mu_m + (1.0 - state.mu_m) * np.dot(state.Q, dens)
+            assert q[i] == pytest.approx(mix, rel=1e-12)
+            s = IWSample(x, a[i], float(loss[i]), float(q[i]))
+            for j, pi in enumerate(support):
+                assert est[j, i] == pytest.approx(
+                    iw_estimate(kern, pc, int(pi), s), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("name", sorted(_INSTANCES))
+    def test_full_run_actions_in_space(self, name):
+        env, pc, alg = self._alg(name, T=300)
+        out = alg.run(np.random.default_rng(3))
+        assert len(out["actions"]) == 300 and len(out["losses"]) == 300
+        assert all(pc.space.contains(a) for a in out["actions"])
+        assert np.all((out["losses"] >= 0.0) & (out["losses"] <= 1.0))
+
+    def test_cube2_certificate_uses_stored_volume(self):
+        _, _, alg, state = self._epoch("cube2")
+        bound = state.V_m / (1.0 - state.mu_m) * (1.0 + 10.0 * alg.config.tol)
+        assert state.solver_value <= bound
+
+
+class TestSeededTrajectories:
+    # sha256 of actions, losses and epoch rows of seeded runs on absolute;
+    # the pe-l run finishes and scores epoch 1, then plays into epoch 2
+    DIGESTS = {
+        ("pe-s", 4096): "c49797c1f64c562d7a9c1d9b0b1a1b9a"
+                        "b2a74e93095fb9af3e9061ffbd26b247",
+        ("pe-l", 2 ** 17): "e758023f66ac24df6d3bb9df6a8ecd33"
+                           "b6d6864fd498597c628d858a9af9d087",
+    }
+
+    @pytest.mark.parametrize("alg,T", sorted(DIGESTS))
+    def test_absolute_trajectory_digest(self, alg, T):
+        extra = {"h": 0.1} if alg == "pe-s" else {"L": 1.0}
+        cfg = RunConfig(alg=alg, env_name="absolute", T=T, seeds=[0, 1],
+                        n_policies=8, **extra)
+        digest = hashlib.sha256()
+        for tr in run_experiment(cfg):
+            digest.update(np.asarray(tr.actions, dtype=np.float64).tobytes())
+            digest.update(np.asarray(tr.losses, dtype=np.float64).tobytes())
+            digest.update(json.dumps(tr.epochs, sort_keys=True).encode())
+        assert digest.hexdigest() == self.DIGESTS[(alg, T)]
 
 
 class TestFullRun:

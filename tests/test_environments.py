@@ -20,9 +20,7 @@ class TestNoiseModels:
     def test_deterministic_equals_mean(self):
         env = _constant_env(0.3)
         rng = np.random.default_rng(0)
-        x, realized = env.draw_round(rng)
-        assert realized(0.7) == pytest.approx(0.3)
-        assert env.realize_at(x, 0.7, rng) == pytest.approx(0.3)
+        assert env.realize_at(None, 0.7, rng) == pytest.approx(0.3)
 
     def test_bernoulli_mean(self):
         env = make_named_instance("absolute")
@@ -38,6 +36,29 @@ class TestNoiseModels:
     def test_single_context(self):
         env = make_named_instance("absolute")
         assert env.contexts.sample(np.random.default_rng(0)) is None
+
+
+class TestBatchedRounds:
+    def test_realize_many_groups_rounds_by_context(self):
+        losses = [PiecewiseLinearLoss([0.0, 1.0], [0.1 * c, 0.9 - 0.2 * c])
+                  for c in range(3)]
+        env = StochasticEnv(ActionSpace.cube(1),
+                            FiniteContexts([0, 1, 2], [0.2, 0.5, 0.3]),
+                            lambda x: losses[x])
+        values, index = env.contexts.sample_many(np.random.default_rng(0),
+                                                 500)
+        assert set(index) == {0, 1, 2}
+        a = np.random.default_rng(1).random(500)
+        loss, mean = env.realize_many(values, index, a, None)
+        expected = [env.realize_at(values[i], v, None)
+                    for i, v in zip(index, a)]
+        assert np.array_equal(mean, expected) and np.array_equal(loss, mean)
+
+    def test_sampler_gives_each_round_its_context(self):
+        env = make_named_instance("linear_sphere")
+        values, index = env.contexts.sample_many(np.random.default_rng(0), 7)
+        assert len(values) == 7 and list(index) == list(range(7))
+        assert all(np.isclose(np.linalg.norm(v), 1.0) for v in values)
 
 
 class TestBenchmarks:

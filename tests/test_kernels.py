@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from smoothcb.kernels import BandwidthGrid, RectKernel, snap_bandwidth
+from smoothcb.kernels import BandwidthGrid, RectKernel
 from smoothcb.losses import PiecewiseConstantLoss, PiecewiseLinearLoss
 from smoothcb.spaces import ActionSpace
 
@@ -24,6 +24,13 @@ class TestDensity:
     def test_cube_boundary_ball(self):
         k = RectKernel(ActionSpace.cube(1), 0.1)
         assert k.density(0.0, 0.05) == pytest.approx(10.0, abs=1e-12)
+
+    def test_grid_ball_edge_counts(self):
+        # 0.4 is in the ball B(0.3, 0.1) the sampler draws from (3 points),
+        # although 0.4 - 0.3 rounds to just above 0.1
+        k = RectKernel(ActionSpace.grid(10), 0.1)
+        assert k.density(0.3, 0.4) == pytest.approx(10.0 / 3.0)
+        assert k.densities(np.array([0.3]), 0.4) == pytest.approx([10.0 / 3.0])
 
     def test_dirac_density_rejected(self):
         k = RectKernel(ActionSpace.ring(), 0.0)
@@ -163,7 +170,3 @@ class TestBandwidthGrid:
         assert grid.contains(1.0)
         assert not grid.contains(grid.min_h - 1.0 / grid.D)
         assert not grid.contains(0.3 + 0.5 / grid.D)
-
-    def test_snap_function_alias(self):
-        grid = BandwidthGrid(1, 4)
-        assert snap_bandwidth(grid, 0.3) == grid.snap(0.3)

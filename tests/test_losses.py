@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from smoothcb.losses import (BernoulliRealization, CallableLoss,
+from smoothcb.losses import (CallableLoss,
                              PiecewiseConstantLoss, PiecewiseLinearLoss,
                              SeparableProductLoss)
 
@@ -81,19 +81,3 @@ class TestCallable:
         loss = CallableLoss(lambda a: 2.0 * np.ones_like(np.asarray(a)))
         with pytest.raises(ValueError):
             loss(0.5)
-
-
-class TestBernoulliRealization:
-    def test_values_are_binary_and_cached(self):
-        mean = PiecewiseConstantLoss.constant(0.5)
-        real = BernoulliRealization(mean, np.random.default_rng(0))
-        v = real(0.3)
-        assert v in (0.0, 1.0)
-        assert real(0.3) == v
-
-    def test_mean_matches(self):
-        mean = PiecewiseConstantLoss.constant(0.3)
-        rng = np.random.default_rng(1)
-        draws = [BernoulliRealization(mean, rng)(0.5) for _ in range(20000)]
-        se = np.sqrt(0.3 * 0.7 / len(draws))
-        assert abs(np.mean(draws) - 0.3) <= 3 * se

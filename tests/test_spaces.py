@@ -123,14 +123,13 @@ class TestGrid:
 class TestSampleBall:
     def test_ring_wrap_support(self):
         space = ActionSpace.ring()
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            a = space.sample_ball(0.0, 0.1, rng)
-            assert a >= 0.9 or a <= 0.1 + 1e-12
+        a = space.sample_ball(np.zeros(200), 0.1, np.random.default_rng(5))
+        assert a.shape == (200,)
+        assert np.all((a >= 0.9) | (a <= 0.1 + 1e-12))
 
     def test_cube_clipped_support(self):
         space = ActionSpace.cube(2)
-        rng = np.random.default_rng(6)
-        for _ in range(200):
-            a = space.sample_ball(np.zeros(2), 0.1, rng)
-            assert np.all(a >= 0.0) and np.all(a <= 0.1 + 1e-12)
+        a = space.sample_ball(np.zeros((200, 2)), 0.1,
+                              np.random.default_rng(6))
+        assert a.shape == (200, 2)
+        assert np.all(a >= 0.0) and np.all(a <= 0.1 + 1e-12)
