@@ -52,8 +52,9 @@ def _parse_value(text):
 
 def parse_env_spec(spec: Optional[str]):
     """'name:key=val,key=val' -> (name, params dict)."""
-    if not spec:
-        raise ValueError("an environment spec is required (--env)")
+    if not spec or not isinstance(spec, str):
+        raise ValueError(
+            f"an environment spec string is required (--env), got {spec!r}")
     name, _, rest = spec.partition(":")
     params: Dict = {}
     if rest:
@@ -65,14 +66,13 @@ def parse_env_spec(spec: Optional[str]):
     return name.strip(), params
 
 
-def _parse_seeds(text) -> List[int]:
-    if isinstance(text, int):
-        return list(range(text))
-    if isinstance(text, (list, tuple)):
-        return [int(s) for s in text]
-    if "," in text:
-        return [int(s) for s in text.split(",")]
-    return list(range(int(text)))
+def _parse_seeds(value):
+    """A seed count or a comma list; a --config file may give either as
+    JSON.  Anything else is passed on for RunConfig to reject."""
+    if isinstance(value, str):
+        value = ([int(s) for s in value.split(",")] if "," in value
+                 else int(value))
+    return list(range(value)) if isinstance(value, int) else value
 
 
 def _floats(text: str) -> List[float]:
@@ -135,7 +135,7 @@ def _config_from(args, env_name, env_params, T=None, h=None) -> RunConfig:
         alg=args.alg, env_name=env_name, env_params=env_params,
         T=T if T is not None else args.T,
         h=h if h is not None else
-        (float(_parse_value(args.h)) if args.h else None),
+        (_parse_value(args.h) if args.h else None),
         L=args.L, beta=args.beta, seeds=_parse_seeds(args.seeds),
         n_policies=args.policies, policy_csv=args.policy_csv)
 
@@ -208,10 +208,11 @@ def _cmd_diagnose(args) -> int:
 def _cmd_lowerbound(args) -> int:
     env_name = "needle_h" if args.kind == "h" else "needle_L"
     base: Dict = {"R": args.R}
+    h = _parse_value(args.h) if args.h else None
     if args.kind == "h":
         if not args.h:
             raise ValueError("lowerbound --kind h needs --h")
-        base["h"] = float(_parse_value(args.h))
+        base["h"] = h
     else:
         if not args.L:
             raise ValueError("lowerbound --kind L needs --L")
@@ -220,8 +221,7 @@ def _cmd_lowerbound(args) -> int:
     for label, index in (("plain", 0), ("hidden", args.index)):
         config = RunConfig(
             alg=args.alg, env_name=env_name,
-            env_params={**base, "index": index}, T=args.T,
-            h=float(_parse_value(args.h)) if args.h else None, L=args.L,
+            env_params={**base, "index": index}, T=args.T, h=h, L=args.L,
             beta=args.beta, seeds=_parse_seeds(args.seeds),
             n_policies=args.policies)
         sub_out = os.path.join(args.out, label) if args.out else None

@@ -98,15 +98,16 @@ class StochasticEnv:
 
     # -- sampling -------------------------------------------------------
 
-    def realize_at(self, x, a, rng: np.random.Generator) -> float:
-        """Realized loss at a single action (per-round run loops)."""
+    def realize_at(self, x, a, rng: np.random.Generator):
+        """Realized and mean loss at a single action (per-round run loops)."""
         mv = self.mean_loss_of(x)(a)
         mu = mv if isinstance(mv, float) else float(np.atleast_1d(mv)[0])
         if self.noise == DETERMINISTIC:
-            return mu
+            return mu, mu
         if self.noise == BERNOULLI:
-            return float(rng.random() < mu)
-        return float(np.clip(mu + self.sigma * rng.standard_normal(), 0.0, 1.0))
+            return float(rng.random() < mu), mu
+        noisy = mu + self.sigma * rng.standard_normal()
+        return float(np.clip(noisy, 0.0, 1.0)), mu
 
     def realize_many(self, values, index, a: np.ndarray,
                      rng: np.random.Generator):
@@ -140,19 +141,13 @@ class StochasticEnv:
                                n_ctx: int = 2000,
                                rng: Optional[np.random.Generator] = None,
                                panel=None) -> np.ndarray:
-        """lambda_h(pi) for every policy (h = 0 gives unsmoothed values)."""
+        """lambda_h(pi) for every policy, one batched kernel integral per
+        context (h = 0 gives unsmoothed values)."""
         kern = RectKernel(self.space, h)
         xs, ws = panel if panel is not None else self.context_panel(n_ctx, rng)
-        out = np.zeros(pc.size)
-        for x, w in zip(xs, ws):
-            mean = self.mean_loss_of(x)
-            acts = np.atleast_1d(pc.actions_at(x))
-            if acts.ndim == 1 and pc.space.d > 1:
-                acts = acts[None, :]
-            for i in range(pc.size):
-                a = acts[i] if acts.ndim > 1 else float(acts[i])
-                out[i] += w * kern.smoothed_loss(a, mean)
-        return out
+        return sum(w * kern.smoothed_losses(pc.actions_at(x),
+                                            self.mean_loss_of(x))
+                   for x, w in zip(xs, ws))
 
     def smoothed_benchmark(self, pc: PolicyClass, h: float,
                            n_ctx: int = 2000,
@@ -181,13 +176,8 @@ class AdversarialSequence:
     def benchmark(self, pc: PolicyClass, h: float) -> Tuple[float, int]:
         """min over policies of the average smoothed loss of the sequence."""
         kern = RectKernel(self.space, h)
-        totals = np.zeros(pc.size)
-        for x, loss in self.rounds:
-            acts = np.atleast_1d(pc.actions_at(x))
-            for i in range(pc.size):
-                a = acts[i] if acts.ndim > 1 else float(acts[i])
-                totals[i] += kern.smoothed_loss(a, loss)
-        totals /= len(self.rounds)
+        totals = sum(kern.smoothed_losses(pc.actions_at(x), loss)
+                     for x, loss in self.rounds) / len(self.rounds)
         idx = int(np.argmin(totals))
         return float(totals[idx]), idx
 
@@ -260,8 +250,7 @@ def _linear_sphere(d_ctx: int = 2, wstar: Optional[Sequence[float]] = None,
                    zstar + t_sat]
         us = sorted({0.0, 1.0, *((1.0 + t) / 2.0 for t in kinks_t
                                  if -1.0 < t < 1.0)})
-        knots = [float(f(np.array(2.0 * u - 1.0 - zstar))) for u in us]
-        return PiecewiseLinearLoss(us, knots)
+        return PiecewiseLinearLoss(us, f(2.0 * np.array(us) - 1.0 - zstar))
 
     def draw_ctx(rng: np.random.Generator):
         v = rng.standard_normal(d_ctx)

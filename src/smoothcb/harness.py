@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -27,6 +28,14 @@ from .policies import (PolicyClass, VersionSpace, packing_number,
 ALGORITHMS = ("exp4", "pe-s", "pe-l", "corral-uniform-h", "corral-lipschitz")
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 @dataclass
 class RunConfig:
     alg: str
@@ -39,12 +48,35 @@ class RunConfig:
     seeds: Sequence[int] = (0,)
     n_policies: int = 64
     n_ctx: int = 2000
-    eta: Optional[float] = None
     policy_csv: Optional[str] = None
 
     def __post_init__(self):
         if self.alg not in ALGORITHMS:
             raise ValueError(f"unknown algorithm: {self.alg!r}")
+        if not _is_int(self.T) or self.T < 2:
+            raise ValueError(f"T must be an integer >= 2, got {self.T!r}")
+        for name in ("n_policies", "n_ctx"):
+            value = getattr(self, name)
+            if not _is_int(value) or value < 1:
+                raise ValueError(
+                    f"{name} must be an integer >= 1, got {value!r}")
+        if (not isinstance(self.seeds, (list, tuple, range))
+                or not self.seeds or not all(map(_is_int, self.seeds))):
+            raise ValueError(
+                f"seeds must be a non-empty list of integers, "
+                f"got {self.seeds!r}")
+        if self.h is not None:
+            if not (_is_real(self.h) and 0 < self.h <= 1):
+                raise ValueError(f"h must lie in (0, 1], got {self.h!r}")
+            self.h = float(self.h)
+        if self.L is not None and not (_is_real(self.L)
+                                       and math.isfinite(self.L)):
+            raise ValueError(f"L must be a finite number, got {self.L!r}")
+        if not (_is_real(self.beta) and 0 <= self.beta <= 1):
+            raise ValueError(f"beta must lie in [0, 1], got {self.beta!r}")
+        if not isinstance(self.policy_csv, (str, type(None))):
+            raise ValueError(
+                f"policy_csv must be a path, got {self.policy_csv!r}")
         if self.alg in ("exp4", "pe-s") and not self.h:
             raise ValueError(f"{self.alg} needs --h")
         if self.alg == "pe-l" and not self.L:
@@ -99,40 +131,41 @@ def default_policy_class(env: StochasticEnv, n: int,
 
 
 def _loop_exp4(env: StochasticEnv, pc: PolicyClass, h: float, T: int,
-               env_rng, alg_rng, eta=None):
-    state = Exp4State.for_kernel(RectKernel(env.space, h), pc, T, eta=eta)
+               env_rng, alg_rng):
+    state = Exp4State.for_kernel(RectKernel(env.space, h), pc, T)
     actions = np.empty(T) if env.space.d == 1 else np.empty((T, env.space.d))
     losses = np.empty(T)
     means = np.empty(T)
     for t in range(T):
         x = env.contexts.sample(env_rng)
         a, _ = state.step(x, alg_rng)
-        loss = env.realize_at(x, a, env_rng)
+        loss, means[t] = env.realize_at(x, a, env_rng)
         state.update(x, a, loss)
         actions[t] = a
         losses[t] = loss
-        means[t] = float(np.atleast_1d(env.mean_loss_of(x)(a))[0])
     return actions, losses, means, None
 
 
 def _loop_corral(env: StochasticEnv, pc: PolicyClass, T: int, beta: float,
-                 mode: str, env_rng, alg_rng, h: Optional[float] = None,
-                 eta=None):
+                 mode: str, env_rng, alg_rng, h: Optional[float] = None):
     if mode == "single":
         master = corral_mod.build([RectKernel(env.space, h)], pc, T,
-                                  beta=beta, mode=corral_mod.GENERIC, eta=eta)
+                                  beta=beta, mode=corral_mod.GENERIC)
     else:
-        master = corral_mod.build(None, pc, T, beta=beta, mode=mode, eta=eta)
+        master = corral_mod.build(None, pc, T, beta=beta, mode=mode)
     actions = np.empty(T) if env.space.d == 1 else np.empty((T, env.space.d))
     losses = np.empty(T)
     means = np.empty(T)
     for t in range(T):
         x = env.contexts.sample(env_rng)
-        a, rec = master.round(x, lambda aa: env.realize_at(x, aa, env_rng),
-                              alg_rng)
+
+        def loss_eval(aa):
+            loss, means[t] = env.realize_at(x, aa, env_rng)
+            return loss
+
+        a, rec = master.round(x, loss_eval, alg_rng)
         actions[t] = a
         losses[t] = rec["loss"]
-        means[t] = float(np.atleast_1d(env.mean_loss_of(x)(a))[0])
     return actions, losses, means, master
 
 
@@ -148,41 +181,51 @@ def _loop_elim(env: StochasticEnv, pc: PolicyClass, cfg: RunConfig,
     return actions, losses, means, out
 
 
+def _benchmark(config: RunConfig, env: StochasticEnv, pc: PolicyClass):
+    """(bench_h, bench): the bandwidth regret is measured at, and its
+    smoothed benchmark over the seed-0 context panel (NaN without one).
+
+    The panel does not depend on the run's seed, so one value serves every
+    seed of an experiment.
+    """
+    if config.alg in ("exp4", "pe-s"):
+        bench_h = config.h
+    elif config.alg == "corral-uniform-h":
+        bench_h = (BandwidthGrid(env.space.d, config.T).snap(config.h)
+                   if config.h else None)
+    else:
+        bench_h = 0.0
+    if bench_h is None:
+        return None, float("nan")
+    if bench_h == 0.0 and env.lipschitz_constant is None:
+        raise ValueError("Lipschitz regret needs an env with L metadata")
+    panel = env.context_panel(config.n_ctx, np.random.default_rng(0))
+    return bench_h, env.smoothed_benchmark(pc, bench_h, panel=panel)[0]
+
+
 def run_one(config: RunConfig, seed: int, env: Optional[StochasticEnv] = None,
-            pc: Optional[PolicyClass] = None) -> RegretTrace:
+            pc: Optional[PolicyClass] = None,
+            benchmark: Optional[tuple] = None) -> RegretTrace:
+    """One seed; ``benchmark`` is ``_benchmark``'s result when known."""
     env = env or make_named_instance(config.env_name, **config.env_params)
     pc = pc or default_policy_class(env, config.n_policies, config.policy_csv)
+    bench_h, bench = benchmark or _benchmark(config, env, pc)
     env_rng, alg_rng = _rngs(seed)
     t0 = time.time()
     epochs = None
     if config.alg == "exp4":
         actions, losses, means, _ = _loop_exp4(
-            env, pc, config.h, config.T, env_rng, alg_rng, eta=config.eta)
-        bench_h = config.h
+            env, pc, config.h, config.T, env_rng, alg_rng)
     elif config.alg in ("pe-s", "pe-l"):
         variant = "s" if config.alg == "pe-s" else "l"
         actions, losses, means, out = _loop_elim(
             env, pc, config, variant, env_rng, alg_rng)
         epochs = out["epochs"]
-        bench_h = config.h if config.alg == "pe-s" else 0.0
-    elif config.alg == "corral-uniform-h":
-        actions, losses, means, master = _loop_corral(
-            env, pc, config.T, config.beta, corral_mod.UNIFORM_H,
-            env_rng, alg_rng, eta=config.eta)
-        bench_h = (BandwidthGrid(env.space.d, config.T).snap(config.h)
-                   if config.h else None)
     else:
-        actions, losses, means, master = _loop_corral(
-            env, pc, config.T, config.beta, corral_mod.LIPSCHITZ_ADAPTIVE,
-            env_rng, alg_rng, eta=config.eta)
-        bench_h = 0.0
-    if bench_h == 0.0 and env.lipschitz_constant is None:
-        raise ValueError("Lipschitz regret needs an env with L metadata")
-    if bench_h is not None:
-        panel = env.context_panel(config.n_ctx, np.random.default_rng(0))
-        bench, _ = env.smoothed_benchmark(pc, bench_h, panel=panel)
-    else:
-        bench = float("nan")
+        mode = (corral_mod.UNIFORM_H if config.alg == "corral-uniform-h"
+                else corral_mod.LIPSCHITZ_ADAPTIVE)
+        actions, losses, means, _ = _loop_corral(
+            env, pc, config.T, config.beta, mode, env_rng, alg_rng)
     total = float(np.sum(losses))
     regret = total - config.T * bench
     pseudo = (float(np.sum(means)) - config.T * bench
@@ -198,7 +241,9 @@ def run_experiment(config: RunConfig,
     """One trace per seed; optionally writes CSVs plus summary.json."""
     env = make_named_instance(config.env_name, **config.env_params)
     pc = default_policy_class(env, config.n_policies, config.policy_csv)
-    traces = [run_one(config, s, env=env, pc=pc) for s in config.seeds]
+    bench = _benchmark(config, env, pc)
+    traces = [run_one(config, s, env=env, pc=pc, benchmark=bench)
+              for s in config.seeds]
     if out_dir:
         write_outputs(config, traces, out_dir)
     return traces

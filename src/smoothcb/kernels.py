@@ -2,9 +2,10 @@
 
 A kernel with bandwidth h turns an action a into the uniform distribution
 over the metric ball B(a, h).  Its density sup, kappa, acts as the effective
-number of actions.  The bandwidth grid holds the multiples of 1/D that the
-snapping rule maps arbitrary bandwidths onto; it is kept virtual because its
-cardinality grows like D = d * 2^(d+2) * T^2.
+number of actions.  Densities and smoothed losses are batch-first, and the
+one-centre methods are their one-row cases.  The bandwidth grid holds the
+multiples of 1/D that the snapping rule maps arbitrary bandwidths onto; it
+is kept virtual because its cardinality grows like D = d * 2^(d+2) * T^2.
 """
 
 from __future__ import annotations
@@ -12,10 +13,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate as _sciint
 
-from .losses import (CallableLoss, LossFunction, PiecewiseConstantLoss,
-                     PiecewiseLinearLoss, SeparableProductLoss)
+from .losses import LossFunction
 from .spaces import CUBE, GRID, RING, ActionSpace
 
 
@@ -23,11 +22,11 @@ class RectKernel:
     """Uniform-over-ball smoothing kernel on an action space.
 
     h = 0 is a Dirac diagnostic kernel: density queries error out and
-    smoothed_loss returns the loss at the center.  Algorithms reject h = 0.
+    smoothed losses are the loss at the centre.  Algorithms reject h = 0.
     """
 
     def __init__(self, space: ActionSpace, h: float):
-        if h < 0 or h > 1:
+        if not 0.0 <= h <= 1.0:
             raise ValueError("bandwidth must lie in [0, 1]")
         self.space = space
         self.h = float(h)
@@ -78,33 +77,37 @@ class RectKernel:
         return float(out) if self.space.d == 1 else out
 
     def smoothed_loss(self, center, loss: LossFunction) -> float:
-        """<K_h(center), loss>: the mean loss of a uniform ball draw."""
-        if self.h == 0.0:
-            return float(np.atleast_1d(loss(center))[0])
-        sp = self.space
-        vol = sp.ball_volume(center, self.h)
+        """<K_h(center), loss>: the one-centre case of smoothed_losses."""
+        return float(self.smoothed_losses(
+            np.asarray(center, dtype=float)[None], loss)[0])
+
+    def smoothed_losses(self, centers, loss: LossFunction) -> np.ndarray:
+        """<K_h(c), loss>, the mean loss of a draw from B(c, h), for each
+        centre c of shape (k,), or (k, d) on the cube."""
+        c = np.asarray(centers, dtype=float)
+        sp, h = self.space, self.h
+        if h == 0.0:
+            return np.atleast_1d(loss(c)).astype(float)
         if sp.kind == GRID:
             pts = sp.grid_points()
-            members = pts[np.abs(pts - float(np.atleast_1d(center)[0]))
-                          <= self.h + 1e-12]
-            val = float(np.mean(np.atleast_1d(loss(members))))
-        elif sp.kind == CUBE and sp.d > 1:
-            c = np.atleast_1d(np.asarray(center, dtype=float))
-            lo = np.maximum(0.0, c - self.h)
-            hi = np.minimum(1.0, c + self.h)
-            if isinstance(loss, SeparableProductLoss):
-                val = loss.integrate_box(lo, hi) / vol
-            else:
-                res, _ = _sciint.nquad(
-                    lambda *a: float(np.atleast_1d(loss(np.array(a)))[0]),
-                    list(zip(lo, hi)), opts={"epsabs": 1e-9})
-                val = res / vol
+            member = np.abs(c[:, None] - pts) <= h + 1e-12
+            val = member @ np.atleast_1d(loss(pts)) / sp.M
+        elif sp.d > 1:
+            val = loss.integrate_box(np.maximum(0.0, c - h),
+                                     np.minimum(1.0, c + h))
         else:
-            val = loss.integrate_intervals(
-                sp.ball_intervals(center, self.h)) / vol
-        if val < -1e-9 or val > 1.0 + 1e-9:
+            # a ring ball wider than the circle is the whole circle; the
+            # parts wrapped below 0 or past 1 are the last two terms
+            r = min(h, 0.5) if sp.kind == RING else h
+            lo, hi = c - r, c + r
+            val = loss.integrate(np.maximum(0.0, lo), np.minimum(1.0, hi))
+            if sp.kind == RING:
+                val = (val + loss.integrate(lo + 1.0, 1.0)
+                       + loss.integrate(0.0, hi - 1.0))
+        val = val / sp.ball_volumes(c, h)
+        if np.any(val < -1e-9) or np.any(val > 1.0 + 1e-9):
             raise ValueError("loss violated its [0,1] range contract")
-        return min(1.0, max(0.0, val))
+        return np.clip(val, 0.0, 1.0)
 
 
 class BandwidthGrid:

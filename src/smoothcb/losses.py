@@ -1,15 +1,15 @@
 """Loss functions mapping the action space to [0,1].
 
-Piecewise-constant and piecewise-linear losses over 1-d spaces carry explicit
-breakpoints, so integrals against rectangular kernels are exact interval
-arithmetic.  The cube in d >= 2 gets separable per-coordinate products, and
-anything else falls back to a range-checked callable integrated by adaptive
-quadrature.
+Integrals are batch-first.  Piecewise-constant and piecewise-linear losses
+over 1-d spaces keep a prefix table of their exact integral at the
+breakpoints, so an interval costs F(hi) - F(lo).  The cube in d >= 2 gets
+separable per-coordinate products, and anything else falls back to a
+range-checked callable integrated by adaptive quadrature, box by box.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 from scipy import integrate as _sciint
@@ -18,17 +18,17 @@ _RANGE_TOL = 1e-12
 
 
 class LossFunction:
-    """Base class.  Subclasses implement __call__ and integrate."""
-
-    #: breakpoints of the 1-d representation, or None
-    breakpoints: Optional[np.ndarray] = None
+    """Base class.  Subclasses implement __call__, and either integrate or
+    _antiderivative(x), the integral over [0, x] with x clipped to [0, 1]."""
 
     def __call__(self, a):
         raise NotImplementedError
 
-    def integrate(self, lo: float, hi: float) -> float:
-        """Exact integral of the loss over [lo, hi] subset of [0,1]."""
-        raise NotImplementedError
+    def integrate(self, lo, hi):
+        """Integral over each [lo, hi] within [0, 1], with lo and hi
+        broadcast together; an empty interval (hi <= lo) gives 0."""
+        F = self._antiderivative
+        return np.where(hi > lo, F(hi) - F(lo), 0.0)[()]
 
     def integrate_intervals(self, intervals) -> float:
         return sum(self.integrate(lo, hi) for lo, hi in intervals)
@@ -62,7 +62,8 @@ class PiecewiseConstantLoss(LossFunction):
         _check_range(self.values)
         self.special_points = dict(special_points or {})
         _check_range(list(self.special_points.values()) or [0.0])
-        self.breakpoints = self.breaks
+        self._F = np.concatenate(
+            [[0.0], np.cumsum(np.diff(self.breaks) * self.values)])
 
     @staticmethod
     def constant(c: float) -> "PiecewiseConstantLoss":
@@ -84,13 +85,9 @@ class PiecewiseConstantLoss(LossFunction):
                 out = np.where(arr == p, v, out)
         return out
 
-    def integrate(self, lo: float, hi: float) -> float:
-        if hi <= lo:
-            return 0.0
-        left = np.maximum(self.breaks[:-1], lo)
-        right = np.minimum(self.breaks[1:], hi)
-        overlap = np.maximum(0.0, right - left)
-        return float(np.dot(overlap, self.values))
+    def _antiderivative(self, x: np.ndarray) -> np.ndarray:
+        # F is linear between breakpoints (and np.interp clamps to [0, 1])
+        return np.interp(x, self.breaks, self._F)
 
 
 class PiecewiseLinearLoss(LossFunction):
@@ -108,7 +105,8 @@ class PiecewiseLinearLoss(LossFunction):
             raise ValueError("breakpoints must be strictly increasing")
         _check_range(self.knots)
         self.special_points = dict(special_points or {})
-        self.breakpoints = self.breaks
+        self._F = np.concatenate([[0.0], np.cumsum(
+            np.diff(self.breaks) * (self.knots[:-1] + self.knots[1:]) / 2.0)])
 
     def __call__(self, a):
         arr = np.atleast_1d(np.asarray(a, dtype=float))
@@ -118,14 +116,14 @@ class PiecewiseLinearLoss(LossFunction):
                 out = np.where(arr == p, v, out)
         return float(out[0]) if np.isscalar(a) or np.asarray(a).ndim == 0 else out
 
-    def integrate(self, lo: float, hi: float) -> float:
-        if hi <= lo:
-            return 0.0
-        # integral of the interpolant = trapezoid rule on the clipped knots
-        cuts = np.unique(np.concatenate(
-            [[lo, hi], self.breaks[(self.breaks > lo) & (self.breaks < hi)]]))
-        vals = np.interp(cuts, self.breaks, self.knots)
-        return float(np.trapezoid(vals, cuts))
+    def _antiderivative(self, x: np.ndarray) -> np.ndarray:
+        # the table up to the piece holding x, plus a trapezoid within it
+        x = np.clip(x, 0.0, 1.0)
+        i = np.clip(np.searchsorted(self.breaks, x, side="right") - 1,
+                    0, len(self.breaks) - 2)
+        inner = (x - self.breaks[i]) * (
+            self.knots[i] + np.interp(x, self.breaks, self.knots)) / 2.0
+        return self._F[i] + inner
 
     def lipschitz_constant(self) -> float:
         slopes = np.diff(self.knots) / np.diff(self.breaks)
@@ -148,39 +146,42 @@ class SeparableProductLoss(LossFunction):
             out = out * np.atleast_1d(f(arr[:, i]))
         return float(out[0]) if out.shape[0] == 1 else out
 
-    def integrate_box(self, lo: np.ndarray, hi: np.ndarray) -> float:
-        """Exact integral over an axis-aligned box."""
+    def integrate_box(self, lo: np.ndarray, hi: np.ndarray):
+        """Exact integral over each axis-aligned box [lo, hi] of (..., d)."""
         total = 1.0
         for i, f in enumerate(self.factors):
-            total *= f.integrate(float(lo[i]), float(hi[i]))
+            total = total * f.integrate(lo[..., i], hi[..., i])
         return total
 
 
 class CallableLoss(LossFunction):
     """Arbitrary callable with a [0,1] range contract, quadrature-integrated."""
 
-    def __init__(self, fn: Callable, d: int = 1, tol: float = 1e-9,
-                 breakpoints: Optional[Sequence[float]] = None):
+    def __init__(self, fn: Callable, d: int = 1, tol: float = 1e-9):
         self.fn = fn
         self.d = d
         self.tol = tol
-        self.breakpoints = (np.asarray(breakpoints, dtype=float)
-                            if breakpoints is not None else None)
 
     def __call__(self, a):
         out = np.atleast_1d(np.asarray(self.fn(a), dtype=float))
         _check_range(out)
         return float(out[0]) if out.size == 1 else out
 
-    def integrate(self, lo: float, hi: float) -> float:
+    def integrate(self, lo, hi):
         if self.d != 1:
             raise ValueError("1-d integrate on a d>1 callable loss")
-        if hi <= lo:
-            return 0.0
-        pts: List[float] = []
-        if self.breakpoints is not None:
-            pts = [float(b) for b in self.breakpoints if lo < b < hi]
-        val, _ = _sciint.quad(self.fn, lo, hi, epsabs=self.tol,
-                              points=pts or None, limit=200)
-        return val
+        return self.integrate_box(np.asarray(lo, dtype=float)[..., None],
+                                  np.asarray(hi, dtype=float)[..., None])
 
+    def integrate_box(self, lo, hi):
+        """Integral over each box [lo, hi] of (..., d), box by box."""
+        lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float),
+                                     np.asarray(hi, dtype=float))
+        out = np.zeros(lo.shape[:-1])
+        opts = {"epsabs": self.tol, "limit": 200}
+        for i in np.ndindex(out.shape):
+            if np.all(hi[i] > lo[i]):
+                out[i], _ = _sciint.nquad(
+                    lambda *a: float(np.atleast_1d(self(np.array(a)))[0]),
+                    list(zip(lo[i], hi[i])), opts=opts)
+        return out[()]

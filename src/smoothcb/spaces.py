@@ -138,18 +138,11 @@ class ActionSpace:
         return dd
 
     def ball_volume(self, a, r: float) -> float:
-        """Base measure of the closed ball B(a, r)."""
+        """Base measure of the closed ball B(a, r): one row of ball_volumes."""
         if r < 0:
             raise ValueError("radius must be nonnegative")
         arr = self._as_array(a)
-        if self.kind == RING:
-            return min(1.0, 2.0 * r)
-        if self.kind == CUBE:
-            lo = np.maximum(0.0, arr - r)
-            hi = np.minimum(1.0, arr + r)
-            return float(np.prod(hi - lo))
-        pts = self.grid_points()
-        return float(np.sum(np.abs(pts - arr[0]) <= r + 1e-12)) / self.M
+        return float(self.ball_volumes(arr if self.d > 1 else arr[0], r))
 
     def ball_volumes(self, centers: np.ndarray, r: float) -> np.ndarray:
         """Vectorized ball_volume; the result has the centres' batch shape."""

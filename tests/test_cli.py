@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from smoothcb import harness
 from smoothcb.cli import main, parse_env_spec
 
 
@@ -86,6 +87,70 @@ class TestExitCodes:
 
     def test_missing_bandwidth(self, capsys):
         assert main(["run", "--alg", "exp4", "--env", "absolute"]) == 2
+
+
+class TestBadRunConfig:
+    """Each invalid run setting exits 2 with one line and no traceback."""
+
+    BASE = ["run", "--alg", "exp4", "--env", "absolute", "--T", "20",
+            "--h", "0.1", "--seeds", "1", "--policies", "4"]
+
+    def _check_exit_2(self, capsys, argv, message):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert message in err
+
+    def _with(self, flag, value):
+        argv = list(self.BASE)
+        argv[argv.index(flag) + 1] = value
+        return argv
+
+    def test_zero_seeds(self, capsys):
+        self._check_exit_2(capsys, self._with("--seeds", "0"), "seeds")
+
+    def test_nan_bandwidth(self, capsys):
+        self._check_exit_2(capsys, self._with("--h", "nan"), "h must lie")
+
+    def test_bandwidth_above_one(self, capsys):
+        self._check_exit_2(capsys, self._with("--h", "1.5"), "h must lie")
+
+    def test_horizon_one(self, capsys):
+        self._check_exit_2(capsys, self._with("--T", "1"), "T must be")
+
+    def test_no_policies(self, capsys):
+        self._check_exit_2(capsys, self._with("--policies", "0"), "n_policies")
+
+    def test_infinite_lipschitz(self, capsys):
+        argv = ["run", "--alg", "pe-l", "--env", "absolute", "--T", "20",
+                "--L", "inf", "--seeds", "1"]
+        self._check_exit_2(capsys, argv, "L must be")
+
+    def test_string_horizon_in_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"env": "absolute", "T": "100", "h": 0.1,
+                                   "seeds": 1, "policies": 4}))
+        self._check_exit_2(capsys, ["run", "--alg", "exp4", "--config",
+                                 str(cfg)], "T must be")
+
+    def test_number_as_env_in_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"env": 5, "T": 20, "h": 0.1,
+                                   "seeds": 1, "policies": 4}))
+        self._check_exit_2(capsys, ["run", "--alg", "exp4", "--config",
+                                 str(cfg)], "environment spec")
+
+    def test_lipschitz_regret_checked_before_play(self, capsys, monkeypatch):
+        # discontinuous has no Lipschitz constant, so there is no benchmark
+        # for corral-lipschitz; the run must stop before its first round
+        def no_play(*args, **kwargs):
+            raise AssertionError("rounds were played")
+
+        monkeypatch.setattr(harness, "_loop_corral", no_play)
+        self._check_exit_2(capsys, ["run", "--alg", "corral-lipschitz", "--env",
+                                 "discontinuous", "--T", "4096"],
+                        "Lipschitz regret needs")
 
 
 class TestSweepCommand:

@@ -94,9 +94,9 @@ class TestSingleSubDegeneracy:
         env_s = np.random.default_rng(7)
         for _ in range(T):
             a_m, rec = master.round(
-                None, lambda a: env.realize_at(None, a, env_m), rng_m)
+                None, lambda a: env.realize_at(None, a, env_m)[0], rng_m)
             a_s, _ = standalone.step(None, rng_s)
-            loss_s = env.realize_at(None, a_s, env_s)
+            loss_s, _ = env.realize_at(None, a_s, env_s)
             standalone.stable_update(None, a_s, loss_s, 1.0)
             assert a_m == a_s
             assert rec["loss"] == loss_s
@@ -116,7 +116,7 @@ class TestMasterDynamics:
         env_rng = np.random.default_rng(seed + 1)
         qs, rhos = [], []
         for _ in range(T):
-            master.round(None, lambda a: env.realize_at(None, a, env_rng),
+            master.round(None, lambda a: env.realize_at(None, a, env_rng)[0],
                          rng)
             qs.append(master.q.copy())
             rhos.append(master.rhos.copy())

@@ -20,7 +20,7 @@ class TestNoiseModels:
     def test_deterministic_equals_mean(self):
         env = _constant_env(0.3)
         rng = np.random.default_rng(0)
-        assert env.realize_at(None, 0.7, rng) == pytest.approx(0.3)
+        assert env.realize_at(None, 0.7, rng) == pytest.approx((0.3, 0.3))
 
     def test_bernoulli_mean(self):
         env = make_named_instance("absolute")
@@ -28,7 +28,7 @@ class TestNoiseModels:
         a = 0.2
         target = 0.3  # |0.2 - 0.5|
         n = 10 ** 5
-        draws = np.array([env.realize_at(None, a, rng) for _ in range(n)])
+        draws = np.array([env.realize_at(None, a, rng)[0] for _ in range(n)])
         se = np.sqrt(target * (1 - target) / n)
         assert abs(draws.mean() - target) <= 3 * se
         assert set(np.unique(draws)) <= {0.0, 1.0}
@@ -50,7 +50,7 @@ class TestBatchedRounds:
         assert set(index) == {0, 1, 2}
         a = np.random.default_rng(1).random(500)
         loss, mean = env.realize_many(values, index, a, None)
-        expected = [env.realize_at(values[i], v, None)
+        expected = [env.realize_at(values[i], v, None)[1]
                     for i, v in zip(index, a)]
         assert np.array_equal(mean, expected) and np.array_equal(loss, mean)
 

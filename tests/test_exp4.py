@@ -131,7 +131,7 @@ class TestHedgeInequality:
             for _ in range(200):
                 x = env.contexts.sample(rng)
                 a, _ = s.step(x, rng)
-                loss = env.realize_at(x, a, rng)
+                loss, _ = env.realize_at(x, a, rng)
                 P = s.P.copy()
                 est = s.update(x, a, loss)
                 lhs_mix += float(np.dot(P, est))

@@ -33,6 +33,38 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(alg="pe-l", env_name="absolute", T=10)
 
+    @pytest.mark.parametrize("field,value", [
+        ("T", 1), ("T", "100"), ("T", 100.0), ("h", 0.0), ("h", 1.5),
+        ("h", float("nan")), ("h", "0.1"), ("n_policies", 0),
+        ("seeds", []), ("seeds", 3), ("seeds", [0.5]), ("n_ctx", 0),
+        ("L", float("inf")), ("beta", 2.0), ("policy_csv", 7)])
+    def test_rejects_bad_values(self, field, value):
+        kwargs = {"alg": "exp4", "env_name": "absolute", "T": 10, "h": 0.1}
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            RunConfig(**kwargs)
+
+
+class TestBenchmarkOncePerExperiment:
+    def test_one_benchmark_for_all_seeds(self, monkeypatch):
+        calls = []
+        original = StochasticEnv.smoothed_benchmark
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(StochasticEnv, "smoothed_benchmark", counted)
+        cfg = RunConfig(alg="exp4", env_name="absolute", T=20, h=0.1,
+                        seeds=[0, 1, 2], n_policies=4)
+        traces = run_experiment(cfg)
+        assert len(calls) == 1
+        assert len({tr.benchmark for tr in traces}) == 1
+        alone = run_one(cfg, 1)
+        assert len(calls) == 2
+        assert alone.benchmark == traces[1].benchmark
+        assert np.array_equal(alone.losses, traces[1].losses)
+
 
 class TestDeterminism:
     def test_identical_seed_identical_csv(self, tmp_path):
