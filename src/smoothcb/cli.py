@@ -25,8 +25,9 @@ import numpy as np
 
 from .elimination import SolverFailure
 from .environments import make_named_instance
-from .harness import (ALGORITHMS, RunConfig, default_policy_class, diagnose,
-                      run_experiment, write_outputs)
+from .harness import (ALGORITHMS, RunConfig, check_policy_spec,
+                      default_policy_class, diagnose, run_experiment,
+                      write_outputs)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -178,6 +179,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     env_name, env_params = parse_env_spec(args.env)
+    check_policy_spec(args.policies, args.policy_csv)
     env = make_named_instance(env_name, **env_params)
     pc = default_policy_class(env, args.policies, args.policy_csv)
     h = float(_parse_value(args.h)) if args.h else None

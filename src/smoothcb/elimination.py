@@ -25,11 +25,14 @@ import numpy as np
 from .environments import StochasticEnv
 from .estimators import median_of_means
 from .kernels import RectKernel
-from .policies import PolicyClass, VersionSpace, union_ball_volume
-from .spaces import GRID
+from .policies import PolicyClass, VersionSpace, union_geometry
 
 VARIANT_S = "s"
 VARIANT_L = "l"
+# the solver stops within SOLVER_TOL of its certificate, and gives up after
+# SOLVER_ITER_CAP iterations
+SOLVER_TOL = 1e-3
+SOLVER_ITER_CAP = 5000
 
 
 class SolverFailure(RuntimeError):
@@ -48,9 +51,7 @@ class ElimConfig:
     T: int
     h: Optional[float] = None
     L: Optional[float] = None
-    tol: float = 1e-3
     n_ctx: int = 2000
-    iter_cap: int = 5000
 
     def __post_init__(self):
         if self.variant not in (VARIANT_S, VARIANT_L):
@@ -88,54 +89,9 @@ class EpochState:
 # ---------------------------------------------------------------------------
 
 
-class _ContextGeometry:
-    """Per-context piecewise structure of the smoothing mixture.
-
-    Partitions the space into segments on which every survivor's kernel
-    density is constant, so integrals of functions of the mixture density
-    are exact sums.  1-d spaces get exact segments; the cube in d >= 2 gets
-    a Monte Carlo panel of 10^4 actions (documented bias).
-    """
-
-    N_MC = 10 ** 4
-
-    def __init__(self, space, centers: np.ndarray, h: float,
-                 rng: Optional[np.random.Generator] = None):
-        if space.kind == GRID:
-            self.meas = np.full(space.M, 1.0 / space.M)
-            self.mids = space.grid_points()
-        elif space.d == 1:
-            cuts = {0.0, 1.0}
-            for c in centers:
-                for lo, hi in space.ball_intervals(c, h):
-                    cuts.add(lo)
-                    cuts.add(hi)
-            bs = np.array(sorted(cuts))
-            meas = np.diff(bs)
-            keep = meas > 1e-15
-            self.meas = meas[keep]
-            self.mids = ((bs[:-1] + bs[1:]) / 2.0)[keep]
-        else:
-            rng = rng or np.random.default_rng(0)
-            self.mids = rng.uniform(0.0, 1.0, size=(self.N_MC, space.d))
-            self.meas = np.full(self.N_MC, 1.0 / self.N_MC)
-        # density of each survivor's kernel on each segment
-        self.dens = RectKernel(space, h).densities(centers[:, None],
-                                                   self.mids[None])
-
-    def mixture(self, Q: np.ndarray, mu: float) -> np.ndarray:
-        return mu + (1.0 - mu) * (Q @ self.dens)
-
-    def objective_terms(self, Q: np.ndarray, mu: float) -> np.ndarray:
-        """E_{a ~ K_h(center_pi)}[1/q] for every survivor pi."""
-        q = self.mixture(Q, mu)
-        return (self.dens * self.meas[None, :]) @ (1.0 / q)
-
-
-
 def solve_variance_program(
         pc: PolicyClass, vs: VersionSpace, h: float, mu: float,
-        panel, tol: float = 1e-3, iter_cap: int = 5000,
+        panel, tol: float = SOLVER_TOL, iter_cap: int = SOLVER_ITER_CAP,
         rng: Optional[np.random.Generator] = None,
 ) -> Tuple[np.ndarray, float, int, float]:
     """Minimize max_pi E_x E_{a~K_h(pi(x))}[1/q(a|x)] over simplex weights Q.
@@ -144,30 +100,28 @@ def solve_variance_program(
     toward the worst-off policy, with the exact max-pi objective evaluated
     each iteration; stops once the value reaches V/(1-mu)*(1+tol), the
     certified optimum bound, where V is the panel-weighted volume of the
-    union of the survivors' h-balls.  Returns (Q, value at Q, iterations,
-    V).  Raises SolverFailure when the cap is hit and the best value still
-    exceeds V/(1-mu)*(1+10*tol).
+    union of the survivors' h-balls, measured on the objective's own
+    ``union_geometry`` segments (its own points on the cube in d >= 2).
+    Returns (Q, value at Q, iterations, V).  Raises SolverFailure when the
+    cap is hit and the best value still exceeds V/(1-mu)*(1+10*tol).
     """
     if not 0.0 < mu <= 0.5:
         raise ValueError("mu must lie in (0, 1/2]")
     xs, ws = panel
-    support = vs.indices
-    k = len(support)
-    space = pc.space
-    geoms = []
-    V = 0.0
-    for x, w in zip(xs, ws):
-        centers = np.atleast_1d(pc.actions_at(x))[support]
-        geoms.append((w, _ContextGeometry(space, centers, h, rng=rng)))
-        V += w * union_ball_volume(vs, x, h, rng=rng)
+    k = len(vs)
+    blocks = union_geometry(pc.space, pc.actions_many(xs)[:, vs.indices], h,
+                            rng)
+    V = float(ws @ np.concatenate([vol for _, _, vol in blocks]))
     target = V / (1.0 - mu) * (1.0 + tol)
     hard_target = V / (1.0 - mu) * (1.0 + 10.0 * tol)
 
     def terms_at(Q):
-        terms = np.zeros(k)
-        for w, g in geoms:
-            terms += w * g.objective_terms(Q, mu)
-        return terms
+        per_ctx = []
+        for dens, meas, _ in blocks:
+            q = mu + (1.0 - mu) * (Q @ dens)
+            per_ctx.append(((dens * meas[:, None, :])
+                            @ (1.0 / q)[..., None])[..., 0])
+        return ws @ np.concatenate(per_ctx)
 
     # Self-play entropic ascent: weight flows toward the worst-off policy,
     # which raises the mixture density on its ball and lowers its term.  The
@@ -231,8 +185,7 @@ class SmoothPolicyElimination:
         mu_m = min(0.5, r_m)
         kappa = RectKernel(self.pc.space, h_m).kappa()
         Q, value, iters, V_m = solve_variance_program(
-            self.pc, vs, h_m, mu_m, panel, tol=self.config.tol,
-            iter_cap=self.config.iter_cap, rng=rng)
+            self.pc, vs, h_m, mu_m, panel, rng=rng)
         tilde_n = math.ceil(320.0 * kappa * V_m / (r_m * r_m))
         return EpochState(m=m, vs=vs, h_m=h_m, r_m=r_m, mu_m=mu_m, V_m=V_m,
                           kappa=kappa, tilde_n_m=tilde_n,
@@ -242,8 +195,7 @@ class SmoothPolicyElimination:
     def _centers(self, vs: VersionSpace, values, index) -> np.ndarray:
         """Survivors' actions per round, shape (rounds, survivors), plus a
         trailing d on the cube; round i has context values[index[i]]."""
-        acts = np.stack([np.atleast_1d(self.pc.actions_at(x)) for x in values])
-        return acts[:, vs.indices][index]
+        return self.pc.actions_many(values)[:, vs.indices][index]
 
     def propensity(self, state: EpochState, centers: np.ndarray, a):
         """(q, dens) at one action per row of survivor centres.

@@ -36,6 +36,16 @@ def _is_real(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
+def check_policy_spec(n_policies, policy_csv) -> None:
+    """Reject a policy-class spec that is not a count >= 1 plus an optional
+    CSV path; run (through RunConfig) and diagnose both check with this."""
+    if not _is_int(n_policies) or n_policies < 1:
+        raise ValueError(
+            f"n_policies must be an integer >= 1, got {n_policies!r}")
+    if not isinstance(policy_csv, (str, type(None))):
+        raise ValueError(f"policy_csv must be a path, got {policy_csv!r}")
+
+
 @dataclass
 class RunConfig:
     alg: str
@@ -55,11 +65,10 @@ class RunConfig:
             raise ValueError(f"unknown algorithm: {self.alg!r}")
         if not _is_int(self.T) or self.T < 2:
             raise ValueError(f"T must be an integer >= 2, got {self.T!r}")
-        for name in ("n_policies", "n_ctx"):
-            value = getattr(self, name)
-            if not _is_int(value) or value < 1:
-                raise ValueError(
-                    f"{name} must be an integer >= 1, got {value!r}")
+        check_policy_spec(self.n_policies, self.policy_csv)
+        if not _is_int(self.n_ctx) or self.n_ctx < 1:
+            raise ValueError(
+                f"n_ctx must be an integer >= 1, got {self.n_ctx!r}")
         if (not isinstance(self.seeds, (list, tuple, range))
                 or not self.seeds or not all(map(_is_int, self.seeds))):
             raise ValueError(
@@ -74,9 +83,6 @@ class RunConfig:
             raise ValueError(f"L must be a finite number, got {self.L!r}")
         if not (_is_real(self.beta) and 0 <= self.beta <= 1):
             raise ValueError(f"beta must lie in [0, 1], got {self.beta!r}")
-        if not isinstance(self.policy_csv, (str, type(None))):
-            raise ValueError(
-                f"policy_csv must be a path, got {self.policy_csv!r}")
         if self.alg in ("exp4", "pe-s") and not self.h:
             raise ValueError(f"{self.alg} needs --h")
         if self.alg == "pe-l" and not self.L:

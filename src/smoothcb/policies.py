@@ -7,7 +7,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .spaces import CUBE, GRID, RING, ActionSpace
+from .kernels import RectKernel
+from .spaces import CUBE, GRID, ActionSpace
 
 TABULAR = "tabular"
 CONSTANT = "constant"
@@ -80,16 +81,10 @@ class PolicyClass:
     # -- evaluation ----------------------------------------------------
 
     def act(self, policy_index: int, x=None):
+        """One policy's action at context x: one entry of actions_at."""
         if not 0 <= policy_index < self.size:
             raise IndexError("policy index out of range")
-        if self.representation == CONSTANT:
-            a = self.actions[policy_index]
-        elif self.representation == TABULAR:
-            a = self.table[int(x), policy_index]
-        else:
-            z = float(np.dot(self.weights[policy_index], np.asarray(x)))
-            z = min(1.0, max(-1.0, z))
-            a = (1.0 + z) / 2.0 if self.rescale else z
+        a = self.actions_at(x)[policy_index]
         return float(a) if np.ndim(a) == 0 else np.asarray(a, dtype=float)
 
     def actions_at(self, x=None) -> np.ndarray:
@@ -99,6 +94,18 @@ class PolicyClass:
         if self.representation == TABULAR:
             return self.table[int(x)]
         z = np.clip(self.weights @ np.asarray(x, dtype=float), -1.0, 1.0)
+        return (1.0 + z) / 2.0 if self.rescale else z
+
+    def actions_many(self, values) -> np.ndarray:
+        """actions_at at each context of a list, stacked on a leading axis."""
+        if self.representation == CONSTANT:
+            return np.broadcast_to(self.actions,
+                                   (len(values),) + self.actions.shape)
+        if self.representation == TABULAR:
+            return self.table[np.asarray(values).astype(int)]
+        # one matrix-vector product per context, as in actions_at
+        x = np.asarray(values, dtype=float)[:, :, None]
+        z = np.clip((self.weights @ x)[..., 0], -1.0, 1.0)
         return (1.0 + z) / 2.0 if self.rescale else z
 
 
@@ -181,45 +188,77 @@ def exact_max_packing(space: ActionSpace, points, delta: float) -> int:
     return best
 
 
-def union_ball_volume(subset: VersionSpace, x=None, h: float = 0.1,
-                      n_mc: int = 10 ** 5,
-                      rng: Optional[np.random.Generator] = None) -> float:
-    """nu of the union of h-balls at the surviving policies' actions.
+# Monte Carlo points per context for the ball union on the cube in d >= 2
+N_MC = 10 ** 4
+# (context, ball, segment) cells per block: bounds the build's temporaries
+_BLOCK_CELLS = 2 ** 15
 
-    Exact interval arithmetic on 1-d spaces and the finite grid; Monte Carlo
-    with n_mc uniform draws on the cube for d >= 2 (standard error of the
-    estimate is sqrt(p(1-p)/n_mc)).
+
+def union_geometry(space: ActionSpace, centers: np.ndarray, h: float,
+                   rng: Optional[np.random.Generator] = None) -> list:
+    """Each context's union of h-balls, cut into segments of constant density.
+
+    ``centers`` has shape (contexts, k), plus a trailing d on the cube.
+    Returns (dens, meas, volume) blocks of consecutive contexts: ball j's
+    kernel density dens[c, j, s] on segment s of context c, the segment's
+    measure meas[c, s], and the union's measure volume[c].  On 1-d spaces
+    the segments lie between ball ends; those of length <= 1e-15 are dropped
+    and shorter contexts end in zero-measure padding, and the volume is the
+    lengths of the covered runs, summed left to right.  The grid's segments
+    are its points and the d >= 2 cube's are N_MC draws from ``rng`` per
+    context; the volume is the covered share of those same points.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    space = subset.pc.space
-    acts = subset.pc.actions_at(x)[subset.mask]
-    if space.kind == GRID:
-        pts = space.grid_points()
-        member = np.zeros(len(pts), dtype=bool)
-        for a in np.atleast_1d(acts):
-            member |= np.abs(pts - a) <= h + 1e-12
-        return float(member.sum()) / space.M
-    if space.kind == RING or space.d == 1:
-        intervals = []
-        for a in np.atleast_1d(acts):
-            intervals.extend(space.ball_intervals(a, h))
-        intervals.sort()
-        total, cur_lo, cur_hi = 0.0, None, None
-        for lo, hi in intervals:
-            if cur_hi is None or lo > cur_hi:
-                if cur_hi is not None:
-                    total += cur_hi - cur_lo
-                cur_lo, cur_hi = lo, hi
-            else:
-                cur_hi = max(cur_hi, hi)
-        if cur_hi is not None:
-            total += cur_hi - cur_lo
-        return min(1.0, total)
+    c = np.asarray(centers, dtype=float)
+    k = c.shape[1]
+    width = (space.M if space.kind == GRID
+             else N_MC * space.d if space.d > 1 else 2 * k + 1)
+    step = max(1, _BLOCK_CELLS // (k * width))
     rng = rng or np.random.default_rng(0)
-    draws = rng.uniform(0.0, 1.0, size=(n_mc, space.d))
-    acts2 = np.atleast_2d(acts)
-    hit = np.zeros(n_mc, dtype=bool)
-    for a in acts2:
-        hit |= np.max(np.abs(draws - a), axis=1) <= h
-    return float(hit.mean())
+    return [_union_block(space, c[i:i + step], h, rng)
+            for i in range(0, len(c), step)]
+
+
+def _union_block(space: ActionSpace, c: np.ndarray, h: float,
+                 rng: np.random.Generator):
+    n = len(c)
+    if space.kind == GRID or space.d > 1:
+        mids = (np.broadcast_to(space.grid_points(), (n, space.M))
+                if space.kind == GRID
+                else rng.uniform(0.0, 1.0, size=(n, N_MC, space.d)))
+        meas = np.full(mids.shape[:2], 1.0 / mids.shape[1])
+    else:
+        ends = np.concatenate([c - h, c + h], axis=1)
+        if space.kind == CUBE:
+            ends = np.clip(ends, 0.0, 1.0)
+        else:  # a ring ball wraps around 0, or covers the whole ring
+            ends = np.mod(ends, 1.0) if 2.0 * h < 1.0 else ends[:, :0]
+        cuts = np.sort(np.concatenate(
+            [np.zeros((n, 1)), ends, np.ones((n, 1))], axis=1), axis=1)
+        keep = np.diff(cuts, axis=1) > 1e-15
+        # the kept segments first, in order, then the padding
+        order = np.argsort(~keep, axis=1, kind="stable")
+        order = order[:, :keep.sum(axis=1).max()]
+        lo, hi, keep = (np.take_along_axis(x, order, axis=1)
+                        for x in (cuts[:, :-1], cuts[:, 1:], keep))
+        meas = np.where(keep, hi - lo, 0.0)
+        mids = (lo + hi) / 2.0
+    dens = RectKernel(space, h).densities(c[:, :, None], mids[:, None])
+    covered = dens.any(axis=1)
+    if space.kind == GRID or space.d > 1:
+        return dens, meas, covered.sum(axis=1) / meas.shape[1]
+    # each covered run's right end minus its left end, added left to right
+    run = np.diff((covered & keep).astype(int), axis=1, prepend=0, append=0)
+    first, after = np.nonzero(run == 1), np.nonzero(run == -1)
+    runs = np.zeros_like(meas)
+    runs[first] = hi[after[0], after[1] - 1] - lo[first]
+    return dens, meas, np.minimum(1.0, np.cumsum(runs, axis=1)[:, -1])
+
+
+def union_ball_volume(subset: VersionSpace, x=None, h: float = 0.1,
+                      rng: Optional[np.random.Generator] = None) -> float:
+    """nu of the union of h-balls at the surviving policies' actions: the
+    one-context case of ``union_geometry``, exact on 1-d spaces and the grid,
+    and the covered share of N_MC draws from ``rng`` (default seed 0) on the
+    cube in d >= 2."""
+    acts = subset.pc.actions_at(x)[subset.mask]
+    return float(union_geometry(subset.pc.space, acts[None], h, rng)[0][2][0])

@@ -141,6 +141,18 @@ class TestBadRunConfig:
         self._check_exit_2(capsys, ["run", "--alg", "exp4", "--config",
                                  str(cfg)], "environment spec")
 
+    def _diagnose_with(self, tmp_path, capsys, key, value, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"env": "absolute", key: value}))
+        self._check_exit_2(capsys, ["diagnose", "--config", str(cfg),
+                                    "--h", "0.1"], message)
+
+    def test_string_policy_count_in_diagnose_config(self, tmp_path, capsys):
+        self._diagnose_with(tmp_path, capsys, "policies", "8", "n_policies")
+
+    def test_number_as_policy_csv_in_diagnose_config(self, tmp_path, capsys):
+        self._diagnose_with(tmp_path, capsys, "policy_csv", 7, "policy_csv")
+
     def test_lipschitz_regret_checked_before_play(self, capsys, monkeypatch):
         # discontinuous has no Lipschitz constant, so there is no benchmark
         # for corral-lipschitz; the run must stop before its first round

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothcb import corral
 from smoothcb.environments import make_named_instance
@@ -147,6 +149,42 @@ class TestMasterDynamics:
             b_played = master.bucket_ids.index(rec["b"])
             feeds[b_played] += rec["loss"] / q_before[b_played]
         assert np.allclose(feeds / T, 0.6, atol=0.05)
+
+
+@st.composite
+def omd_inputs(draw):
+    """B buckets, q on the simplex, a rate eta > 0, a one-hot IW loss."""
+    B = draw(st.integers(2, 16))
+    w = np.array(draw(st.lists(st.floats(1e-4, 1.0), min_size=B,
+                               max_size=B)))
+    q = w / w.sum()
+    eta = draw(st.floats(1e-4, 10.0))
+    b = draw(st.integers(0, B - 1))
+    losses = np.zeros(B)
+    losses[b] = draw(st.floats(0.0, 1.0)) / q[b]
+    return q, eta, losses
+
+
+class TestOmdStep:
+    @settings(max_examples=300, deadline=None)
+    @given(omd_inputs())
+    def test_simplex_and_log_barrier_update(self, inputs):
+        q, eta, losses = inputs
+        B = len(q)
+        space = ActionSpace.ring()
+        # kappa = 2^b puts each kernel in its own bucket
+        kerns = [RectKernel(space, 0.5 / 2 ** b) for b in range(B)]
+        master = corral.CorralMaster(_pc(), corral.KernelBuckets(kerns),
+                                     T=64, eta=1.0)
+        master.q, master.etas = q.copy(), np.full(B, eta)
+        master._omd_step(losses)
+        new = master.q
+        assert np.all(new > 0.0)
+        assert abs(new.sum() - 1.0) <= 1e-12
+        # 1/q' = 1/q + eta * (loss - lam) with one normaliser lam
+        inv = 1.0 / q + eta * losses
+        lam = np.median((inv - 1.0 / new) / eta)
+        assert np.max(np.abs((inv - eta * lam) * new - 1.0)) <= 1e-9
 
 
 class TestRegretSuite:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from smoothcb.elimination import (ElimConfig, EpochState,
+from smoothcb.elimination import (SOLVER_TOL, ElimConfig, EpochState,
                                   SmoothPolicyElimination, SolverFailure,
                                   solve_variance_program)
 from smoothcb.environments import (FiniteContexts, StochasticEnv,
@@ -99,6 +99,19 @@ class TestVarianceProgram:
                 pc, vs, h=h, mu=mu, panel=_panel())
             V = union_ball_volume(vs, None, h)
             assert value <= V / (1 - mu) * (1 + 1e-3) + 1e-12
+
+    @pytest.mark.parametrize("s", [9, 35])
+    def test_cube2_certified_against_own_panel(self, s):
+        # V and the objective share one Monte Carlo panel; with V measured
+        # on a separate panel, these classes raised SolverFailure
+        rng = np.random.default_rng(s)
+        k = int(rng.integers(2, 10))
+        pc = PolicyClass.constant(ActionSpace.cube(2), rng.random((k, 2)))
+        h, mu = rng.uniform(0.05, 0.3), rng.uniform(0.01, 0.5)
+        _, value, _, V = solve_variance_program(
+            pc, VersionSpace(pc), h=h, mu=mu, panel=_panel(),
+            rng=np.random.default_rng(100 + s))
+        assert value <= V / (1 - mu) * (1 + SOLVER_TOL)
 
     def test_failure_when_iterations_exhausted(self):
         pc = _ring_pc(np.concatenate([np.full(29, 0.2), [0.7]]))
@@ -317,7 +330,7 @@ class TestOneEpochPath:
 
     def test_cube2_certificate_uses_stored_volume(self):
         _, _, alg, state = self._epoch("cube2")
-        bound = state.V_m / (1.0 - state.mu_m) * (1.0 + 10.0 * alg.config.tol)
+        bound = state.V_m / (1.0 - state.mu_m) * (1.0 + 10.0 * SOLVER_TOL)
         assert state.solver_value <= bound
 
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from smoothcb import policies
+from smoothcb.elimination import solve_variance_program
 from smoothcb.policies import (PolicyClass, VersionSpace, exact_max_packing,
                                packing_number, projected_actions,
                                union_ball_volume)
@@ -28,6 +30,28 @@ class TestPolicyClass:
                                        rescale=True)
         assert pc.act(0, np.array([-1.0, 0.0])) == pytest.approx(0.0)
         assert pc.act(0, np.array([0.3, 0.9])) == pytest.approx(0.65)
+
+    @pytest.mark.parametrize("kind", ["constant", "cube2", "tabular",
+                                      "sphere"])
+    def test_actions_many_stacks_actions_at(self, kind):
+        rng = np.random.default_rng(4)
+        w = rng.normal(size=(16, 2))
+        pcs = {
+            "constant": (PolicyClass.constant(ActionSpace.ring(),
+                                              rng.random(5)), [None] * 3),
+            "cube2": (PolicyClass.constant(ActionSpace.cube(2),
+                                           rng.random((5, 2))), [None] * 3),
+            "tabular": (PolicyClass.tabular(ActionSpace.cube(1),
+                                            rng.random((4, 6))), [3, 0, 3]),
+            "sphere": (PolicyClass.linear_sphere(
+                ActionSpace.cube(1), w / np.linalg.norm(w, axis=1)[:, None],
+                rescale=True), list(rng.normal(size=(50, 2)))),
+        }
+        pc, xs = pcs[kind]
+        many = pc.actions_many(xs)
+        assert np.array_equal(many, np.stack([pc.actions_at(x) for x in xs]))
+        assert all(np.array_equal(pc.act(i, x), many[n, i])
+                   for n, x in enumerate(xs) for i in range(pc.size))
 
     def test_linear_sphere_requires_unit_norm(self):
         with pytest.raises(ValueError):
@@ -80,6 +104,98 @@ class TestPacking:
             # maximality surrogate: greedy never under-reports a
             # brute-force maximal packing by more than validity allows
             assert k <= exact_max_packing(space, pts, delta)
+
+
+def _reference_geometry(space, centers, h, points=None):
+    """One context's segments, densities and ball-union volume, built one
+    ball at a time: ball_intervals cuts and an interval merge on 1-d spaces,
+    membership counts on the grid and on given points of the 2-d cube."""
+    if space.kind == "grid" or points is not None:
+        mids = space.grid_points() if points is None else points
+        meas = np.full(len(mids), 1.0 / len(mids))
+    else:
+        pieces = [iv for c in centers for iv in space.ball_intervals(c, h)]
+        bs = np.array(sorted({0.0, 1.0, *(e for iv in pieces for e in iv)}))
+        keep = np.diff(bs) > 1e-15
+        meas = np.diff(bs)[keep]
+        mids = ((bs[:-1] + bs[1:]) / 2.0)[keep]
+    tol = 1e-12 if space.kind == "grid" else 0.0
+    dens = np.array([[1.0 / space.ball_volume(c, h)
+                      if space.distance(c, m) <= h + tol else 0.0
+                      for m in mids] for c in centers])
+    if space.kind == "grid" or points is not None:
+        return dens, meas, float(np.any(dens > 0, axis=0).sum()) / len(mids)
+    total, cur_lo, cur_hi = 0.0, None, None
+    for lo, hi in sorted(pieces):
+        if cur_hi is None or lo > cur_hi:
+            if cur_hi is not None:
+                total += cur_hi - cur_lo
+            cur_lo, cur_hi = lo, hi
+        else:
+            cur_hi = max(cur_hi, hi)
+    return dens, meas, min(1.0, total + (cur_hi - cur_lo))
+
+
+_RING, _CUBE1 = ActionSpace.ring(), ActionSpace.cube(1)
+_GEOMETRY_CASES = {
+    "ring-wraparound": (_RING, [0.02, 0.5, 0.97, 0.9], 0.1),
+    "ring-2h-ge-1": (_RING, [0.1, 0.6], 0.5),
+    "ring-wider-than-circle": (_RING, [0.3], 0.8),
+    "ring-touching": (_RING, [0.125, 0.375, 0.625], 0.125),
+    "cube1-edges": (_CUBE1, [0.0, 0.05, 1.0, 0.93, 0.5], 0.1),
+    "grid-edges-on-points": (ActionSpace.grid(10), [0.1, 0.5, 0.7], 0.2),
+}
+
+
+class TestUnionGeometry:
+    """union_geometry and the solver against the one-ball-at-a-time
+    reference, to 1e-12."""
+
+    def _check(self, pc, panel, h, mu, points=None):
+        xs, ws = panel
+        vs = VersionSpace(pc)
+        refs = [_reference_geometry(pc.space, pc.actions_at(x), h,
+                                    None if points is None else points[i])
+                for i, x in enumerate(xs)]
+        rng = np.random.default_rng(5)
+        blocks = policies.union_geometry(pc.space, pc.actions_many(xs), h,
+                                         rng)
+        vols = np.concatenate([vol for _, _, vol in blocks])
+        assert vols == pytest.approx([r[2] for r in refs], abs=1e-12)
+        Q, value, _, V = solve_variance_program(
+            pc, vs, h, mu, panel, rng=np.random.default_rng(5))
+        assert V == pytest.approx(np.dot(ws, vols), abs=1e-12)
+        terms = sum(w * (dens * meas) @ (1.0 / (mu + (1.0 - mu) * Q @ dens))
+                    for w, (dens, meas, _) in zip(ws, refs))
+        assert value == pytest.approx(terms.max(), abs=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(_GEOMETRY_CASES))
+    def test_one_context(self, name):
+        space, acts, h = _GEOMETRY_CASES[name]
+        pc = PolicyClass.constant(space, acts)
+        self._check(pc, ([None], np.array([1.0])), h, mu=0.2)
+        assert union_ball_volume(VersionSpace(pc), h=h) == pytest.approx(
+            _reference_geometry(space, np.asarray(acts), h)[2], abs=1e-12)
+
+    @pytest.mark.parametrize("cells", [1, 40, 10 ** 6])
+    def test_weighted_panel_in_blocks(self, cells, monkeypatch):
+        # one context per block, blocks of a few contexts, and one block:
+        # every split gives the reference values, with padding included
+        monkeypatch.setattr(policies, "_BLOCK_CELLS", cells)
+        table = np.random.default_rng(3).random((7, 4))
+        table[0] = [0.0, 0.02, 0.98, 0.5]
+        pc = PolicyClass.tabular(_RING, table)
+        ws = np.array([0.05, 0.1, 0.15, 0.2, 0.1, 0.25, 0.15])
+        self._check(pc, (list(range(7)), ws), 0.07, mu=0.05)
+
+    def test_cube2_volume_on_objective_points(self):
+        space = ActionSpace.cube(2)
+        pc = PolicyClass.constant(space, [[0.1, 0.2], [0.15, 0.3],
+                                          [0.9, 0.9]])
+        points = np.random.default_rng(5).uniform(
+            0.0, 1.0, size=(2, policies.N_MC, 2))
+        self._check(pc, ([None, None], np.array([0.5, 0.5])), 0.2, mu=0.3,
+                    points=points)
 
 
 class TestUnionBallVolume:
