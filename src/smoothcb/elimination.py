@@ -91,19 +91,19 @@ class EpochState:
 
 def solve_variance_program(
         pc: PolicyClass, vs: VersionSpace, h: float, mu: float,
-        panel, tol: float = SOLVER_TOL, iter_cap: int = SOLVER_ITER_CAP,
+        panel, iter_cap: int = SOLVER_ITER_CAP,
         rng: Optional[np.random.Generator] = None,
 ) -> Tuple[np.ndarray, float, int, float]:
     """Minimize max_pi E_x E_{a~K_h(pi(x))}[1/q(a|x)] over simplex weights Q.
 
     q(a|x) = mu + (1-mu) sum_j Q_j K_h(pi_j(x))(a).  Entropic mirror ascent
     toward the worst-off policy, with the exact max-pi objective evaluated
-    each iteration; stops once the value reaches V/(1-mu)*(1+tol), the
+    each iteration; stops once the value reaches V/(1-mu)*(1+SOLVER_TOL), the
     certified optimum bound, where V is the panel-weighted volume of the
     union of the survivors' h-balls, measured on the objective's own
     ``union_geometry`` segments (its own points on the cube in d >= 2).
     Returns (Q, value at Q, iterations, V).  Raises SolverFailure when the
-    cap is hit and the best value still exceeds V/(1-mu)*(1+10*tol).
+    cap is hit and the best value still exceeds V/(1-mu)*(1+10*SOLVER_TOL).
     """
     if not 0.0 < mu <= 0.5:
         raise ValueError("mu must lie in (0, 1/2]")
@@ -112,8 +112,8 @@ def solve_variance_program(
     blocks = union_geometry(pc.space, pc.actions_many(xs)[:, vs.indices], h,
                             rng)
     V = float(ws @ np.concatenate([vol for _, _, vol in blocks]))
-    target = V / (1.0 - mu) * (1.0 + tol)
-    hard_target = V / (1.0 - mu) * (1.0 + 10.0 * tol)
+    target = V / (1.0 - mu) * (1.0 + SOLVER_TOL)
+    hard_target = V / (1.0 - mu) * (1.0 + 10.0 * SOLVER_TOL)
 
     def terms_at(Q):
         per_ctx = []

@@ -81,29 +81,24 @@ class PolicyClass:
     # -- evaluation ----------------------------------------------------
 
     def act(self, policy_index: int, x=None):
-        """One policy's action at context x: one entry of actions_at."""
+        """One policy's action at context x: one entry of actions_many."""
         if not 0 <= policy_index < self.size:
             raise IndexError("policy index out of range")
-        a = self.actions_at(x)[policy_index]
+        a = self.actions_many([x])[0, policy_index]
         return float(a) if np.ndim(a) == 0 else np.asarray(a, dtype=float)
 
     def actions_at(self, x=None) -> np.ndarray:
         """All policies' actions at context x, shape (|Pi|,) or (|Pi|, d)."""
-        if self.representation == CONSTANT:
-            return self.actions
-        if self.representation == TABULAR:
-            return self.table[int(x)]
-        z = np.clip(self.weights @ np.asarray(x, dtype=float), -1.0, 1.0)
-        return (1.0 + z) / 2.0 if self.rescale else z
+        return self.actions_many([x])[0]
 
     def actions_many(self, values) -> np.ndarray:
-        """actions_at at each context of a list, stacked on a leading axis."""
+        """All policies' actions at each context of a list, stacked on a
+        leading axis: shape (contexts, |Pi|), plus a trailing d on the cube."""
         if self.representation == CONSTANT:
-            return np.broadcast_to(self.actions,
-                                   (len(values),) + self.actions.shape)
+            return self.actions[None].repeat(len(values), axis=0)
         if self.representation == TABULAR:
-            return self.table[np.asarray(values).astype(int)]
-        # one matrix-vector product per context, as in actions_at
+            return self.table[np.asarray(values, dtype=np.intp)]
+        # one matrix-vector product per context
         x = np.asarray(values, dtype=float)[:, :, None]
         z = np.clip((self.weights @ x)[..., 0], -1.0, 1.0)
         return (1.0 + z) / 2.0 if self.rescale else z
