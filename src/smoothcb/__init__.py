@@ -6,8 +6,7 @@ from .losses import (CallableLoss, LossFunction, PiecewiseConstantLoss,
 from .kernels import BandwidthGrid, RectKernel
 from .policies import (PolicyClass, VersionSpace, exact_max_packing,
                        packing_number, projected_actions, union_ball_volume)
-from .environments import (AdversarialSequence, FiniteContexts,
-                           SamplerContexts, StochasticEnv,
+from .environments import (FiniteContexts, SamplerContexts, StochasticEnv,
                            make_named_instance)
 from .estimators import (IWSample, iw_estimate, median_of_means,
                          mom_batch_count, mom_error_bound)

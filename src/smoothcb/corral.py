@@ -24,6 +24,11 @@ GENERIC = "generic"
 UNIFORM_H = "uniform_h"
 LIPSCHITZ_ADAPTIVE = "lipschitz_adaptive"
 
+# the master's normaliser search: |f(lam)| below OMD_TOL, or OMD_MAX_ITER
+# safeguarded Newton steps
+OMD_TOL = 1e-13
+OMD_MAX_ITER = 60
+
 
 class KernelBuckets:
     """Partition of a kernel family by ceil(log2 kappa)."""
@@ -74,45 +79,26 @@ class CorralMaster:
     def _omd_step(self, losses: np.ndarray) -> None:
         # q_new solves 1/q_new_b = inv_b - eta_b * lam with sum(q_new) = 1;
         # the normalizer lam is the root of the increasing convex function
-        # f(lam) = sum 1/(inv - eta*lam) - 1 on (-inf, min(inv/eta)).
-        inv = 1.0 / self.q + self.etas * losses
-        inv_l = inv.tolist()
-        eta_l = self.etas.tolist()
-        pairs = list(zip(inv_l, eta_l))
-        lam_max = min(iv / e for iv, e in pairs)
-
-        def f(lam: float) -> float:
-            return sum(1.0 / (iv - e * lam) for iv, e in pairs) - 1.0
-
-        # losses are nonnegative, so f(0) <= 0 and the root sits in
-        # [0, lam_max); bisect to a tight bracket, then Newton-polish.
-        lo = 0.0
-        hi = lam_max - 1e-12 * max(1.0, abs(lam_max))
-        while f(hi) <= 0.0:
-            hi = lam_max - (lam_max - hi) * 0.1
-        for _ in range(25):
-            mid = 0.5 * (lo + hi)
-            if f(mid) > 0.0:
-                hi = mid
-            else:
-                lo = mid
-        lam = 0.5 * (lo + hi)
-        for _ in range(30):
-            val = slope = 0.0
-            for iv, e in pairs:
-                r = 1.0 / (iv - e * lam)
-                val += r
-                slope += e * r * r
-            val -= 1.0
-            if abs(val) < 1e-13:
+        # f(lam) = sum 1/(inv - eta*lam) - 1.  Losses are nonnegative, so
+        # f(0) <= 0 and the root lies in [0, min(inv/eta)).  Newton from 0
+        # overshoots on a convex increasing f, so a step that leaves the
+        # bracket is replaced by bisection.
+        etas = self.etas
+        inv = 1.0 / self.q + etas * losses
+        lo, hi = 0.0, float(np.min(inv / etas))
+        lam = 0.0
+        for _ in range(OMD_MAX_ITER):
+            r = 1.0 / (inv - etas * lam)
+            val = float(r.sum()) - 1.0
+            if abs(val) < OMD_TOL:
                 break
             if val > 0.0:
                 hi = lam
             else:
                 lo = lam
-            nxt = lam - val / slope
+            nxt = lam - val / float(etas @ (r * r))
             lam = nxt if lo < nxt < hi else 0.5 * (lo + hi)
-        q = 1.0 / (inv - self.etas * lam)
+        q = 1.0 / (inv - etas * lam)
         self.q = q / q.sum()
 
     # -- protocol ----------------------------------------------------------

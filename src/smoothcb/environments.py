@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import inspect
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+import numbers
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -19,14 +20,32 @@ DETERMINISTIC = "deterministic"
 GAUSSIAN = "gaussian"
 
 
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise ValueError(message)
+
+
+def _real(v) -> bool:
+    """A finite real number: not a string, bool, inf or nan."""
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
+def _whole(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 class FiniteContexts:
     """Enumerated context set with known weights (exact expectations)."""
 
     def __init__(self, values: Sequence, weights: Optional[Sequence[float]] = None):
         self.values = list(values)
         n = len(self.values)
+        _check(n > 0, "a finite context set needs at least one value")
         self.weights = (np.full(n, 1.0 / n) if weights is None
                         else np.asarray(weights, dtype=float))
+        _check(self.weights.shape == (n,),
+               f"{n} context values need {n} weights")
         if abs(self.weights.sum() - 1.0) > 1e-9 or np.any(self.weights < 0):
             raise ValueError("weights must form a probability vector")
 
@@ -160,28 +179,6 @@ class StochasticEnv:
         return float(vals[idx]), idx
 
 
-class AdversarialSequence:
-    """Pre-generated oblivious sequence of (context, loss) pairs."""
-
-    def __init__(self, space: ActionSpace, rounds: List[Tuple[object, LossFunction]]):
-        self.space = space
-        self.rounds = rounds
-        self._t = 0
-
-    def draw_round(self, rng: np.random.Generator):
-        x, loss = self.rounds[self._t]
-        self._t += 1
-        return x, loss
-
-    def benchmark(self, pc: PolicyClass, h: float) -> Tuple[float, int]:
-        """min over policies of the average smoothed loss of the sequence."""
-        kern = RectKernel(self.space, h)
-        totals = sum(kern.smoothed_losses(pc.actions_at(x), loss)
-                     for x, loss in self.rounds) / len(self.rounds)
-        idx = int(np.argmin(totals))
-        return float(totals[idx]), idx
-
-
 # ---------------------------------------------------------------------------
 # named instances
 # ---------------------------------------------------------------------------
@@ -198,6 +195,7 @@ def _discontinuous(ap: float = 0.7, noise: str = BERNOULLI) -> StochasticEnv:
     The point dip has measure zero, so every smoothed benchmark sits at the
     center of the V: lambda_h(1/2) = 1/4 + 0.75 h.
     """
+    _check(_real(ap) and 0.0 <= ap < 1.0, "discontinuous needs ap in [0, 1)")
     space = ActionSpace.ring()
     mean = PiecewiseLinearLoss([0.0, 0.5, 1.0], [1.0, 0.25, 1.0],
                                special_points={ap: 0.1})
@@ -210,8 +208,7 @@ def _discontinuous(ap: float = 0.7, noise: str = BERNOULLI) -> StochasticEnv:
 
 def _absolute(astar: float = 0.5, noise: str = BERNOULLI) -> StochasticEnv:
     """lambda(a) = |a - astar| on the ring; 1-Lipschitz, benign zooming."""
-    if not 0.0 < astar < 1.0:
-        raise ValueError("astar must be interior")
+    _check(_real(astar) and 0.0 < astar < 1.0, "astar must be interior")
     space = ActionSpace.ring()
     mean = PiecewiseLinearLoss([0.0, astar, 1.0], [astar, 0.0, 1.0 - astar])
     return StochasticEnv(
@@ -230,12 +227,16 @@ def _linear_sphere(d_ctx: int = 2, wstar: Optional[Sequence[float]] = None,
     f(t) = min(1, 1/4 + L0|t| + (L - L0)(|t| - 1/4)_+), so the effective
     Lipschitz constant on the unit interval is 2L.
     """
-    if L < L0 or L0 <= 0:
-        raise ValueError("need L >= L0 > 0")
-    w = np.zeros(d_ctx)
-    w[0] = 1.0
-    wstar = np.asarray(wstar, dtype=float) if wstar is not None else w
-    wstar = wstar / np.linalg.norm(wstar)
+    _check(_real(L) and _real(L0) and L >= L0 > 0,
+           "linear_sphere needs finite L >= L0 > 0")
+    _check(_whole(d_ctx) and d_ctx >= 1,
+           "linear_sphere needs an integer d_ctx >= 1")
+    wstar = np.asarray(np.eye(d_ctx)[0] if wstar is None else wstar,
+                       dtype=float)
+    norm = float(np.linalg.norm(wstar))
+    _check(wstar.shape == (d_ctx,) and 0.0 < norm < math.inf,
+           f"linear_sphere needs wstar: a nonzero vector of length {d_ctx}")
+    wstar = wstar / norm
     space = ActionSpace.cube(1)
 
     def f(t: np.ndarray) -> np.ndarray:
@@ -245,7 +246,8 @@ def _linear_sphere(d_ctx: int = 2, wstar: Optional[Sequence[float]] = None,
     def mean_loss_of(x) -> PiecewiseLinearLoss:
         zstar = float(np.clip(np.dot(wstar, x), -1.0, 1.0))
         # kinks of t -> f(t - zstar) mapped into u = (1 + t)/2
-        t_sat = 0.75 / L0 if 0.75 / L0 <= 0.25 else 0.25 + 0.5 / L
+        t_sat = (0.75 / L0 if 0.75 / L0 <= 0.25
+                 else 0.25 + (0.75 - 0.25 * L0) / L)
         kinks_t = [zstar - t_sat, zstar - 0.25, zstar, zstar + 0.25,
                    zstar + t_sat]
         us = sorted({0.0, 1.0, *((1.0 + t) / 2.0 for t in kinks_t
@@ -271,8 +273,9 @@ def _needle_h(h: float = 0.125, R: float = 10.0, d: int = 1, index: int = 0,
     gives 1/2 - Delta, everything else 1/2.  Delta = min(N / (40 R), 1/4)
     where R is the opposing learner's regret budget at smoothing 1/4.
     """
-    if not 0 < h <= 0.25:
-        raise ValueError("needle_h needs h in (0, 1/4]")
+    _check(_real(h) and 0 < h <= 0.25, "needle_h needs h in (0, 1/4]")
+    _check(_real(R) and R > 0, "needle_h needs a finite R > 0")
+    _check(_whole(d) and d >= 1, "needle_h needs an integer d >= 1")
     N = int(math.floor(1.0 / (4.0 * h))) ** d
     delta = min(N / (40.0 * R), 0.25)
     if d == 1:
@@ -282,8 +285,8 @@ def _needle_h(h: float = 0.125, R: float = 10.0, d: int = 1, index: int = 0,
         axes = [np.array([h * (2 * s - 1) for s in range(1, side + 1)])] * d
         mesh = np.meshgrid(*axes)
         cells = np.stack([m.ravel() for m in mesh], axis=1)
-    if not 0 <= index <= N:
-        raise ValueError("needle index out of range")
+    _check(_whole(index) and 0 <= index <= N,
+           f"needle index must be an integer in [0, {N}]")
     space = ActionSpace.cube(d)
     if d == 1:
         breaks = [0.0, 0.5, 1.0]
@@ -329,15 +332,14 @@ def _needle_L(L: float = 4.0, R: float = 10.0, d: int = 1, index: int = 0,
     policy index >= 1 adds an L-Lipschitz tent of depth Delta at one of N
     pockets in [0, 1/2].  Delta = min((L^d / (40 R 8^d))^(1/(d+1)), 1/8).
     """
-    if d != 1:
-        raise ValueError("needle_L is built for d = 1")
-    if L < 1:
-        raise ValueError("needle_L needs L >= 1")
+    _check(d == 1, "needle_L is built for d = 1")
+    _check(_real(L) and L >= 1, "needle_L needs a finite L >= 1")
+    _check(_real(R) and R > 0, "needle_L needs a finite R > 0")
     delta = min((L / (40.0 * R * 8.0)) ** 0.5, 0.125)
     N = int(math.floor(L / (4.0 * delta)))
     cells = np.array([(delta / L) * (2 * s - 1) for s in range(1, N + 1)])
-    if not 0 <= index <= N:
-        raise ValueError("needle index out of range")
+    _check(_whole(index) and 0 <= index <= N,
+           f"needle index must be an integer in [0, {N}]")
     space = ActionSpace.cube(1)
     c0 = 0.75
     breaks = {0.0, 1.0, c0, c0 - delta / 2.0, c0 + delta / 2.0}

@@ -73,11 +73,10 @@ class Exp4State:
         w = np.exp(self.logw - self.logw.max())
         return w / w.sum()
 
-    def density_vector(self, x, a) -> np.ndarray:
-        """xi(a|x) for every member of Xi."""
-        acts = np.atleast_1d(self.pc.actions_at(x))
-        if acts.ndim == 1 and self.pc.space.d > 1:
-            acts = acts[None, :]
+    def density_vector(self, x, a, acts=None) -> np.ndarray:
+        """xi(a|x) for every member of Xi (``acts``: pc.actions_at(x))."""
+        if acts is None:
+            acts = self.pc.actions_at(x)
         out = np.zeros(self.n)
         for kernel, idxs in self._groups:
             centers = acts[self.policy_indices[idxs]]
@@ -92,11 +91,11 @@ class Exp4State:
             raise RuntimeError("horizon exhausted")
         P = self.P
         j = min(int(np.searchsorted(np.cumsum(P), rng.random())), self.n - 1)
-        center = self.pc.act(int(self.policy_indices[j]), x)
-        a = self.kernels[j].sample(center, rng)
-        dens = self.density_vector(x, a)
+        acts = self.pc.actions_at(x)
+        a = self.kernels[j].sample(acts[self.policy_indices[j]], rng)
+        dens = self.density_vector(x, a, acts)
         p = float(np.dot(P, dens))
-        self._pending = (self.t, x, a, p, dens)
+        self._pending = (a, p, dens)
         return a, p
 
     def update(self, x, a, observed_loss: float,
@@ -108,10 +107,10 @@ class Exp4State:
         allows replaying a logged action against the current weights.
         """
         if propensity is None:
-            if self._pending is None or (self._pending[2] is not a and
-                                         not np.array_equal(self._pending[2], a)):
+            if self._pending is None or (self._pending[0] is not a and
+                                         not np.array_equal(self._pending[0], a)):
                 raise RuntimeError("update must follow its matching step")
-            _, _, _, p, dens = self._pending
+            _, p, dens = self._pending
         else:
             p = propensity
             dens = self.density_vector(x, a)
@@ -180,7 +179,7 @@ class StableExp4:
             if a is not None:
                 if pending is None:
                     raise RuntimeError("no pending step to update")
-                self.inner.update(x, a, iw_loss_value, propensity=pending[3])
+                self.inner.update(x, a, iw_loss_value, propensity=pending[1])
             else:
                 self.inner.t += 1
             return

@@ -71,14 +71,6 @@ class ActionSpace:
 
     # -- geometry ------------------------------------------------------
 
-    @property
-    def diameter(self) -> float:
-        if self.kind == RING:
-            return 0.5
-        if self.kind == CUBE:
-            return 1.0
-        return (self.M - 1) / self.M if self.M > 1 else 0.0
-
     def grid_points(self) -> np.ndarray:
         if self.kind != GRID:
             raise ValueError("grid_points only defined for FiniteGrid")

@@ -153,6 +153,16 @@ class TestBadRunConfig:
     def test_number_as_policy_csv_in_diagnose_config(self, tmp_path, capsys):
         self._diagnose_with(tmp_path, capsys, "policy_csv", 7, "policy_csv")
 
+    @pytest.mark.parametrize("env", [
+        "linear_sphere:d_ctx=0", "linear_sphere:d_ctx=1.5",
+        "linear_sphere:wstar=3", "needle_L:L=inf", "needle_h:d=0",
+        "needle_h:R=0", "needle_L:R=0", "needle_h:index=1.5",
+        "linear_sphere:L=nan", "needle_h:R=-1", "discontinuous:ap=2"])
+    def test_bad_instance_parameter(self, capsys, env):
+        self._check_exit_2(capsys, ["run", "--alg", "pe-s", "--h", "0.1",
+                                    "--T", "64", "--seeds", "1", "--env", env],
+                           "configuration error")
+
     def test_lipschitz_regret_checked_before_play(self, capsys, monkeypatch):
         # discontinuous has no Lipschitz constant, so there is no benchmark
         # for corral-lipschitz; the run must stop before its first round

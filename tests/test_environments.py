@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from smoothcb.environments import (AdversarialSequence, FiniteContexts,
-                                   StochasticEnv, make_named_instance)
+from smoothcb.environments import (FiniteContexts, StochasticEnv,
+                                   make_named_instance)
 from smoothcb.kernels import RectKernel
 from smoothcb.losses import PiecewiseConstantLoss, PiecewiseLinearLoss
 from smoothcb.policies import PolicyClass
@@ -117,6 +117,23 @@ class TestLinearSphere:
             vals = loss(grid)
             assert np.all(vals >= 0.25 - 1e-9) and np.all(vals <= 1.0 + 1e-9)
 
+    @pytest.mark.parametrize("L0,L", [(1.0, 4.0), (2.0, 4.0), (0.5, 4.0),
+                                      (2.5, 3.0), (3.0, 3.0), (4.0, 6.0),
+                                      (1.0, 1.0)])
+    def test_mean_loss_is_documented_f(self, L0, L):
+        # mean loss at u is f(2u - 1 - <w*,x>), f(t) = min(1, 1/4 + L0|t|
+        # + (L - L0)(|t| - 1/4)_+), on a dense u-grid
+        env = make_named_instance("linear_sphere", L=L, L0=L0)
+        wstar = env.metadata["wstar"]
+        u = np.linspace(0.0, 1.0, 4001)
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            x = env.contexts.sample(rng)
+            t = np.abs(2.0 * u - 1.0 - float(np.dot(wstar, x)))
+            f = np.minimum(1.0, 0.25 + L0 * t
+                           + (L - L0) * np.maximum(0.0, t - 0.25))
+            assert np.max(np.abs(env.mean_loss_of(x)(u) - f)) <= 1e-12
+
     def test_lipschitz_metadata(self):
         env = make_named_instance("linear_sphere")
         L = env.lipschitz_constant
@@ -188,21 +205,15 @@ class TestNeedleInstances:
         assert float(loss(ci)) == pytest.approx(0.5 - delta)
 
 
-class TestAdversarialSequence:
-    def test_replays_in_order_and_benchmark(self):
-        space = ActionSpace.ring()
-        l1 = PiecewiseConstantLoss.constant(0.2)
-        l2 = PiecewiseConstantLoss.constant(0.8)
-        seq = AdversarialSequence(space, [(None, l1), (None, l2)])
-        rng = np.random.default_rng(0)
-        assert seq.draw_round(rng)[1] is l1
-        assert seq.draw_round(rng)[1] is l2
-        pc = PolicyClass.constant(space, [0.3, 0.6])
-        val, _ = seq.benchmark(pc, 0.1)
-        assert val == pytest.approx(0.5, abs=1e-12)
-
-
 class TestValidation:
+    def test_finite_contexts_weight_length(self):
+        with pytest.raises(ValueError, match="weights"):
+            FiniteContexts([0, 1, 2], [0.5, 0.5])
+
+    def test_finite_contexts_empty(self):
+        with pytest.raises(ValueError, match="at least one"):
+            FiniteContexts([])
+
     def test_unknown_instance(self):
         with pytest.raises(ValueError):
             make_named_instance("nope")

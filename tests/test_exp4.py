@@ -59,6 +59,61 @@ class TestPropensity:
         assert float(np.dot(s.P, dens)) == pytest.approx(2.5)
 
 
+def _policy_case(kind):
+    """(policy class, context draw) for one space kind and representation."""
+    rng = np.random.default_rng(11)
+    if kind == "ring-constant":
+        pc = PolicyClass.constant(ActionSpace.ring(), [0.05, 0.4, 0.41, 0.97])
+        return pc, lambda r: None
+    if kind == "cube1-tabular":
+        pc = PolicyClass.tabular(ActionSpace.cube(1), rng.random((3, 5)))
+        return pc, lambda r: int(r.integers(3))
+    if kind == "cube1-linear":
+        ws = rng.standard_normal((6, 2))
+        ws /= np.linalg.norm(ws, axis=1, keepdims=True)
+        pc = PolicyClass.linear_sphere(ActionSpace.cube(1), ws, rescale=True)
+
+        def draw(r):
+            v = r.standard_normal(2)
+            return v / np.linalg.norm(v)
+        return pc, draw
+    if kind == "cube2-constant":
+        pc = PolicyClass.constant(ActionSpace.cube(2), rng.random((4, 2)))
+        return pc, lambda r: None
+    if kind == "cube2-tabular":
+        pc = PolicyClass.tabular(ActionSpace.cube(2), rng.random((3, 4, 2)))
+        return pc, lambda r: int(r.integers(3))
+    space = ActionSpace.grid(8)
+    return (PolicyClass.constant(space, space.grid_points()[[0, 3, 4, 7]]),
+            lambda r: None)
+
+
+class TestPropensityEverySpace:
+    """step's propensity is sum_j P_j * kernel_j.density(pi_j(x), a),
+    computed member by member."""
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    @pytest.mark.parametrize("kind", ["ring-constant", "cube1-tabular",
+                                      "cube1-linear", "cube2-constant",
+                                      "cube2-tabular", "grid-constant"])
+    def test_matches_member_sum(self, kind, mixed):
+        pc, draw = _policy_case(kind)
+        hs = (0.15, 0.4) if mixed else (0.15,)
+        kernels = [RectKernel(pc.space, h) for h in hs for _ in range(pc.size)]
+        idxs = np.tile(np.arange(pc.size), len(hs))
+        s = Exp4State(pc, kernels, idxs, T=40, eta=0.5)
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            x = draw(rng)
+            P = s.P.copy()
+            a, p = s.step(x, rng)
+            want = sum(P[j] * k.density(pc.act(int(i), x), a)
+                       for j, (k, i) in enumerate(zip(kernels, idxs)))
+            assert p > 0.0
+            assert p == pytest.approx(want, rel=1e-12)
+            s.update(x, a, float(rng.random()))
+
+
 class TestUpdate:
     def test_zero_loss_no_change(self):
         s = _state([0.2, 0.6])
