@@ -18,7 +18,7 @@ from smoothcb.spaces import ActionSpace
 
 space = ActionSpace.ring()
 valley = PiecewiseConstantLoss([0.0, 0.4, 0.6, 1.0], [1.0, 0.0, 1.0])
-env = StochasticEnv(space, FiniteContexts([None]), lambda x: valley,
+env = StochasticEnv(space, FiniteContexts([None]), lambda xs: valley,
                     noise="bernoulli")
 pc = PolicyClass.constant(space, [0.1, 0.3, 0.5, 0.7, 0.9])
 

@@ -2,7 +2,7 @@
 
 from .spaces import ActionSpace
 from .losses import (CallableLoss, LossFunction, PiecewiseConstantLoss,
-                     PiecewiseLinearLoss, SeparableProductLoss)
+                     PiecewiseLinearLoss, SeparableProductLoss, ShiftedLoss)
 from .kernels import BandwidthGrid, RectKernel
 from .policies import (PolicyClass, VersionSpace, exact_max_packing,
                        packing_number, projected_actions, union_ball_volume)

@@ -11,7 +11,7 @@ import numpy as np
 
 from .kernels import RectKernel
 from .losses import (CallableLoss, LossFunction, PiecewiseConstantLoss,
-                     PiecewiseLinearLoss)
+                     PiecewiseLinearLoss, ShiftedLoss)
 from .policies import PolicyClass
 from .spaces import ActionSpace
 
@@ -46,8 +46,10 @@ class FiniteContexts:
                         else np.asarray(weights, dtype=float))
         _check(self.weights.shape == (n,),
                f"{n} context values need {n} weights")
-        if abs(self.weights.sum() - 1.0) > 1e-9 or np.any(self.weights < 0):
-            raise ValueError("weights must form a probability vector")
+        # stated so that a NaN weight fails both comparisons
+        _check(abs(self.weights.sum() - 1.0) <= 1e-9
+               and np.all(self.weights >= 0),
+               "weights must form a probability vector")
 
     def sample(self, rng: np.random.Generator):
         if len(self.values) == 1:
@@ -59,61 +61,76 @@ class FiniteContexts:
     def sample_many(self, rng: np.random.Generator, n: int):
         """n i.i.d. contexts as (values, index).
 
-        Round i's context is values[index[i]].
+        values is an array whose leading axis is the context; round i's
+        context is values[index[i]].
         """
         if len(self.values) == 1:
-            return self.values, np.zeros(n, dtype=int)
-        return self.values, rng.choice(len(self.values), size=n,
-                                       p=self.weights)
+            return np.asarray(self.values), np.zeros(n, dtype=int)
+        return np.asarray(self.values), rng.choice(len(self.values), size=n,
+                                                   p=self.weights)
 
     def panel(self, n_ctx: int, rng: np.random.Generator):
         return self.values, self.weights
 
 
 class SamplerContexts:
-    """Context sampler; expectations are Monte Carlo over a fixed panel."""
+    """Context sampler; expectations are Monte Carlo over a fixed panel.
 
-    def __init__(self, draw: Callable[[np.random.Generator], object]):
+    ``draw(rng, n)`` returns n i.i.d. contexts as an array whose leading
+    axis is the context.
+    """
+
+    def __init__(self, draw: Callable[[np.random.Generator, int],
+                                      np.ndarray]):
         self.draw = draw
 
     def sample(self, rng: np.random.Generator):
-        return self.draw(rng)
+        return self.draw(rng, 1)[0]
 
     def sample_many(self, rng: np.random.Generator, n: int):
         """n i.i.d. contexts as (values, index).
 
-        Round i's context is values[index[i]].
+        Round i's context is values[index[i]] = values[i].
         """
-        return [self.draw(rng) for _ in range(n)], np.arange(n)
+        return self.draw(rng, n), np.arange(n)
 
     def panel(self, n_ctx: int, rng: np.random.Generator):
-        vals = [self.draw(rng) for _ in range(n_ctx)]
-        return vals, np.full(n_ctx, 1.0 / n_ctx)
+        return self.draw(rng, n_ctx), np.full(n_ctx, 1.0 / n_ctx)
 
 
 class StochasticEnv:
     """i.i.d. (context, loss) generator with closed-form mean losses.
 
-    ``mean_loss_of`` maps a context to a LossFunction in [0,1].  Noise models:
-    Bernoulli (exactly mean-preserving), Deterministic, and additive clipped
-    Gaussian (mean-preserving only away from the boundary; documented bias).
+    ``mean_losses`` maps a batch of contexts to one LossFunction in [0,1]
+    whose leading axis is the context: row i, of both its values and its
+    integrals, is context i's mean loss.  A loss that ignores the context
+    broadcasts as it is, so ``lambda xs: mean`` serves any context set.
+    Noise models: Bernoulli (exactly mean-preserving), Deterministic, and
+    additive clipped Gaussian (mean-preserving only away from the boundary;
+    documented bias).
     """
 
     def __init__(self, space: ActionSpace, contexts,
-                 mean_loss_of: Callable[[object], LossFunction],
+                 mean_losses: Callable[[Sequence], LossFunction],
                  noise: str = DETERMINISTIC, sigma: float = 0.1,
                  lipschitz_constant: Optional[float] = None,
                  name: str = "custom", metadata: Optional[Dict] = None):
         if noise not in (BERNOULLI, DETERMINISTIC, GAUSSIAN):
             raise ValueError(f"unknown noise model: {noise!r}")
+        _check(_real(sigma) and sigma >= 0.0,
+               "sigma must be a finite number >= 0")
         self.space = space
         self.contexts = contexts
-        self.mean_loss_of = mean_loss_of
+        self.mean_losses = mean_losses
         self.noise = noise
         self.sigma = sigma
         self.lipschitz_constant = lipschitz_constant
         self.name = name
         self.metadata = metadata or {}
+
+    def mean_loss_of(self, x) -> LossFunction:
+        """Context x's mean loss: the one-context case of mean_losses."""
+        return self.mean_losses([x])
 
     # -- sampling -------------------------------------------------------
 
@@ -132,16 +149,11 @@ class StochasticEnv:
                      rng: np.random.Generator):
         """Realized and mean losses of one action per round.
 
-        Round i has context values[index[i]]; each distinct context's mean
-        loss is built once and evaluated on all of its rounds together.
+        Round i has context values[index[i]]; one mean-loss call covers
+        every round.
         """
         n = len(a)
-        order = np.argsort(index, kind="stable")
-        starts = np.flatnonzero(np.diff(index[order], prepend=-1))
-        means = np.empty(n)
-        for sel in np.split(order, starts[1:]):
-            mean = self.mean_loss_of(values[index[sel[0]]])
-            means[sel] = np.atleast_1d(mean(a[sel]))
+        means = np.atleast_1d(self.mean_losses(values[index])(a))
         if self.noise == DETERMINISTIC:
             return means, means
         if self.noise == BERNOULLI:
@@ -160,13 +172,13 @@ class StochasticEnv:
                                n_ctx: int = 2000,
                                rng: Optional[np.random.Generator] = None,
                                panel=None) -> np.ndarray:
-        """lambda_h(pi) for every policy, one batched kernel integral per
-        context (h = 0 gives unsmoothed values)."""
+        """lambda_h(pi) for every policy: one batched kernel integral over
+        the panel's (contexts x policies), weighted over the contexts (h = 0
+        gives unsmoothed values)."""
         kern = RectKernel(self.space, h)
         xs, ws = panel if panel is not None else self.context_panel(n_ctx, rng)
-        return sum(w * kern.smoothed_losses(pc.actions_at(x),
-                                            self.mean_loss_of(x))
-                   for x, w in zip(xs, ws))
+        return ws @ kern.smoothed_losses(pc.actions_many(xs),
+                                         self.mean_losses(xs))
 
     def smoothed_benchmark(self, pc: PolicyClass, h: float,
                            n_ctx: int = 2000,
@@ -200,7 +212,7 @@ def _discontinuous(ap: float = 0.7, noise: str = BERNOULLI) -> StochasticEnv:
     mean = PiecewiseLinearLoss([0.0, 0.5, 1.0], [1.0, 0.25, 1.0],
                                special_points={ap: 0.1})
     return StochasticEnv(
-        space, _single_context(space), lambda x: mean, noise=noise,
+        space, _single_context(space), lambda xs: mean, noise=noise,
         name="discontinuous",
         metadata={"ap": ap, "astar_h": 0.5,
                   "benchmark_of_h": lambda h: 0.25 + 0.75 * h})
@@ -212,7 +224,7 @@ def _absolute(astar: float = 0.5, noise: str = BERNOULLI) -> StochasticEnv:
     space = ActionSpace.ring()
     mean = PiecewiseLinearLoss([0.0, astar, 1.0], [astar, 0.0, 1.0 - astar])
     return StochasticEnv(
-        space, _single_context(space), lambda x: mean, noise=noise,
+        space, _single_context(space), lambda xs: mean, noise=noise,
         lipschitz_constant=1.0, name="absolute",
         metadata={"astar": astar})
 
@@ -243,23 +255,26 @@ def _linear_sphere(d_ctx: int = 2, wstar: Optional[Sequence[float]] = None,
         t = np.abs(t)
         return np.minimum(1.0, 0.25 + L0 * t + (L - L0) * np.maximum(0.0, t - 0.25))
 
-    def mean_loss_of(x) -> PiecewiseLinearLoss:
-        zstar = float(np.clip(np.dot(wstar, x), -1.0, 1.0))
-        # kinks of t -> f(t - zstar) mapped into u = (1 + t)/2
-        t_sat = (0.75 / L0 if 0.75 / L0 <= 0.25
-                 else 0.25 + (0.75 - 0.25 * L0) / L)
-        kinks_t = [zstar - t_sat, zstar - 0.25, zstar, zstar + 0.25,
-                   zstar + t_sat]
-        us = sorted({0.0, 1.0, *((1.0 + t) / 2.0 for t in kinks_t
-                                 if -1.0 < t < 1.0)})
-        return PiecewiseLinearLoss(us, f(2.0 * np.array(us) - 1.0 - zstar))
+    # every context's loss is g(u/2 + (1 - z)/4), z = clip(<w*, x>), for one
+    # g(s) = f(4s - 2) on [0, 1], kinked where f is
+    t_sat = (0.75 / L0 if 0.75 / L0 <= 0.25
+             else 0.25 + (0.75 - 0.25 * L0) / L)
+    ss = np.array(sorted({0.0, 1.0, *((t + 2.0) / 4.0 for t in (
+        -t_sat, -0.25, 0.0, 0.25, t_sat) if -2.0 < t < 2.0)}))
+    g = PiecewiseLinearLoss(ss, f(4.0 * ss - 2.0))
 
-    def draw_ctx(rng: np.random.Generator):
-        v = rng.standard_normal(d_ctx)
-        return v / np.linalg.norm(v)
+    def mean_losses(xs) -> ShiftedLoss:
+        z = np.clip(np.asarray(xs, dtype=float) @ wstar, -1.0, 1.0)
+        return ShiftedLoss(g, 0.5, (1.0 - z) / 4.0)
+
+    def draw_ctx(rng: np.random.Generator, n: int) -> np.ndarray:
+        # each norm as one dot product, the way np.linalg.norm takes a
+        # single vector's: the same bits as n draws of one context
+        v = rng.standard_normal((n, d_ctx))
+        return v / np.sqrt(v[:, None] @ v[..., None])[:, 0]
 
     return StochasticEnv(
-        space, SamplerContexts(draw_ctx), mean_loss_of, noise=noise,
+        space, SamplerContexts(draw_ctx), mean_losses, noise=noise,
         lipschitz_constant=2.0 * L, name="linear_sphere",
         metadata={"wstar": wstar, "L": L, "L0": L0, "d_ctx": d_ctx})
 
@@ -279,10 +294,10 @@ def _needle_h(h: float = 0.125, R: float = 10.0, d: int = 1, index: int = 0,
     N = int(math.floor(1.0 / (4.0 * h))) ** d
     delta = min(N / (40.0 * R), 0.25)
     if d == 1:
-        cells = np.array([h * (2 * s - 1) for s in range(1, N + 1)])
+        cells = h * (2 * np.arange(1, N + 1) - 1)
     else:
         side = int(round(N ** (1.0 / d)))
-        axes = [np.array([h * (2 * s - 1) for s in range(1, side + 1)])] * d
+        axes = [h * (2 * np.arange(1, side + 1) - 1)] * d
         mesh = np.meshgrid(*axes)
         cells = np.stack([m.ravel() for m in mesh], axis=1)
     _check(_whole(index) and 0 <= index <= N,
@@ -318,7 +333,7 @@ def _needle_h(h: float = 0.125, R: float = 10.0, d: int = 1, index: int = 0,
 
         mean = CallableLoss(phi, d=d)
     return StochasticEnv(
-        space, _single_context(space), lambda x: mean, noise=noise,
+        space, _single_context(space), lambda xs: mean, noise=noise,
         name="needle_h",
         metadata={"h": h, "R": R, "delta": delta, "N": N, "cells": cells,
                   "index": index, "c0": np.full(d, 0.75) if d > 1 else 0.75})
@@ -337,7 +352,7 @@ def _needle_L(L: float = 4.0, R: float = 10.0, d: int = 1, index: int = 0,
     _check(_real(R) and R > 0, "needle_L needs a finite R > 0")
     delta = min((L / (40.0 * R * 8.0)) ** 0.5, 0.125)
     N = int(math.floor(L / (4.0 * delta)))
-    cells = np.array([(delta / L) * (2 * s - 1) for s in range(1, N + 1)])
+    cells = (delta / L) * (2 * np.arange(1, N + 1) - 1)
     _check(_whole(index) and 0 <= index <= N,
            f"needle index must be an integer in [0, {N}]")
     space = ActionSpace.cube(1)
@@ -356,7 +371,7 @@ def _needle_L(L: float = 4.0, R: float = 10.0, d: int = 1, index: int = 0,
 
     mean = PiecewiseLinearLoss(bs, [phi(b) for b in bs])
     return StochasticEnv(
-        space, _single_context(space), lambda x: mean, noise=noise,
+        space, _single_context(space), lambda xs: mean, noise=noise,
         lipschitz_constant=L if index >= 1 else 1.0, name="needle_L",
         metadata={"L": L, "R": R, "delta": delta, "N": N, "cells": cells,
                   "index": index, "c0": c0})

@@ -83,15 +83,22 @@ class RectKernel:
 
     def smoothed_losses(self, centers, loss: LossFunction) -> np.ndarray:
         """<K_h(c), loss>, the mean loss of a draw from B(c, h), for each
-        centre c of shape (k,), or (k, d) on the cube."""
+        centre c of shape (contexts, k), or (contexts, k, d) on the cube.
+
+        Row i of the centres is scored against row i of a batch-first loss;
+        a loss that ignores the context scores any leading shape.
+        """
         c = np.asarray(centers, dtype=float)
         sp, h = self.space, self.h
         if h == 0.0:
-            return np.atleast_1d(loss(c)).astype(float)
+            return np.reshape(loss(c), c.shape[:-1] if sp.d > 1
+                              else c.shape).astype(float)
         if sp.kind == GRID:
             pts = sp.grid_points()
-            member = np.abs(c[:, None] - pts) <= h + 1e-12
-            val = member @ np.atleast_1d(loss(pts)) / sp.M
+            member = np.abs(c[..., None] - pts) <= h + 1e-12
+            a = np.broadcast_to(pts, c.shape[:-1] + pts.shape)
+            vals = np.broadcast_to(loss(a), a.shape)
+            val = (member @ vals[..., None])[..., 0] / sp.M
         elif sp.d > 1:
             val = loss.integrate_box(np.maximum(0.0, c - h),
                                      np.minimum(1.0, c + h))

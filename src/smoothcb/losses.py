@@ -2,8 +2,9 @@
 
 Integrals are batch-first.  Piecewise-constant and piecewise-linear losses
 over 1-d spaces keep a prefix table of their exact integral at the
-breakpoints, so an interval costs F(hi) - F(lo).  The cube in d >= 2 gets
-separable per-coordinate products, and anything else falls back to a
+breakpoints, so an interval costs F(hi) - F(lo), and a batch of shifted
+copies of one piecewise-linear loss shares its table.  The cube in d >= 2
+gets separable per-coordinate products, and anything else falls back to a
 range-checked callable integrated by adaptive quadrature, box by box.
 """
 
@@ -128,6 +129,36 @@ class PiecewiseLinearLoss(LossFunction):
     def lipschitz_constant(self) -> float:
         slopes = np.diff(self.knots) / np.diff(self.breaks)
         return float(np.max(np.abs(slopes))) if len(slopes) else 0.0
+
+
+class ShiftedLoss(LossFunction):
+    """A batch of one base loss under per-row changes of variable.
+
+    Row i is u -> base(scale * u + offsets[i]), for a scale > 0 and offsets
+    that keep scale * u + offsets[i] in [0, 1] for u in [0, 1].  The leading
+    axis of an argument is the row; its integrals come from the base's
+    prefix table, (G(scale * hi + offset) - G(scale * lo + offset)) / scale.
+    """
+
+    def __init__(self, base: PiecewiseLinearLoss, scale: float, offsets):
+        self.base = base
+        self.scale = scale
+        self.offsets = np.asarray(offsets, dtype=float)
+
+    def _rows(self, a: np.ndarray) -> np.ndarray:
+        """The offsets on a's leading axis, broadcastable against a."""
+        return self.offsets.reshape((-1,) + (1,) * max(a.ndim - 1, 0))
+
+    def __call__(self, a):
+        a = np.asarray(a, dtype=float)
+        return self.base(self.scale * a + self._rows(a))
+
+    def integrate(self, lo, hi):
+        lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float),
+                                     np.asarray(hi, dtype=float))
+        G, s, off = self.base._antiderivative, self.scale, self._rows(lo)
+        return np.where(hi > lo, (G(s * hi + off) - G(s * lo + off)) / s,
+                        0.0)
 
 
 class SeparableProductLoss(LossFunction):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from by_context import ByContext
 from scipy import stats
 
 from smoothcb.elimination import (SOLVER_TOL, ElimConfig, EpochState,
@@ -252,7 +253,8 @@ def _grid_instance():
     losses = [PiecewiseLinearLoss([0.0, 0.3, 1.0], [0.8, 0.1, 0.9]),
               PiecewiseLinearLoss([0.0, 0.7, 1.0], [0.9, 0.2, 0.6])]
     env = StochasticEnv(space, FiniteContexts([0, 1], [0.3, 0.7]),
-                        lambda x: losses[x], noise="gaussian", sigma=0.2)
+                        lambda xs: ByContext(losses, xs), noise="gaussian",
+                        sigma=0.2)
     table = np.array([[0.1, 0.3, 0.5, 0.7, 0.9], [0.2, 0.4, 0.6, 0.8, 1.0]])
     return env, PolicyClass.tabular(space, table), 0.2
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from by_context import ByContext
 
 from smoothcb.environments import (FiniteContexts, StochasticEnv,
                                    make_named_instance)
@@ -12,7 +13,7 @@ from smoothcb.spaces import ActionSpace
 def _constant_env(c=0.3, noise="deterministic"):
     space = ActionSpace.ring()
     mean = PiecewiseConstantLoss.constant(c)
-    return StochasticEnv(space, FiniteContexts([None]), lambda x: mean,
+    return StochasticEnv(space, FiniteContexts([None]), lambda xs: mean,
                          noise=noise)
 
 
@@ -44,7 +45,7 @@ class TestBatchedRounds:
                   for c in range(3)]
         env = StochasticEnv(ActionSpace.cube(1),
                             FiniteContexts([0, 1, 2], [0.2, 0.5, 0.3]),
-                            lambda x: losses[x])
+                            lambda xs: ByContext(losses, xs))
         values, index = env.contexts.sample_many(np.random.default_rng(0),
                                                  500)
         assert set(index) == {0, 1, 2}
@@ -162,6 +163,22 @@ class TestNeedleInstances:
         gaps = np.diff(np.sort(cells))
         assert np.all(gaps >= 2 * h - 1e-12)
 
+    @pytest.mark.parametrize("name,params", [
+        ("needle_L", {"L": 4.0}), ("needle_h", {"h": 1.0 / 32.0}),
+        ("needle_h", {"h": 1.0 / 32.0, "d": 2})])
+    def test_cells_match_pocket_formula(self, name, params):
+        # pocket s of N sits at width * (2s - 1), s = 1..N per axis
+        env = make_named_instance(name, R=10.0, **params)
+        md = env.metadata
+        width = md["delta"] / md["L"] if name == "needle_L" else md["h"]
+        d = params.get("d", 1)
+        side = round(md["N"] ** (1.0 / d))
+        axis = np.array([width * (2 * s - 1) for s in range(1, side + 1)])
+        want = (axis if d == 1 else
+                np.stack([m.ravel() for m in np.meshgrid(*[axis] * d)],
+                         axis=1))
+        assert np.array_equal(md["cells"], want)
+
     def test_safe_half_value(self):
         env = make_named_instance("needle_h", h=0.125, R=10.0, index=1)
         delta = env.metadata["delta"]
@@ -221,6 +238,17 @@ class TestValidation:
     def test_unknown_noise(self):
         with pytest.raises(ValueError):
             _constant_env(noise="cauchy")
+
+    def test_finite_contexts_nan_weights(self):
+        with pytest.raises(ValueError, match="weights"):
+            FiniteContexts([0, 1], [np.nan, np.nan])
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -0.1])
+    def test_gaussian_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            StochasticEnv(ActionSpace.ring(), FiniteContexts([None]),
+                          lambda xs: PiecewiseConstantLoss.constant(0.3),
+                          noise="gaussian", sigma=sigma)
 
     def test_needle_index_bounds(self):
         with pytest.raises(ValueError):
