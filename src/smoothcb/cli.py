@@ -171,7 +171,6 @@ def _cmd_sweep(args) -> int:
             print(f"T={config.T} h={config.h} "
                   f"regret mean={regs.mean():.6g} std={regs.std():.6g}")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "sweep.json"), "w") as f:
             json.dump(rows, f, indent=2)
     return EXIT_OK
@@ -197,7 +196,6 @@ def _cmd_diagnose(args) -> int:
           f"z_hat={report.z_hat} fit_residual={report.fit_residual} "
           f"alpha_unif={report.alpha_unif:.6g}")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         payload = {"table": report.table, "theta_h": report.theta_h,
                    "psi_L": report.psi_L, "z_hat": report.z_hat,
                    "fit_residual": report.fit_residual,
@@ -235,10 +233,25 @@ def _cmd_lowerbound(args) -> int:
         print(f"{label}: regret mean={regs.mean():.6g} "
               f"std={regs.std():.6g} benchmark={traces[0].benchmark:.6g}")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "lowerbound.json"), "w") as f:
             json.dump(results, f, indent=2)
     return EXIT_OK
+
+
+def _make_out_dir(path: Optional[str]) -> None:
+    """Create the --out directory before any round is played, so a path
+    that cannot hold output fails at once and not after the whole run."""
+    if not path:
+        return
+    if not isinstance(path, str):
+        raise ValueError(f"--out must be a directory path, got {path!r}")
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:
+        message = f"cannot create --out {path!r}: {e.strerror or e}"
+        raise ValueError(message) from None
+    if not os.access(path, os.W_OK | os.X_OK):
+        raise ValueError(f"cannot write to --out {path!r}")
 
 
 def _apply_config_file(args, argv) -> None:
@@ -267,6 +280,7 @@ def main(argv=None) -> int:
             print(f"configuration error: {e}", file=sys.stderr)
             return EXIT_CONFIG
     try:
+        _make_out_dir(args.out)
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "sweep":

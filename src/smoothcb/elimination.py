@@ -5,9 +5,12 @@ surviving policies, plays a mixture of uniform exploration and smoothed
 policy draws, estimates every survivor's smoothed loss by importance
 weighting with median-of-means aggregation across batches, and prunes
 policies that fall behind the empirical best by more than the epoch radius
-allows.  An epoch is played as one batch on every space kind and context
-class: contexts, survivor centres, mixed draws with their propensities,
-realized losses, then the (survivors x rounds) matrix of estimates.
+allows.  An epoch is played the same way on every space kind and context
+class: its contexts, mixed draws and realized losses are drawn whole, as
+vectors over its rounds; survivor centres, propensities and estimates are
+then formed CHUNK rounds at a time and summed at once into the
+(survivors x delta_T) batch sums that median-of-means scores.  An epoch
+that is not scored forms none of them.
 
 Two schedules: the fixed-bandwidth variant keeps h_m = h and halves the
 radius r_m = 2^-m; the Lipschitz variant halves the bandwidth h_m = 2^-m
@@ -33,6 +36,9 @@ VARIANT_L = "l"
 # SOLVER_ITER_CAP iterations
 SOLVER_TOL = 1e-3
 SOLVER_ITER_CAP = 5000
+# rounds per block of an epoch's (rounds x survivors) work; blocks do not
+# depend on the batch length, and a batch may span several blocks
+CHUNK = 2 ** 13
 
 
 class SolverFailure(RuntimeError):
@@ -60,6 +66,11 @@ class ElimConfig:
             raise ValueError("s-variant needs h in (0,1]")
         if self.variant == VARIANT_L and not (self.L and self.L >= 1):
             raise ValueError("l-variant needs L >= 1")
+        # r_1 = L/2 is squared in the epoch budget 320 kappa V / r_m^2
+        if self.variant == VARIANT_L and math.isinf(
+                (0.5 * self.L) * (0.5 * self.L)):
+            raise ValueError(f"L = {self.L:g} is too large: (L/2)^2 "
+                             "overflows, leaving epochs a budget of 0 rounds")
         if self.T < 2:
             raise ValueError("horizon must be >= 2")
 
@@ -192,10 +203,20 @@ class SmoothPolicyElimination:
                           n_m=tilde_n * self.delta_T, Q=Q,
                           solver_value=value, solver_iters=iters)
 
+    def _actions(self, values, index):
+        """Every policy's actions at the context rows in index's range (a
+        finite set's few values, or a sampler's draws for these rounds), and
+        each round's row of them; round i has context values[index[i]]."""
+        lo = int(index.min())
+        return (self.pc.actions_many(values[lo:int(index.max()) + 1]),
+                index - lo)
+
     def _centers(self, vs: VersionSpace, values, index) -> np.ndarray:
         """Survivors' actions per round, shape (rounds, survivors), plus a
-        trailing d on the cube; round i has context values[index[i]]."""
-        return self.pc.actions_many(values)[:, vs.indices][index]
+        trailing d on the cube."""
+        actions, rows = self._actions(values, index)
+        # np.take measured several times faster here than indexing with rows
+        return np.take(actions[:, vs.indices], rows, axis=0)
 
     def propensity(self, state: EpochState, centers: np.ndarray, a):
         """(q, dens) at one action per row of survivor centres.
@@ -206,6 +227,23 @@ class SmoothPolicyElimination:
         dens = RectKernel(self.pc.space, state.h_m).densities(centers, a)
         return state.mu_m + (1.0 - state.mu_m) * dens @ state.Q, dens
 
+    def _draw(self, state: EpochState, n: int, picked_centers,
+              rng: np.random.Generator) -> np.ndarray:
+        """n mixed-exploration actions: uniform with probability mu_m, else
+        uniform (under nu) on the h_m-ball of a survivor drawn from Q.
+
+        ``picked_centers(pick)`` gives each round's centre of survivor
+        pick[i], so callers need not hold every survivor's centre at once.
+        """
+        space = self.pc.space
+        explore = rng.random(n) < state.mu_m
+        pick = rng.choice(len(state.Q), size=n, p=state.Q)
+        uniform = space.sample_uniform(rng, size=n)
+        ball = space.sample_ball(picked_centers(pick), state.h_m, rng)
+        if ball.ndim > 1:
+            explore = explore[:, None]
+        return np.where(explore, uniform, ball)
+
     def act(self, state: EpochState, centers: np.ndarray,
             rng: np.random.Generator):
         """One mixed-exploration draw per row of survivor centres.
@@ -213,23 +251,27 @@ class SmoothPolicyElimination:
         Returns (actions, propensities, densities) as in ``propensity``.
         """
         n = len(centers)
-        space = self.pc.space
-        explore = rng.random(n) < state.mu_m
-        pick = rng.choice(len(state.Q), size=n, p=state.Q)
-        uniform = space.sample_uniform(rng, size=n)
-        ball = space.sample_ball(centers[np.arange(n), pick], state.h_m, rng)
-        if ball.ndim > 1:
-            explore = explore[:, None]
-        a = np.where(explore, uniform, ball)
+        a = self._draw(state, n, lambda pick: centers[np.arange(n), pick],
+                       rng)
         q, dens = self.propensity(state, centers, a)
         return a, q, dens
 
-    def end_epoch(self, state: EpochState, est: np.ndarray) -> VersionSpace:
-        """Median-of-means scores of the (survivors x n_m) estimates,
-        threshold pruning, next version space."""
-        if np.shape(est)[-1] != state.n_m:
-            raise ValueError("end_epoch needs n_m estimates per policy")
-        return self._prune(state, median_of_means(est, k=self.delta_T))
+    def _estimates(self, state: EpochState, centers: np.ndarray, a,
+                   loss: np.ndarray):
+        """(q, est) for a block of rounds: est[i, j] = dens[i, j] * loss[i]
+        / q[i] is survivor j's IW estimate of its smoothed loss at round i."""
+        q, dens = self.propensity(state, centers, a)
+        dens *= (loss / q)[:, None]  # in place: no second (n x k) array
+        return q, dens
+
+    def end_epoch(self, state: EpochState, means: np.ndarray) -> VersionSpace:
+        """Median-of-means scores from the (survivors x delta_T) batch
+        means, threshold pruning, next version space."""
+        if np.shape(means) != (len(state.vs), self.delta_T):
+            raise ValueError("end_epoch needs delta_T batch means per "
+                             "survivor")
+        # delta_T batches of one mean each: the lower median of the means
+        return self._prune(state, median_of_means(means, k=self.delta_T))
 
     def _prune(self, state: EpochState, scores: np.ndarray) -> VersionSpace:
         thresh = scores.min() + 3.0 * state.r_m
@@ -238,18 +280,47 @@ class SmoothPolicyElimination:
         return VersionSpace(self.pc, new_mask, m=state.m + 1)
 
     def _play_epoch(self, state: EpochState, n: int,
-                    rng: np.random.Generator, rng_env: np.random.Generator):
-        """Play n rounds; returns (actions, losses, mean losses, estimates).
+                    rng: np.random.Generator, rng_env: np.random.Generator,
+                    score: bool = True):
+        """Play n rounds; returns (actions, losses, mean losses, means).
 
-        estimates has shape (survivors, n): the per-round IW estimate of
-        each survivor's smoothed loss.
+        Contexts, draws and losses are drawn whole, in that order.  With
+        ``score`` (which needs n = n_m), the estimates are formed CHUNK
+        rounds at a time and summed into batches of tilde_n_m rounds: means
+        is (survivors x delta_T), batch b's mean estimate of each survivor's
+        smoothed loss.  Without it nothing per survivor is formed and means
+        is None.
         """
         values, index = self.env.contexts.sample_many(rng_env, n)
-        a, q, dens = self.act(state, self._centers(state.vs, values, index),
-                              rng)
+        blocks = [slice(s, min(s + CHUNK, n)) for s in range(0, n, CHUNK)]
+        survivors = state.vs.indices
+
+        def picked_centers(pick):
+            parts = []
+            for b in blocks:
+                actions, rows = self._actions(values, index[b])
+                parts.append(actions[rows, survivors[pick[b]]])
+            return np.concatenate(parts)
+
+        a = self._draw(state, n, picked_centers, rng)
         loss, mean = self.env.realize_many(values, index, a, rng_env)
-        dens *= (loss / q)[:, None]  # in place: no second (n x k) array
-        return a, loss, mean, dens.T
+        if not score:
+            return a, loss, mean, None
+        if n != state.n_m:
+            raise ValueError("a scored epoch plays n_m rounds")
+        tilde_n = state.tilde_n_m
+        sums = np.zeros((self.delta_T, len(survivors)))
+        for b in blocks:
+            _, est = self._estimates(
+                state, self._centers(state.vs, values, index[b]), a[b],
+                loss[b])
+            # the block's rows, cut where batches start
+            first = b.start // tilde_n
+            cuts = np.arange(first * tilde_n, b.stop, tilde_n) - b.start
+            cuts[0] = 0
+            sums[first:first + len(cuts)] += np.add.reduceat(est, cuts,
+                                                             axis=0)
+        return a, loss, mean, sums.T / tilde_n
 
     # -- full run ----------------------------------------------------------
 
@@ -275,12 +346,12 @@ class SmoothPolicyElimination:
                 state = self.start_epoch(min(m, self.max_epochs), vs, panel,
                                          rng=rng)
             n_play = min(state.n_m, T - t)
-            a_arr, loss_arr, mean_arr, est = self._play_epoch(
-                state, n_play, rng, rng_env)
+            full = n_play == state.n_m and m <= self.max_epochs
+            a_arr, loss_arr, mean_arr, means = self._play_epoch(
+                state, n_play, rng, rng_env, score=full)
             actions.append(a_arr)
             losses.append(loss_arr)
             mean_losses.append(mean_arr)
-            full = n_play == state.n_m and m <= self.max_epochs
             epoch_rows.append({
                 "m": state.m, "h_m": state.h_m, "r_m": state.r_m,
                 "V_m": state.V_m, "survivors": len(state.vs),
@@ -291,8 +362,7 @@ class SmoothPolicyElimination:
             })
             t += n_play
             if full:
-                vs = self.end_epoch(state, est)
-            del est  # free the estimates before the next epoch is played
+                vs = self.end_epoch(state, means)
             m += 1
         return {
             "actions": np.concatenate(actions),

@@ -74,6 +74,9 @@ class RunConfig:
             raise ValueError(
                 f"seeds must be a non-empty list of integers, "
                 f"got {self.seeds!r}")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(
+                f"seeds must not repeat, got {list(self.seeds)!r}")
         if self.h is not None:
             if not (_is_real(self.h) and 0 < self.h <= 1):
                 raise ValueError(f"h must lie in (0, 1], got {self.h!r}")

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from smoothcb import harness
+from smoothcb import cli, harness
 from smoothcb.cli import main, parse_env_spec
 
 
@@ -126,6 +126,35 @@ class TestBadRunConfig:
         argv = ["run", "--alg", "pe-l", "--env", "absolute", "--T", "20",
                 "--L", "inf", "--seeds", "1"]
         self._check_exit_2(capsys, argv, "L must be")
+
+    def test_repeated_seeds(self, capsys):
+        self._check_exit_2(capsys, self._with("--seeds", "0,0"),
+                           "seeds must not repeat")
+
+    def test_lipschitz_constant_without_epoch_budget(self, capsys):
+        # (L/2)^2 overflows, so the epoch budget 320 kappa V / r_m^2 is 0
+        argv = ["run", "--alg", "pe-l", "--env", "absolute", "--T", "64",
+                "--L", "1e155", "--seeds", "1"]
+        self._check_exit_2(capsys, argv, "L = 1e+155")
+
+    @pytest.mark.parametrize("argv", [
+        BASE, ["sweep", "--alg", "exp4", "--env", "absolute", "--h-list",
+               "0.1", "--T", "20", "--seeds", "1", "--policies", "4"],
+        ["diagnose", "--env", "absolute", "--h", "0.1"],
+        ["lowerbound", "--alg", "exp4", "--kind", "h", "--h", "1/8",
+         "--T", "20", "--seeds", "1", "--policies", "4"]],
+        ids=["run", "sweep", "diagnose", "lowerbound"])
+    def test_unwritable_out_checked_before_play(self, tmp_path, capsys,
+                                                 monkeypatch, argv):
+        def no_play(*args, **kwargs):
+            raise AssertionError("rounds were played")
+
+        monkeypatch.setattr(cli, "run_experiment", no_play)
+        monkeypatch.setattr(cli, "diagnose", no_play)
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+        self._check_exit_2(capsys, argv + ["--out", str(not_a_dir / "x")],
+                           "cannot create --out")
 
     def test_string_horizon_in_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -1,12 +1,18 @@
+import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from by_context import ByContext
 from scipy import stats
 
+from smoothcb import elimination
 from smoothcb.elimination import (SOLVER_TOL, ElimConfig, EpochState,
                                   SmoothPolicyElimination, SolverFailure,
                                   solve_variance_program)
@@ -52,6 +58,8 @@ class TestConfig:
             ElimConfig(variant="l", T=64, L=0.5)
         with pytest.raises(ValueError):
             ElimConfig(variant="x", T=64, h=0.1)
+        with pytest.raises(ValueError, match="L = 1e"):
+            ElimConfig(variant="l", T=64, L=1e155)
 
 
 class TestVarianceProgram:
@@ -299,18 +307,22 @@ class TestOneEpochPath:
     def test_estimates_and_propensities_exact(self, name):
         env, pc, alg, state = self._epoch(name)
         n = 200
-        a, loss, _, est = alg._play_epoch(state, n, np.random.default_rng(2),
-                                          np.random.default_rng(1))
+        a, loss, _, _ = alg._play_epoch(state, n, np.random.default_rng(2),
+                                        np.random.default_rng(1),
+                                        score=False)
         # the same epoch, step by step
         rng_env = np.random.default_rng(1)
         values, index = env.contexts.sample_many(rng_env, n)
         centers = alg._centers(state.vs, values, index)
-        a2, q, _ = alg.act(state, centers, np.random.default_rng(2))
+        a2, q2, _ = alg.act(state, centers, np.random.default_rng(2))
         loss2, _ = env.realize_many(values, index, a2, rng_env)
         assert np.array_equal(a, a2) and np.array_equal(loss, loss2)
+        # the scorer an epoch applies to each of its blocks of rounds
+        q, est = alg._estimates(state, centers, a, loss)
+        assert np.array_equal(q, q2)
         kern = RectKernel(pc.space, state.h_m)
         support = state.vs.indices
-        assert est.shape == (len(support), n) and np.any(est > 0)
+        assert est.shape == (n, len(support)) and np.any(est > 0)
         for i in range(n):
             x = values[index[i]]
             assert pc.space.contains(a[i])
@@ -319,8 +331,35 @@ class TestOneEpochPath:
             assert q[i] == pytest.approx(mix, rel=1e-12)
             s = IWSample(x, a[i], float(loss[i]), float(q[i]))
             for j, pi in enumerate(support):
-                assert est[j, i] == pytest.approx(
+                assert est[i, j] == pytest.approx(
                     iw_estimate(kern, pc, int(pi), s), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("name", ["ring", "sphere"])
+    def test_chunking_changes_nothing_drawn(self, name, monkeypatch):
+        # one context class each; CHUNK is one batch, a size that does not
+        # divide the batch length, and the whole epoch
+        env, pc, alg, state = self._epoch(name)
+        tilde_n = 37
+        state = dataclasses.replace(state, tilde_n_m=tilde_n,
+                                    n_m=tilde_n * alg.delta_T)
+        n = state.n_m
+        runs = {}
+        for chunk in (tilde_n, 50, n):
+            monkeypatch.setattr(elimination, "CHUNK", chunk)
+            runs[chunk] = alg._play_epoch(state, n, np.random.default_rng(2),
+                                          np.random.default_rng(1))
+        a, loss, mean, _ = runs[n]
+        for run in runs.values():
+            assert np.array_equal(run[0], a) and np.array_equal(run[1], loss)
+            assert np.array_equal(run[2], mean)
+        # median_of_means' batch means of the full (survivors x n_m) matrix
+        values, index = env.contexts.sample_many(np.random.default_rng(1), n)
+        _, est = alg._estimates(state, alg._centers(state.vs, values, index),
+                                a, loss)
+        full = est.T.reshape(len(state.vs), alg.delta_T, -1).mean(axis=-1)
+        assert np.any(full > 0)
+        for run in runs.values():
+            np.testing.assert_allclose(run[3], full, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("name", sorted(_INSTANCES))
     def test_full_run_actions_in_space(self, name):
@@ -390,6 +429,49 @@ class TestFullRun:
                        rng_env=np.random.default_rng(100))
         assert np.array_equal(out1["actions"], out2["actions"])
         assert np.array_equal(out1["losses"], out2["losses"])
+
+
+class TestBoundedMemory:
+    """A scored epoch holds O(rounds) vectors plus CHUNK x survivors
+    blocks, never a (rounds x survivors) array."""
+
+    def test_scored_epoch_peak(self):
+        env = make_named_instance("absolute")
+        pc = default_policy_class(env, 100)
+        alg = SmoothPolicyElimination(
+            env, pc, ElimConfig(variant="l", T=2 ** 18, L=1.0))
+        rng = np.random.default_rng(0)
+        state = alg.start_epoch(1, VersionSpace(pc),
+                                env.context_panel(2000, rng), rng=rng)
+        assert state.n_m == 128_000 and len(state.vs) == 100
+        tracemalloc.start()
+        try:
+            alg._play_epoch(state, state.n_m, rng, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+
+    def test_full_second_epoch_rss(self):
+        # epoch 2 plays 1.2M rounds at |Pi| = 100 and is scored; the whole
+        # run must stay under 440 MB, the peak of the 2^18-round benchmark
+        # run whose epochs were held as (rounds x survivors) arrays
+        script = (
+            "import resource\n"
+            "from smoothcb.harness import RunConfig, run_experiment\n"
+            "tr, = run_experiment(RunConfig(alg='pe-l', env_name='absolute',"
+            " T=2 ** 21, L=1.0, seeds=[0], n_policies=100))\n"
+            "print(tr.epochs[1]['eliminated'],"
+            " resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        root = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            os.pardir)
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        scored, maxrss_kb = proc.stdout.split()
+        assert scored == "True"
+        assert int(maxrss_kb) / 1024 < 440
 
 
 class TestLVariantBias:

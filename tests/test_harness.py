@@ -37,7 +37,8 @@ class TestRunConfig:
         ("T", 1), ("T", "100"), ("T", 100.0), ("h", 0.0), ("h", 1.5),
         ("h", float("nan")), ("h", "0.1"), ("n_policies", 0),
         ("seeds", []), ("seeds", 3), ("seeds", [0.5]), ("n_ctx", 0),
-        ("L", float("inf")), ("beta", 2.0), ("policy_csv", 7)])
+        ("L", float("inf")), ("beta", 2.0), ("policy_csv", 7),
+        ("seeds", [0, 0])])
     def test_rejects_bad_values(self, field, value):
         kwargs = {"alg": "exp4", "env_name": "absolute", "T": 10, "h": 0.1}
         kwargs[field] = value
