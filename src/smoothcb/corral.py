@@ -7,6 +7,12 @@ the buckets, feeding each learner its importance-weighted scalar loss with
 revealing probability equal to the master weight.  Master learning rates
 increase by a fixed growth factor whenever a learner's weight crosses its
 threshold (the threshold then doubles).
+
+The master's round counter is the only clock.  A learner that does not play
+sees a zero loss, which leaves its weights alone, so all it can do is
+restart; one vector check 1/q > rho_hat over the learners' range guesses
+finds the learners that do, and only they and the one that played absorb
+the round.
 """
 
 from __future__ import annotations
@@ -46,9 +52,6 @@ class KernelBuckets:
     def bucket_ids(self) -> List[int]:
         return sorted(self.buckets)
 
-    def kappa_b(self, b: int) -> float:
-        return max(k.kappa() for k in self.buckets[b])
-
 
 class CorralMaster:
     """Mirror-descent master over bucketed stable learners."""
@@ -68,6 +71,8 @@ class CorralMaster:
                 kerns.extend([k] * pc.size)
                 idxs.extend(range(pc.size))
             self.subs.append(StableExp4(pc, kerns, idxs, T, rho_hat=max(1, B)))
+        # the learners' range guesses, refreshed when one restarts
+        self.rho_hats = np.array([s.rho_hat for s in self.subs])
         self.q = np.full(B, 1.0 / B)
         self.etas = np.full(B, eta)
         self.rhos = np.full(B, 2.0 * B)
@@ -85,7 +90,7 @@ class CorralMaster:
         # bracket is replaced by bisection.
         etas = self.etas
         inv = 1.0 / self.q + etas * losses
-        lo, hi = 0.0, float(np.min(inv / etas))
+        lo, hi = 0.0, float((inv / etas).min())
         lam = 0.0
         for _ in range(OMD_MAX_ITER):
             r = 1.0 / (inv - etas * lam)
@@ -105,31 +110,41 @@ class CorralMaster:
 
     def round(self, x, loss_eval: Callable[[object], float],
               rng: np.random.Generator) -> Tuple[object, dict]:
-        """One interaction: pick a learner, play its action, feed everyone.
+        """One interaction: pick a learner, play its action, feed it.
 
         ``loss_eval`` evaluates the realized loss at the played action.
         With a single bucket no master randomness is consumed and the
         trajectory coincides exactly with the learner run standalone.
+        Round T + 1 raises RuntimeError.
         """
+        if self.t >= self.T:
+            raise RuntimeError("horizon exhausted")
         B = len(self.subs)
+        q = self.q
         if B == 1:
             b_t = 0
         else:
-            b_t = int(np.searchsorted(np.cumsum(self.q), rng.random()))
-            b_t = min(b_t, B - 1)
-        q_bt = float(self.q[b_t])
-        a, _ = self.subs[b_t].step(x, rng)
+            b_t = min(int(q.cumsum().searchsorted(rng.random())), B - 1)
+        q_bt = float(q[b_t])
+        played = self.subs[b_t]
+        a, _ = played.step(x, rng)
         loss = float(loss_eval(a))
         tilde = np.zeros(B)
         tilde[b_t] = loss / q_bt
-        for b in range(B):
-            self.subs[b].stable_update(
-                x, a if b == b_t else None, float(tilde[b]), float(self.q[b]))
+        # stable_update's restart check, for every learner at once
+        restart = (1.0 / q > self.rho_hats).nonzero()[0]
+        played.stable_update(x, a, loss / q_bt, q_bt)
+        for b in restart:
+            if b != b_t:
+                # fed a zero loss, so the restart is all the round does
+                self.subs[b].stable_update(x, None, 0.0, float(q[b]))
+            self.rho_hats[b] = self.subs[b].rho_hat
         if B > 1:
             self._omd_step(tilde)
-            crossed = 1.0 / self.q > self.rhos
-            self.rhos[crossed] = 2.0 / self.q[crossed]
-            self.etas[crossed] *= self.growth
+            crossed = (1.0 / self.q > self.rhos).nonzero()[0]
+            if len(crossed):
+                self.rhos[crossed] = 2.0 / self.q[crossed]
+                self.etas[crossed] *= self.growth
         self.t += 1
         record = {
             "t": self.t, "b": self.bucket_ids[b_t], "q_b": q_bt,

@@ -52,13 +52,15 @@ class Exp4State:
         self.logw = np.zeros(self.n)
         self.t = 0
         self._pending: Optional[Tuple] = None
-        # group members by kernel so densities vectorize per group
-        self._groups: List[Tuple[RectKernel, np.ndarray]] = []
+        # group members by kernel so densities vectorize per group:
+        # (kernel, member indices, their policy indices)
+        self._groups: List[Tuple[RectKernel, np.ndarray, np.ndarray]] = []
         seen = {}
         for j, k in enumerate(self.kernels):
             seen.setdefault((id(k.space), k.h), (k, []))[1].append(j)
         for k, idxs in seen.values():
-            self._groups.append((k, np.asarray(idxs, dtype=int)))
+            idxs = np.asarray(idxs, dtype=int)
+            self._groups.append((k, idxs, self.policy_indices[idxs]))
 
     @staticmethod
     def for_kernel(kernel: RectKernel, pc: PolicyClass, T: int,
@@ -77,10 +79,13 @@ class Exp4State:
         """xi(a|x) for every member of Xi (``acts``: pc.actions_at(x))."""
         if acts is None:
             acts = self.pc.actions_at(x)
+        if len(self._groups) == 1:
+            # one kernel: its members are all of Xi, in order
+            kernel, _, pols = self._groups[0]
+            return kernel.densities(acts[pols], a)
         out = np.zeros(self.n)
-        for kernel, idxs in self._groups:
-            centers = acts[self.policy_indices[idxs]]
-            out[idxs] = kernel.densities(centers, a)
+        for kernel, idxs, pols in self._groups:
+            out[idxs] = kernel.densities(acts[pols], a)
         return out
 
     # -- protocol ---------------------------------------------------------
@@ -89,12 +94,14 @@ class Exp4State:
         """Sample xi ~ P_t then a ~ xi(.|x); return (a, mixture propensity)."""
         if self.t >= self.T:
             raise RuntimeError("horizon exhausted")
-        P = self.P
-        j = min(int(np.searchsorted(np.cumsum(P), rng.random())), self.n - 1)
+        # update leaves max(logw) == 0, so these are the weights P gives
+        w = np.exp(self.logw)
+        P = w / w.sum()
+        j = min(int(P.cumsum().searchsorted(rng.random())), self.n - 1)
         acts = self.pc.actions_at(x)
         a = self.kernels[j].sample(acts[self.policy_indices[j]], rng)
         dens = self.density_vector(x, a, acts)
-        p = float(np.dot(P, dens))
+        p = float(P @ dens)
         self._pending = (a, p, dens)
         return a, p
 
@@ -130,7 +137,12 @@ class StableExp4:
     ``rho_hat`` guesses the range parameter max_t 1/p_t of the revealing
     probabilities; learning rate sqrt(2 ln|Xi| / (T kappa rho_hat)).  When a
     round's 1/p_t exceeds the guess, it doubles (repeatedly) and the inner
-    state restarts before absorbing that round.
+    state restarts before absorbing that round.  ``stable_update`` is the one
+    place the doubling rule is written.
+
+    Run standalone, the learner absorbs every round and its inner counter
+    enforces the horizon.  Under a corralling master it absorbs only the
+    rounds it plays or restarts on, and the master's counter is the clock.
     """
 
     def __init__(self, pc: PolicyClass, kernels: Sequence[RectKernel],

@@ -47,6 +47,13 @@ class RectKernel:
         """
         if self.h == 0.0:
             raise ValueError("Dirac kernel has no density")
+        if self.space.kind == RING and 2.0 * self.h >= 1.0:
+            # the ball is the whole circle: every ring distance is at most
+            # 1/2 <= h, so every density is 1 (result shape as in distances)
+            c, x = np.shape(centers), np.shape(a)
+            if x and len(c) > len(x):
+                x = x + (1,) * (len(c) - len(x))
+            return np.ones(np.broadcast_shapes(c, x))
         dist = self.space.distances(centers, a)
         if self.space.kind == RING:
             return np.where(dist <= self.h, 1.0 / min(1.0, 2.0 * self.h), 0.0)
@@ -69,12 +76,22 @@ class RectKernel:
         return float(sp.M / counts.min())
 
     def sample(self, center, rng: np.random.Generator):
-        """One draw from the kernel centred at ``center``."""
-        if self.h == 0.0:
+        """One draw from the kernel centred at ``center``: sample_ball's
+        one-row draw, taken with scalar draws on the ring and the 1-d cube
+        (the same doubles, in the same order)."""
+        sp, h = self.space, self.h
+        if h == 0.0:
             return center
-        out = self.space.sample_ball(np.asarray(center, dtype=float)[None],
-                                     self.h, rng)[0]
-        return float(out) if self.space.d == 1 else out
+        if sp.kind == RING:
+            u = rng.uniform(-h, h)
+            if 2.0 * h >= 1.0:
+                return rng.uniform(0.0, 1.0)
+            return (float(center) + u) % 1.0
+        if sp.kind == CUBE and sp.d == 1:
+            c = float(center)
+            return rng.uniform(max(0.0, c - h), min(1.0, c + h))
+        out = sp.sample_ball(np.asarray(center, dtype=float)[None], h, rng)[0]
+        return float(out) if sp.d == 1 else out
 
     def smoothed_loss(self, center, loss: LossFunction) -> float:
         """<K_h(center), loss>: the one-centre case of smoothed_losses."""

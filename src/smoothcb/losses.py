@@ -75,7 +75,7 @@ class PiecewiseConstantLoss(LossFunction):
             af = float(a)
             if af in self.special_points:
                 return self.special_points[af]
-            i = int(np.searchsorted(self.breaks, af, side="right")) - 1
+            i = int(self.breaks.searchsorted(af, side="right")) - 1
             return float(self.values[min(max(i, 0), len(self.values) - 1)])
         arr = np.atleast_1d(np.asarray(a, dtype=float))
         idx = np.clip(np.searchsorted(self.breaks, arr, side="right") - 1,
@@ -110,12 +110,17 @@ class PiecewiseLinearLoss(LossFunction):
             np.diff(self.breaks) * (self.knots[:-1] + self.knots[1:]) / 2.0)])
 
     def __call__(self, a):
+        if isinstance(a, float) or np.ndim(a) == 0:
+            af = float(a)
+            if af in self.special_points:
+                return float(self.special_points[af])
+            return float(np.interp(af, self.breaks, self.knots))
         arr = np.atleast_1d(np.asarray(a, dtype=float))
         out = np.interp(arr, self.breaks, self.knots)
         if self.special_points:
             for p, v in self.special_points.items():
                 out = np.where(arr == p, v, out)
-        return float(out[0]) if np.isscalar(a) or np.asarray(a).ndim == 0 else out
+        return out
 
     def _antiderivative(self, x: np.ndarray) -> np.ndarray:
         # the table up to the piece holding x, plus a trapezoid within it

@@ -34,7 +34,8 @@ class TestBuckets:
         kerns = [RectKernel(space, h) for h in (0.5, 0.3, 0.2, 0.1, 0.05)]
         buckets = corral.KernelBuckets(kerns)
         for b in buckets.bucket_ids:
-            assert buckets.kappa_b(b) <= 2.0 ** b + 1e-12
+            kappa_b = max(k.kappa() for k in buckets.buckets[b])
+            assert kappa_b <= 2.0 ** b + 1e-12
 
     def test_every_kernel_in_exactly_one_bucket(self):
         space = ActionSpace.ring()
@@ -149,6 +150,99 @@ class TestMasterDynamics:
             b_played = master.bucket_ids.index(rec["b"])
             feeds[b_played] += rec["loss"] / q_before[b_played]
         assert np.allclose(feeds / T, 0.6, atol=0.05)
+
+
+def reference_round(master, x, loss_eval, rng):
+    """The per-learner round the vector restart check replaced: every
+    learner absorbs every round, and each learner's counter is a clock."""
+    B = len(master.subs)
+    if B == 1:
+        b_t = 0
+    else:
+        b_t = int(np.searchsorted(np.cumsum(master.q), rng.random()))
+        b_t = min(b_t, B - 1)
+    q_bt = float(master.q[b_t])
+    a, _ = master.subs[b_t].step(x, rng)
+    loss = float(loss_eval(a))
+    tilde = np.zeros(B)
+    tilde[b_t] = loss / q_bt
+    for b in range(B):
+        master.subs[b].stable_update(
+            x, a if b == b_t else None, float(tilde[b]), float(master.q[b]))
+    if B > 1:
+        master._omd_step(tilde)
+        crossed = 1.0 / master.q > master.rhos
+        master.rhos[crossed] = 2.0 / master.q[crossed]
+        master.etas[crossed] *= master.growth
+    master.t += 1
+    return a, loss
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).tobytes()
+
+
+class TestVectorRestartCheck:
+    """One restart check per round changes nothing the per-learner round
+    computes, bit for bit."""
+
+    T = 2000
+
+    def _masters(self, mode):
+        env = make_named_instance("needle_h", h=1 / 32, R=10.0, index=1)
+        pc = PolicyClass.constant(env.space, np.linspace(0.05, 0.95, 8))
+        if mode == corral.GENERIC:
+            kerns = [RectKernel(env.space, 0.2), RectKernel(env.space, 0.05)]
+        else:
+            kerns = None
+        return env, [corral.build(kerns, pc, self.T, mode=mode)
+                     for _ in range(2)]
+
+    @pytest.mark.parametrize("mode", [corral.GENERIC, corral.UNIFORM_H])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_learner_round(self, mode, seed):
+        env, (new, ref) = self._masters(mode)
+        rng_n, rng_r = (np.random.default_rng(seed) for _ in range(2))
+        env_n, env_r = (np.random.default_rng(seed + 100) for _ in range(2))
+        after_first, idle_restarts = None, 0
+        before = [0] * len(ref.subs)
+        for t in range(self.T):
+            a_n, rec = new.round(
+                None, lambda a: env.realize_at(None, a, env_n)[0], rng_n)
+            a_r, loss_r = reference_round(
+                ref, None, lambda a: env.realize_at(None, a, env_r)[0], rng_r)
+            assert _bits(a_n) == _bits(a_r)
+            assert _bits(rec["loss"]) == _bits(loss_r)
+            assert _bits(new.q) == _bits(ref.q)
+            assert _bits(new.rhos) == _bits(ref.rhos)
+            assert _bits(new.etas) == _bits(ref.etas)
+            for s_n, s_r in zip(new.subs, ref.subs):
+                assert s_n.rho_hat == s_r.rho_hat
+                assert s_n.inner.eta == s_r.inner.eta
+                assert _bits(s_n.inner.logw) == _bits(s_r.inner.logw)
+            restarts = [s.restart_count for s in ref.subs]
+            assert rec["restarts"] == restarts
+            played = new.bucket_ids.index(rec["b"])
+            idle_restarts += sum(n != m for b, (n, m)
+                                 in enumerate(zip(restarts, before))
+                                 if b != played)
+            before = restarts
+            if t == 0:
+                after_first = sum(restarts)
+        assert _bits(new.rho_hats) == _bits([s.rho_hat for s in ref.subs])
+        # not vacuous: learners restart after the first round, some of
+        # them on a round they did not play
+        assert sum(restarts) > after_first
+        assert idle_restarts > 0
+
+    def test_round_past_horizon_raises(self):
+        pc = _pc()
+        master = corral.build(None, pc, 16, mode=corral.UNIFORM_H)
+        rng = np.random.default_rng(0)
+        for _ in range(16):
+            master.round(None, lambda a: 0.5, rng)
+        with pytest.raises(RuntimeError):
+            master.round(None, lambda a: 0.5, rng)
 
 
 @st.composite

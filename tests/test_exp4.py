@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -170,6 +171,44 @@ class TestUpdate:
         w1 = np.exp(s1.logw - s1.logw.max())
         w2 = np.exp(s2.logw - s2.logw.max())
         assert np.allclose(w1 / w1.sum(), w2 / w2.sum())
+
+
+class TestStepInvariants:
+    """step draws from exp(logw) / sum, which is P because every update
+    leaves max(logw) == 0."""
+
+    @staticmethod
+    def _step_checked(learner, state, rng):
+        P = state.P
+        u = copy.deepcopy(rng).random()
+        a, p = learner.step(None, rng)
+        # well separated balls, so the action names the member drawn; it
+        # is P's draw, and the mixture propensity is P's too
+        centers = state.pc.actions_at(None)
+        j = int(np.argmin(state.pc.space.distances(centers, a)))
+        assert j == min(int(np.searchsorted(np.cumsum(P), u)), state.n - 1)
+        assert p == float(P @ state._pending[2])
+        return a
+
+    def test_plain_learner(self):
+        s = _state([0.1, 0.3, 0.5, 0.7, 0.9], h=0.05, T=400, eta=0.3)
+        rng = np.random.default_rng(12)
+        for _ in range(400):
+            a = self._step_checked(s, s, rng)
+            s.update(None, a, a)
+            assert s.logw.max() == 0.0
+
+    def test_stable_learner_across_restarts(self):
+        space = ActionSpace.ring()
+        pc = PolicyClass.constant(space, [0.1, 0.3, 0.5, 0.7, 0.9])
+        st = StableExp4(pc, [RectKernel(space, 0.05)] * 5, range(5), 400)
+        rng = np.random.default_rng(13)
+        for t in range(200):
+            a = self._step_checked(st, st.inner, rng)
+            p_t = 1.0 / (t + 1)
+            st.stable_update(None, a, a / p_t, p_t)
+            assert st.inner.logw.max() == 0.0
+        assert st.restart_count >= 5
 
 
 class TestHedgeInequality:

@@ -58,6 +58,53 @@ class TestDensity:
             assert mass * k.density(c, c) == pytest.approx(1.0, abs=1e-9)
 
 
+def _bits(v):
+    return np.asarray(v, dtype=float).tobytes()
+
+
+class TestWholeRingDensities:
+    @pytest.mark.parametrize("h", [0.5, 0.75, 1.0])
+    def test_equal_to_distance_formula(self, h):
+        # a ball at least as wide as the circle: the densities are the
+        # distance-based formula's, bit for bit, without the distance block
+        space = ActionSpace.ring()
+        k = RectKernel(space, h)
+        rng = np.random.default_rng(3)
+        n, m = 257, 9
+        a = np.concatenate([[0.0, 0.5, np.nextafter(1.0, 0.0)],
+                            rng.random(n - 3)])
+        for centers, acts in ((rng.random(n), a),
+                              (rng.random((n, m)), a),
+                              (rng.random(m), a[7])):
+            ref = np.where(space.distances(centers, acts) <= h,
+                           1.0 / min(1.0, 2.0 * h), 0.0)
+            out = k.densities(centers, acts)
+            assert out.shape == ref.shape and out.dtype == ref.dtype
+            assert _bits(out) == _bits(ref)
+
+
+class TestSampleMatchesSampleBall:
+    @pytest.mark.parametrize("space, h, centers", [
+        (ActionSpace.ring(), 0.1, [0.0, 0.03, 0.5, 0.97]),
+        (ActionSpace.ring(), 0.5, [0.0, 0.25, 0.9]),
+        (ActionSpace.ring(), 0.8, [0.1, 0.6]),
+        (ActionSpace.cube(1), 0.1, [0.0, 0.02, 0.5, 0.98, 1.0]),
+        (ActionSpace.grid(10), 0.2, [0.1, 0.5, 1.0]),
+    ])
+    def test_draw_for_draw(self, space, h, centers):
+        # sample is sample_ball's one-row draw: the same doubles, and the
+        # generator left in the same state
+        k = RectKernel(space, h)
+        rng_k, rng_b = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(300):
+            for c in centers:
+                a = k.sample(np.float64(c), rng_k)
+                b = space.sample_ball(np.array([c]), h, rng_b)[0]
+                assert isinstance(a, float)
+                assert _bits(a) == _bits(b)
+        assert rng_k.random() == rng_b.random()
+
+
 class TestKappa:
     def test_ring(self):
         assert RectKernel(ActionSpace.ring(), 0.1).kappa() == pytest.approx(5.0)
