@@ -340,11 +340,9 @@ class SmoothPolicyElimination:
         epoch_rows = []
         t = 0
         m = 1
-        state = None
         while t < T:
-            if m <= self.max_epochs or state is None:
-                state = self.start_epoch(min(m, self.max_epochs), vs, panel,
-                                         rng=rng)
+            if m <= self.max_epochs:
+                state = self.start_epoch(m, vs, panel, rng=rng)
             n_play = min(state.n_m, T - t)
             full = n_play == state.n_m and m <= self.max_epochs
             a_arr, loss_arr, mean_arr, means = self._play_epoch(

@@ -45,10 +45,7 @@ class Exp4State:
         self.T = T
         self.n = len(self.kernels)
         self.kappa = max(k.kappa() for k in self.kernels)
-        if eta is None:
-            eta = (0.0 if self.n == 1 else
-                   math.sqrt(2.0 * math.log(self.n) / (T * self.kappa)))
-        self.eta = eta
+        self.eta = self.tuned_eta() if eta is None else eta
         self.logw = np.zeros(self.n)
         self.t = 0
         self._pending: Optional[Tuple] = None
@@ -67,6 +64,13 @@ class Exp4State:
                    eta: Optional[float] = None) -> "Exp4State":
         """All base policies under a single smoothing kernel."""
         return Exp4State(pc, [kernel] * pc.size, np.arange(pc.size), T, eta)
+
+    def tuned_eta(self, rho: float = 1.0) -> float:
+        """sqrt(2 ln|Xi| / (T kappa rho)), the rate tuned to a loss range rho
+        (0 for a single member, which has nothing to learn)."""
+        if self.n == 1:
+            return 0.0
+        return math.sqrt(2.0 * math.log(self.n) / (self.T * self.kappa * rho))
 
     # -- weights --------------------------------------------------------
 
@@ -131,18 +135,18 @@ class Exp4State:
         return est
 
 
-class StableExp4:
+class StableExp4(Exp4State):
     """Exp4 under importance-weighted feeding, with doubling restarts.
 
     ``rho_hat`` guesses the range parameter max_t 1/p_t of the revealing
-    probabilities; learning rate sqrt(2 ln|Xi| / (T kappa rho_hat)).  When a
-    round's 1/p_t exceeds the guess, it doubles (repeatedly) and the inner
-    state restarts before absorbing that round.  ``stable_update`` is the one
-    place the doubling rule is written.
+    probabilities; the rate is ``tuned_eta(rho_hat)``.  When a round's 1/p_t
+    exceeds the guess, it doubles (repeatedly) and the learner restarts in
+    place (uniform weights, re-tuned rate, same round counter) before
+    absorbing that round.  ``stable_update`` alone writes the doubling rule.
 
-    Run standalone, the learner absorbs every round and its inner counter
-    enforces the horizon.  Under a corralling master it absorbs only the
-    rounds it plays or restarts on, and the master's counter is the clock.
+    Run standalone, the learner absorbs every round and its counter enforces
+    the horizon.  Under a corralling master it absorbs only the rounds it
+    plays or restarts on, and the master's counter is the clock.
     """
 
     def __init__(self, pc: PolicyClass, kernels: Sequence[RectKernel],
@@ -150,25 +154,10 @@ class StableExp4:
                  rho_hat: float = 1.0):
         if rho_hat < 1.0:
             raise ValueError("rho_hat must be >= 1")
-        self._args = (pc, list(kernels), np.asarray(policy_indices, int), T)
+        super().__init__(pc, kernels, policy_indices, T)
         self.rho_hat = float(rho_hat)
         self.restart_count = 0
-        self.inner = self._fresh()
-
-    def _fresh(self) -> Exp4State:
-        pc, kernels, idxs, T = self._args
-        n = len(kernels)
-        kappa = max(k.kappa() for k in kernels)
-        eta = (0.0 if n == 1 else
-               math.sqrt(2.0 * math.log(n) / (T * kappa * self.rho_hat)))
-        return Exp4State(pc, kernels, idxs, T, eta=eta)
-
-    @property
-    def kappa(self) -> float:
-        return self.inner.kappa
-
-    def step(self, x, rng: np.random.Generator):
-        return self.inner.step(x, rng)
+        self.eta = self.tuned_eta(self.rho_hat)
 
     def stable_update(self, x, a, iw_loss_value: float, p_t: float) -> None:
         """Absorb one round of the importance-weighted protocol.
@@ -180,23 +169,14 @@ class StableExp4:
         """
         if p_t <= 0 or p_t > 1:
             raise ValueError("revealing probability must lie in (0,1]")
-        pending = self.inner._pending
         if 1.0 / p_t > self.rho_hat:
             while 1.0 / p_t > self.rho_hat:
                 self.rho_hat *= 2.0
-            t_kept = self.inner.t
-            self.inner = self._fresh()
-            self.inner.t = t_kept
+            self.logw = np.zeros(self.n)
+            self.eta = self.tuned_eta(self.rho_hat)
             self.restart_count += 1
-            if a is not None:
-                if pending is None:
-                    raise RuntimeError("no pending step to update")
-                self.inner.update(x, a, iw_loss_value, propensity=pending[1])
-            else:
-                self.inner.t += 1
-            return
         if a is None:
-            self.inner.t += 1
-            self.inner._pending = None
-            return
-        self.inner.update(x, a, iw_loss_value)
+            self.t += 1
+            self._pending = None
+        else:
+            self.update(x, a, iw_loss_value)

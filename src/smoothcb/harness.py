@@ -155,13 +155,9 @@ def _loop_exp4(env: StochasticEnv, pc: PolicyClass, h: float, T: int,
     return actions, losses, means, None
 
 
-def _loop_corral(env: StochasticEnv, pc: PolicyClass, T: int, beta: float,
-                 mode: str, env_rng, alg_rng, h: Optional[float] = None):
-    if mode == "single":
-        master = corral_mod.build([RectKernel(env.space, h)], pc, T,
-                                  beta=beta, mode=corral_mod.GENERIC)
-    else:
-        master = corral_mod.build(None, pc, T, beta=beta, mode=mode)
+def _loop_corral(env: StochasticEnv, master: corral_mod.CorralMaster,
+                 env_rng, alg_rng):
+    T = master.T
     actions = np.empty(T) if env.space.d == 1 else np.empty((T, env.space.d))
     losses = np.empty(T)
     means = np.empty(T)
@@ -231,10 +227,10 @@ def run_one(config: RunConfig, seed: int, env: Optional[StochasticEnv] = None,
             env, pc, config, variant, env_rng, alg_rng)
         epochs = out["epochs"]
     else:
-        mode = (corral_mod.UNIFORM_H if config.alg == "corral-uniform-h"
-                else corral_mod.LIPSCHITZ_ADAPTIVE)
-        actions, losses, means, _ = _loop_corral(
-            env, pc, config.T, config.beta, mode, env_rng, alg_rng)
+        master = corral_mod.build(None, pc, config.T, beta=config.beta, mode=(
+            corral_mod.UNIFORM_H if config.alg == "corral-uniform-h"
+            else corral_mod.LIPSCHITZ_ADAPTIVE))
+        actions, losses, means, _ = _loop_corral(env, master, env_rng, alg_rng)
     total = float(np.sum(losses))
     regret = total - config.T * bench
     pseudo = (float(np.sum(means)) - config.T * bench
@@ -359,6 +355,13 @@ def diagnose(env: StochasticEnv, pc: PolicyClass, h: Optional[float] = None,
     """
     if epsilon_grid is None:
         epsilon_grid = np.geomspace(1e-3, 0.5, 16)
+    eps_arr = np.asarray(epsilon_grid, dtype=float)
+    if not np.all(np.isfinite(eps_arr) & (eps_arr > 0)):
+        raise ValueError(f"--eps-grid values must be finite and positive, "
+                         f"got {eps_arr.tolist()}")
+    if L is not None and len(np.unique(eps_arr)) < 2:
+        raise ValueError(f"--eps-grid needs two distinct values for the "
+                         f"zooming fit, got {eps_arr.tolist()}")
     panel = env.context_panel(n_ctx, np.random.default_rng(0))
     vals_h = (env.smoothed_policy_losses(pc, h, panel=panel)
               if h is not None else None)

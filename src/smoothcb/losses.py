@@ -37,8 +37,16 @@ class LossFunction:
 
 def _check_range(values) -> None:
     v = np.asarray(values, dtype=float)
-    if v.size and (v.min() < -_RANGE_TOL or v.max() > 1.0 + _RANGE_TOL):
+    # written so that a NaN fails too
+    if v.size and not (v.min() >= -_RANGE_TOL and v.max() <= 1.0 + _RANGE_TOL):
         raise ValueError("loss values must lie in [0,1]")
+
+
+def _special_points(special_points) -> Dict[float, float]:
+    """Range-checked {point: value} overrides, keys and values as floats."""
+    out = {float(p): float(v) for p, v in (special_points or {}).items()}
+    _check_range(list(out.values()))
+    return out
 
 
 class PiecewiseConstantLoss(LossFunction):
@@ -61,8 +69,7 @@ class PiecewiseConstantLoss(LossFunction):
         if np.any(np.diff(self.breaks) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
         _check_range(self.values)
-        self.special_points = dict(special_points or {})
-        _check_range(list(self.special_points.values()) or [0.0])
+        self.special_points = _special_points(special_points)
         self._F = np.concatenate(
             [[0.0], np.cumsum(np.diff(self.breaks) * self.values)])
 
@@ -105,7 +112,7 @@ class PiecewiseLinearLoss(LossFunction):
         if np.any(np.diff(self.breaks) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
         _check_range(self.knots)
-        self.special_points = dict(special_points or {})
+        self.special_points = _special_points(special_points)
         self._F = np.concatenate([[0.0], np.cumsum(
             np.diff(self.breaks) * (self.knots[:-1] + self.knots[1:]) / 2.0)])
 
@@ -113,7 +120,7 @@ class PiecewiseLinearLoss(LossFunction):
         if isinstance(a, float) or np.ndim(a) == 0:
             af = float(a)
             if af in self.special_points:
-                return float(self.special_points[af])
+                return self.special_points[af]
             return float(np.interp(af, self.breaks, self.knots))
         arr = np.atleast_1d(np.asarray(a, dtype=float))
         out = np.interp(arr, self.breaks, self.knots)

@@ -146,9 +146,30 @@ class ActionSpace:
         if self.kind == CUBE:
             side = np.minimum(1.0, c + r) - np.maximum(0.0, c - r)
             return side if self.d == 1 else np.prod(side, axis=-1)
+        return self._grid_balls(c, r)[1] / self.M
+
+    def _grid_balls(self, c: np.ndarray, r: float):
+        """(first index, point count) of each grid ball B(c, r), shaped like c.
+
+        A ball holds the grid points with |p - c| <= r + 1e-12, a run of
+        consecutive points.  searchsorted finds the run's ends to within one
+        point (its rounding differs from the predicate's by far less than
+        the spacing 1/M), and the predicate itself settles each end.
+        """
         pts = self.grid_points()
-        return np.sum(np.abs(pts - c[..., None]) <= r + 1e-12,
-                      axis=-1) / self.M
+        R = r + 1e-12
+
+        def member(i):
+            inside = (i >= 0) & (i < self.M)
+            return inside & (np.abs(pts[np.clip(i, 0, self.M - 1)] - c) <= R)
+
+        lo = pts.searchsorted(c - R)
+        hi = pts.searchsorted(c + R, side="right")
+        first = np.where(member(lo - 1), lo - 1,
+                         np.where(member(lo), lo, lo + 1))
+        end = np.where(member(hi), hi + 1,
+                       np.where(member(hi - 1), hi, hi - 1))
+        return first, np.maximum(end - first, 0)
 
     def ball_intervals(self, a, r: float) -> List[Tuple[float, float]]:
         """The ball B(a, r) as a list of disjoint subintervals of [0, 1].
@@ -200,10 +221,8 @@ class ActionSpace:
             return np.mod(c + u, 1.0)
         if self.kind == CUBE:
             return rng.uniform(np.maximum(0.0, c - r), np.minimum(1.0, c + r))
-        pts = self.grid_points()
-        member = np.abs(pts - c[:, None]) <= r + 1e-12
-        first = np.argmax(member, axis=1)
-        return pts[first + rng.integers(0, member.sum(axis=1))]
+        first, count = self._grid_balls(c, r)
+        return self.grid_points()[first + rng.integers(0, count)]
 
     # -- diagnostics ---------------------------------------------------
 

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from smoothcb import corral
 from smoothcb.elimination import (ElimConfig, SmoothPolicyElimination,
                                   solve_variance_program)
 from smoothcb.environments import (FiniteContexts, StochasticEnv,
@@ -416,8 +417,9 @@ def test_11_corral_single_learner_degeneracy():
     env_rng, alg_rng = _rngs(0)
     a1, l1, _, _ = _loop_exp4(env, pc, h, T, env_rng, alg_rng)
     env_rng, alg_rng = _rngs(0)
-    a2, l2, _, _ = _loop_corral(env, pc, T, 1.0, "single",
-                                env_rng, alg_rng, h=h)
+    master = corral.build([RectKernel(env.space, h)], pc, T,
+                          mode=corral.GENERIC)
+    a2, l2, _, _ = _loop_corral(env, master, env_rng, alg_rng)
 
     def lines(actions, losses):
         tr = RegretTrace(seed=0, actions=actions, losses=losses,

@@ -192,6 +192,19 @@ class TestBadRunConfig:
                                     "--T", "64", "--seeds", "1", "--env", env],
                            "configuration error")
 
+    @pytest.mark.parametrize("grid", ["0,0.1", "inf,0.1", "-0.1,0.2",
+                                      "nan,0.1"])
+    def test_bad_eps_grid(self, capsys, grid):
+        self._check_exit_2(capsys, ["diagnose", "--env", "absolute", "--h",
+                                    "0.1", f"--eps-grid={grid}"],
+                           "--eps-grid values must be finite and positive")
+
+    @pytest.mark.parametrize("grid", ["0.1", "0.1,0.1"])
+    def test_one_eps_for_the_zooming_fit(self, capsys, grid):
+        self._check_exit_2(capsys, ["diagnose", "--env", "absolute", "--L",
+                                    "1", f"--eps-grid={grid}"],
+                           "--eps-grid needs two distinct values")
+
     def test_lipschitz_regret_checked_before_play(self, capsys, monkeypatch):
         # discontinuous has no Lipschitz constant, so there is no benchmark
         # for corral-lipschitz; the run must stop before its first round

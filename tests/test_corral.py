@@ -105,7 +105,7 @@ class TestSingleSubDegeneracy:
             assert rec["loss"] == loss_s
             assert rec["q_b"] == 1.0
         assert master.subs[0].restart_count == 0
-        assert np.allclose(master.subs[0].inner.logw, standalone.inner.logw)
+        assert np.allclose(master.subs[0].logw, standalone.logw)
 
 
 class TestMasterDynamics:
@@ -218,8 +218,8 @@ class TestVectorRestartCheck:
             assert _bits(new.etas) == _bits(ref.etas)
             for s_n, s_r in zip(new.subs, ref.subs):
                 assert s_n.rho_hat == s_r.rho_hat
-                assert s_n.inner.eta == s_r.inner.eta
-                assert _bits(s_n.inner.logw) == _bits(s_r.inner.logw)
+                assert s_n.eta == s_r.eta
+                assert _bits(s_n.logw) == _bits(s_r.logw)
             restarts = [s.restart_count for s in ref.subs]
             assert rec["restarts"] == restarts
             played = new.bucket_ids.index(rec["b"])

@@ -178,23 +178,23 @@ class TestStepInvariants:
     leaves max(logw) == 0."""
 
     @staticmethod
-    def _step_checked(learner, state, rng):
-        P = state.P
+    def _step_checked(learner, rng):
+        P = learner.P
         u = copy.deepcopy(rng).random()
         a, p = learner.step(None, rng)
         # well separated balls, so the action names the member drawn; it
         # is P's draw, and the mixture propensity is P's too
-        centers = state.pc.actions_at(None)
-        j = int(np.argmin(state.pc.space.distances(centers, a)))
-        assert j == min(int(np.searchsorted(np.cumsum(P), u)), state.n - 1)
-        assert p == float(P @ state._pending[2])
+        centers = learner.pc.actions_at(None)
+        j = int(np.argmin(learner.pc.space.distances(centers, a)))
+        assert j == min(int(np.searchsorted(np.cumsum(P), u)), learner.n - 1)
+        assert p == float(P @ learner._pending[2])
         return a
 
     def test_plain_learner(self):
         s = _state([0.1, 0.3, 0.5, 0.7, 0.9], h=0.05, T=400, eta=0.3)
         rng = np.random.default_rng(12)
         for _ in range(400):
-            a = self._step_checked(s, s, rng)
+            a = self._step_checked(s, rng)
             s.update(None, a, a)
             assert s.logw.max() == 0.0
 
@@ -204,10 +204,10 @@ class TestStepInvariants:
         st = StableExp4(pc, [RectKernel(space, 0.05)] * 5, range(5), 400)
         rng = np.random.default_rng(13)
         for t in range(200):
-            a = self._step_checked(st, st.inner, rng)
+            a = self._step_checked(st, rng)
             p_t = 1.0 / (t + 1)
             st.stable_update(None, a, a / p_t, p_t)
-            assert st.inner.logw.max() == 0.0
+            assert st.logw.max() == 0.0
         assert st.restart_count >= 5
 
 
@@ -245,7 +245,7 @@ class TestStableVariant:
 
     def test_full_reveal_never_restarts(self):
         st = self._stable()
-        plain = _state([0.2, 0.6], eta=st.inner.eta)
+        plain = _state([0.2, 0.6], eta=st.eta)
         rng1, rng2 = (np.random.default_rng(7) for _ in range(2))
         for _ in range(50):
             a1, p1 = st.step(None, rng1)
@@ -255,7 +255,7 @@ class TestStableVariant:
             st.stable_update(None, a1, loss, 1.0)
             plain.update(None, a2, loss)
         assert st.restart_count == 0
-        assert np.allclose(st.inner.logw, plain.logw)
+        assert np.allclose(st.logw, plain.logw)
 
     def test_doubling_to_power_of_two(self):
         st = self._stable(rho=1.0)
@@ -267,17 +267,76 @@ class TestStableVariant:
 
     def test_restart_retunes_rate(self):
         st = self._stable(rho=1.0, T=100)
-        eta0 = st.inner.eta
+        eta0 = st.eta
         rng = np.random.default_rng(9)
         a, _ = st.step(None, rng)
         st.stable_update(None, a, 0.5, 0.1)
-        assert st.inner.eta == pytest.approx(eta0 / 4.0)
+        assert st.eta == pytest.approx(eta0 / 4.0)
 
     def test_unrevealed_round_no_weight_change(self):
         st = self._stable(rho=4.0)
         rng = np.random.default_rng(10)
         st.step(None, rng)
-        before = st.inner.logw.copy()
+        before = st.logw.copy()
         st.stable_update(None, None, 0.0, 0.5)
-        assert np.allclose(st.inner.logw, before)
-        assert st.inner.t == 1
+        assert np.allclose(st.logw, before)
+        assert st.t == 1
+
+
+class TestRestartInPlace:
+    """The in-place restart against the restart as a fresh learner: a new
+    Exp4State at the doubled range's rate that carries the round counter
+    and absorbs the round through update(..., propensity=p)."""
+
+    def test_matches_fresh_learner_restart(self):
+        space = ActionSpace.ring()
+        pc = PolicyClass.constant(space, [0.1, 0.3, 0.5, 0.7, 0.9])
+        kerns = [RectKernel(space, 0.05)] * 5
+        T, rho = 400, 2.0
+        kappa = kerns[0].kappa()
+
+        def fresh(t):
+            eta = math.sqrt(2.0 * math.log(5) / (T * kappa * rho))
+            ref = Exp4State(pc, kerns, range(5), T, eta=eta)
+            ref.t = t
+            return ref
+
+        st = StableExp4(pc, kerns, range(5), T, rho_hat=rho)
+        ref = fresh(0)
+        rng_s, rng_r = (np.random.default_rng(21) for _ in range(2))
+        restarts = {True: 0, False: 0}
+        for t in range(T):
+            # p_t = 1/(t+1) restarts at t = 2, 4, 8, ...; plays alternate
+            # with idle rounds over those doubling stretches
+            p_t = 1.0 / (t + 1)
+            play = t.bit_length() % 2 == 0
+            restart = 1.0 / p_t > rho
+            if play:
+                a, p = st.step(None, rng_s)
+                a_r, p_r = ref.step(None, rng_r)
+                assert a == a_r and p == p_r
+                st.stable_update(None, a, a / p_t, p_t)
+            else:
+                st.stable_update(None, None, 0.0, p_t)
+            if restart:
+                while 1.0 / p_t > rho:
+                    rho *= 2.0
+                ref = fresh(ref.t)
+                restarts[play] += 1
+            if play and restart:
+                ref.update(None, a_r, a_r / p_t, propensity=p_r)
+            elif play:
+                ref.update(None, a_r, a_r / p_t)
+            else:
+                ref.t += 1
+            assert _bits(st.logw) == _bits(ref.logw)
+            assert st.eta == ref.eta
+            assert st.t == ref.t
+            assert st.rho_hat == rho
+        # not vacuous: restarts on played and on idle rounds
+        assert restarts[True] > 0 and restarts[False] > 0
+        assert st.restart_count == restarts[True] + restarts[False]
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).tobytes()

@@ -57,6 +57,32 @@ class TestPiecewiseLinear:
         assert loss.lipschitz_constant() == pytest.approx(3.0, abs=1e-12)
 
 
+class TestSpecialPoints:
+    @pytest.mark.parametrize("make", [
+        lambda sp: PiecewiseConstantLoss([0.0, 1.0], [0.3],
+                                         special_points=sp),
+        lambda sp: PiecewiseLinearLoss([0.0, 1.0], [0.2, 0.4],
+                                       special_points=sp)],
+        ids=["constant", "linear"])
+    @pytest.mark.parametrize("value", [3.0, -0.5, float("nan")])
+    def test_out_of_range_value_rejected(self, make, value):
+        with pytest.raises(ValueError, match="must lie in"):
+            make({0.5: value})
+
+    @pytest.mark.parametrize("make", [
+        lambda sp: PiecewiseConstantLoss([0.0, 1.0], [0.3],
+                                         special_points=sp),
+        lambda sp: PiecewiseLinearLoss([0.0, 1.0], [0.2, 0.4],
+                                       special_points=sp)],
+        ids=["constant", "linear"])
+    def test_int_value_returned_as_float(self, make):
+        loss = make({0.5: 1, 0.25: 0})
+        for a in (0.5, 0.25, np.float64(0.5)):
+            assert type(loss(a)) is float
+        assert loss(0.5) == 1.0 and loss(0.25) == 0.0
+        assert loss(np.array([0.5, 0.25])).tolist() == [1.0, 0.0]
+
+
 class TestSeparableProduct:
     def test_pointwise_product(self):
         f1 = PiecewiseConstantLoss([0.0, 0.5, 1.0], [0.4, 0.8])

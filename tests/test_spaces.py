@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -133,3 +135,83 @@ class TestSampleBall:
                               np.random.default_rng(6))
         assert a.shape == (200, 2)
         assert np.all(a >= 0.0) and np.all(a <= 0.1 + 1e-12)
+
+
+def _membership(space, centres, r):
+    """The grid ball as an (n, M) membership matrix: its definition."""
+    return (np.abs(space.grid_points() - np.asarray(centres)[..., None])
+            <= r + 1e-12)
+
+
+def _grid_cases(M):
+    """On-grid and off-grid centres, and radii from 0 through tiny, exact
+    grid spacings (ends that fall on grid points) to beyond the grid."""
+    pts = ActionSpace.grid(M).grid_points()
+    centres = np.concatenate([
+        pts, pts + 1e-12, pts - 1e-12, pts + 3e-13,
+        (np.arange(M + 1) + 0.5) / M, [0.0, 0.3, 1 / 3, 2 / 3, 1.0 + 1 / M]])
+    radii = ([0.0, 1e-13, 5e-13, 1e-12, 2e-12, 1.0, 1.5, 2.0]
+             + [j / M for j in range(1, M + 1)]
+             + [(j + 0.5) / M for j in range(M)])
+    return centres, radii
+
+
+class TestGridBalls:
+    def test_volumes_match_membership(self):
+        for M in range(1, 51):
+            space = ActionSpace.grid(M)
+            centres, radii = _grid_cases(M)
+            for r in radii:
+                ref = _membership(space, centres, r)
+                first, count = space._grid_balls(centres, r)
+                assert np.array_equal(count, ref.sum(axis=-1)), (M, r)
+                has = count > 0
+                assert np.array_equal(first[has],
+                                      np.argmax(ref, axis=-1)[has]), (M, r)
+                vols = space.ball_volumes(centres, r)
+                assert (vols.tobytes()
+                        == (ref.sum(axis=-1) / M).tobytes()), (M, r)
+
+    def test_volumes_keep_the_centres_batch_shape(self):
+        space = ActionSpace.grid(7)
+        centres = np.random.default_rng(0).uniform(0, 1, (5, 3))
+        ref = _membership(space, centres, 0.2).sum(axis=-1) / 7
+        assert space.ball_volumes(centres, 0.2).tobytes() == ref.tobytes()
+        assert space.ball_volume(0.5, 0.2) == float(
+            _membership(space, 0.5, 0.2).sum() / 7)
+
+    def test_draws_match_membership(self):
+        for M in range(1, 51):
+            space = ActionSpace.grid(M)
+            pts = space.grid_points()
+            centres, radii = _grid_cases(M)
+            for r in radii:
+                ref = _membership(space, centres, r)
+                c = centres[ref.any(axis=-1)]
+                ref = ref[ref.any(axis=-1)]
+                rng = np.random.default_rng(M)
+                want = pts[np.argmax(ref, axis=1)
+                           + np.random.default_rng(M).integers(
+                               0, ref.sum(axis=1))]
+                got = space.sample_ball(c, r, rng)
+                assert got.tobytes() == want.tobytes(), (M, r)
+
+    def test_memory_bounded(self):
+        # one call each at sizes where an (n, M) membership matrix took
+        # gigabytes: 50,000 draws and one elimination chunk of 8,192 x 20
+        # centres, on a 2,000-point grid
+        space = ActionSpace.grid(2000)
+        rng = np.random.default_rng(0)
+        draws = space.sample_uniform(rng, 50_000)
+        chunk = rng.uniform(0.0, 1.0, (8192, 20))
+        tracemalloc.start()
+        try:
+            space.sample_ball(draws, 0.05, rng)
+            peak_draws = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            space.ball_volumes(chunk, 0.05)
+            peak_chunk = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak_draws < 8 * 2 ** 20
+        assert peak_chunk < 24 * 2 ** 20
