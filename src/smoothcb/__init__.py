@@ -1,11 +1,11 @@
 """Continuous-action contextual bandits with smoothing-kernel benchmarks."""
 
 from .spaces import ActionSpace
-from .losses import (CallableLoss, LossFunction, PiecewiseConstantLoss,
-                     PiecewiseLinearLoss, SeparableProductLoss, ShiftedLoss)
+from .losses import (LossFunction, PiecewiseConstantLoss, PiecewiseLinearLoss,
+                     SeparableProductLoss, SeparableSumLoss, ShiftedLoss)
 from .kernels import BandwidthGrid, RectKernel
-from .policies import (PolicyClass, VersionSpace, exact_max_packing,
-                       packing_number, projected_actions, union_ball_volume)
+from .policies import (PolicyClass, VersionSpace, packing_number,
+                       projected_actions, union_ball_volume)
 from .environments import (FiniteContexts, SamplerContexts, StochasticEnv,
                            make_named_instance)
 from .estimators import (IWSample, iw_estimate, median_of_means,
@@ -13,7 +13,7 @@ from .estimators import (IWSample, iw_estimate, median_of_means,
 from .exp4 import Exp4State, StableExp4
 from .elimination import (ElimConfig, SmoothPolicyElimination, SolverFailure,
                           solve_variance_program)
-from .corral import CorralMaster, KernelBuckets, build, uniform_h_regret_suite
+from .corral import CorralMaster, KernelBuckets, build
 from .harness import (RunConfig, RegretTrace, DiagnosticsReport,
                       default_policy_class, diagnose, run_experiment, run_one)
 

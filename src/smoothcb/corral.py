@@ -206,30 +206,3 @@ def build(kernels: Optional[Sequence[RectKernel]], pc: PolicyClass, T: int,
     else:
         raise ValueError(f"unknown corral mode: {mode!r}")
     return CorralMaster(pc, KernelBuckets(kernels), T, eta=eta)
-
-
-def uniform_h_regret_suite(losses: np.ndarray, env, pc: PolicyClass, T: int,
-                           h_eval_list: Sequence[float],
-                           grid: Optional[BandwidthGrid] = None,
-                           beta: float = 1.0) -> List[dict]:
-    """Per-requested-h regret rows against snapped smoothed benchmarks.
-
-    Each row reports the raw regret, the regret after the one-unit
-    discretization credit for substituting the snapped bandwidth, and the
-    theoretical bound scale T^(1/(1+beta)) * h^(-d*beta).
-    """
-    grid = grid or BandwidthGrid(pc.space.d, T)
-    total = float(np.sum(losses))
-    rows = []
-    for h in h_eval_list:
-        h_hat = grid.snap(h)
-        bench, idx = env.smoothed_benchmark(pc, h_hat)
-        raw = total - T * bench
-        rows.append({
-            "h": h, "h_snapped": h_hat, "benchmark": bench,
-            "best_policy": idx, "regret": raw,
-            "regret_after_credit": raw - 1.0,
-            "bound_scale": T ** (1.0 / (1.0 + beta))
-            * h ** (-pc.space.d * beta),
-        })
-    return rows

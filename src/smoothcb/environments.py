@@ -10,8 +10,8 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .kernels import RectKernel
-from .losses import (CallableLoss, LossFunction, PiecewiseConstantLoss,
-                     PiecewiseLinearLoss, ShiftedLoss)
+from .losses import (LossFunction, PiecewiseConstantLoss, PiecewiseLinearLoss,
+                     SeparableProductLoss, SeparableSumLoss, ShiftedLoss)
 from .policies import PolicyClass
 from .spaces import ActionSpace
 
@@ -279,6 +279,68 @@ def _linear_sphere(d_ctx: int = 2, wstar: Optional[Sequence[float]] = None,
         metadata={"wstar": wstar, "L": L, "L0": L0, "d_ctx": d_ctx})
 
 
+def _pocket_center(width: float, side: int, d: int, index: int):
+    """Centre of pocket ``index`` (from 1) of the side^d pockets centred at
+    width * (2s - 1), s = 1..side per axis, numbered in the ravel order of
+    np.meshgrid's default "xy" indexing, where axes 0 and 1 trade places;
+    computed from the index, without building the grid."""
+    digits, m = [], index - 1
+    for _ in range(d):
+        m, r = divmod(m, side)
+        digits.insert(0, r)
+    if d > 1:
+        digits[0], digits[1] = digits[1], digits[0]
+    c = width * (2 * np.array(digits) + 1)
+    return float(c[0]) if d == 1 else c
+
+
+def _closed_pocket(c: float, h: float) -> Tuple[float, float]:
+    """The least and greatest doubles a >= 0 with |a - c| <= h as computed
+    in floating point.  The test holds on one run of doubles around c, so
+    stepping a double at a time from c -/+ h finds both ends."""
+    ends = []
+    for a, out in ((max(c - h, 0.0), 0.0), (c + h, 1.0)):
+        while abs(a - c) > h:
+            a = np.nextafter(a, c)
+        while a != out and abs(np.nextafter(a, out) - c) <= h:
+            a = np.nextafter(a, out)
+        ends.append(float(a))
+    return ends[0], ends[1]
+
+
+def _indicator(lo: float, hi: float) -> PiecewiseConstantLoss:
+    """1 on the doubles of [lo, hi] and 0 elsewhere on [0, 1], for
+    0 <= lo <= hi < 1: a right-open piece that ends one double above hi."""
+    top = float(np.nextafter(hi, 1.0))
+    if lo == 0.0:
+        return PiecewiseConstantLoss([0.0, top, 1.0], [1.0, 0.0])
+    return PiecewiseConstantLoss([0.0, lo, top, 1.0], [0.0, 1.0, 0.0])
+
+
+def _needle_field(ci, h: float, delta: float, d: int) -> SeparableSumLoss:
+    """needle_h's mean on the cube in d >= 2: 1/2 - (Delta/2) 1[a in S] -
+    Delta 1[a in P] for the safe orthant S = [1/2, 1]^d and the closed
+    pocket P around ci (none when ci is None).
+
+    P lies in [0, 1/2]^d, so S and P can meet only where P's corner
+    reaches (1/2, ..., 1/2).  There the pocket's value holds: a term
+    +Delta/2 on the product of S and P cancels S's term.  The terms are
+    added in order, that pair first and the constant last, so every value
+    is exactly 1/2 - Delta/2, 1/2 - Delta or 1/2.
+    """
+    prod = SeparableProductLoss
+    terms = [(-delta / 2.0,
+              prod([PiecewiseConstantLoss([0.0, 0.5, 1.0], [0.0, 1.0])] * d))]
+    if ci is not None:
+        pocket = [_closed_pocket(float(c), h) for c in ci]
+        if all(hi >= 0.5 for _, hi in pocket):
+            terms.append((delta / 2.0,
+                          prod([_indicator(0.5, hi) for _, hi in pocket])))
+        terms.append((-delta, prod([_indicator(lo, hi) for lo, hi in pocket])))
+    terms.append((0.5, prod([PiecewiseConstantLoss.constant(1.0)] * d)))
+    return SeparableSumLoss(terms)
+
+
 def _needle_h(h: float = 0.125, R: float = 10.0, d: int = 1, index: int = 0,
               noise: str = BERNOULLI) -> StochasticEnv:
     """Hidden-needle field for stress-testing bandwidth-adaptive learners.
@@ -287,27 +349,23 @@ def _needle_h(h: float = 0.125, R: float = 10.0, d: int = 1, index: int = 0,
     half S = [1/2, 1] gives 1/2 - Delta/2, the selected pocket (index >= 1)
     gives 1/2 - Delta, everything else 1/2.  Delta = min(N / (40 R), 1/4)
     where R is the opposing learner's regret budget at smoothing 1/4.
+    In d >= 2 the pockets are the cells of a grid on [0, 1/2]^d and the
+    safe half is the orthant [1/2, 1]^d.
     """
     _check(_real(h) and 0 < h <= 0.25, "needle_h needs h in (0, 1/4]")
     _check(_real(R) and R > 0, "needle_h needs a finite R > 0")
     _check(_whole(d) and d >= 1, "needle_h needs an integer d >= 1")
-    N = int(math.floor(1.0 / (4.0 * h))) ** d
+    side = int(math.floor(1.0 / (4.0 * h)))
+    N = side ** d
     delta = min(N / (40.0 * R), 0.25)
-    if d == 1:
-        cells = h * (2 * np.arange(1, N + 1) - 1)
-    else:
-        side = int(round(N ** (1.0 / d)))
-        axes = [h * (2 * np.arange(1, side + 1) - 1)] * d
-        mesh = np.meshgrid(*axes)
-        cells = np.stack([m.ravel() for m in mesh], axis=1)
     _check(_whole(index) and 0 <= index <= N,
            f"needle index must be an integer in [0, {N}]")
+    c = _pocket_center(h, side, d, index) if index >= 1 else None
     space = ActionSpace.cube(d)
     if d == 1:
         breaks = [0.0, 0.5, 1.0]
         vals = [0.5, 0.5 - delta / 2.0]
-        if index >= 1:
-            c = cells[index - 1]
+        if c is not None:
             lo, hi = c - h, c + h
             breaks = sorted({0.0, lo, hi, 0.5, 1.0})
             vals = []
@@ -321,21 +379,11 @@ def _needle_h(h: float = 0.125, R: float = 10.0, d: int = 1, index: int = 0,
                     vals.append(0.5)
         mean = PiecewiseConstantLoss(breaks, vals)
     else:
-        ci = cells[index - 1] if index >= 1 else None
-
-        def phi(a):
-            a = np.asarray(a, dtype=float).reshape(-1, d)
-            out = np.full(a.shape[0], 0.5)
-            out[np.min(a, axis=1) >= 0.5] = 0.5 - delta / 2.0
-            if ci is not None:
-                out[np.max(np.abs(a - ci), axis=1) <= h] = 0.5 - delta
-            return out
-
-        mean = CallableLoss(phi, d=d)
+        mean = _needle_field(c, h, delta, d)
     return StochasticEnv(
         space, _single_context(space), lambda xs: mean, noise=noise,
         name="needle_h",
-        metadata={"h": h, "R": R, "delta": delta, "N": N, "cells": cells,
+        metadata={"h": h, "R": R, "delta": delta, "N": N, "center": c,
                   "index": index, "c0": np.full(d, 0.75) if d > 1 else 0.75})
 
 
@@ -352,28 +400,27 @@ def _needle_L(L: float = 4.0, R: float = 10.0, d: int = 1, index: int = 0,
     _check(_real(R) and R > 0, "needle_L needs a finite R > 0")
     delta = min((L / (40.0 * R * 8.0)) ** 0.5, 0.125)
     N = int(math.floor(L / (4.0 * delta)))
-    cells = (delta / L) * (2 * np.arange(1, N + 1) - 1)
     _check(_whole(index) and 0 <= index <= N,
            f"needle index must be an integer in [0, {N}]")
     space = ActionSpace.cube(1)
     c0 = 0.75
+    ci = _pocket_center(delta / L, N, 1, index) if index >= 1 else None
     breaks = {0.0, 1.0, c0, c0 - delta / 2.0, c0 + delta / 2.0}
-    if index >= 1:
-        ci = float(cells[index - 1])
+    if ci is not None:
         breaks |= {ci, ci - delta / L, ci + delta / L}
     bs = sorted(b for b in breaks if 0.0 <= b <= 1.0)
 
     def phi(a: float) -> float:
         v = 0.5 - max(0.0, delta / 2.0 - abs(a - c0))
-        if index >= 1:
-            v -= max(0.0, delta - L * abs(a - float(cells[index - 1])))
+        if ci is not None:
+            v -= max(0.0, delta - L * abs(a - ci))
         return v
 
     mean = PiecewiseLinearLoss(bs, [phi(b) for b in bs])
     return StochasticEnv(
         space, _single_context(space), lambda xs: mean, noise=noise,
         lipschitz_constant=L if index >= 1 else 1.0, name="needle_L",
-        metadata={"L": L, "R": R, "delta": delta, "N": N, "cells": cells,
+        metadata={"L": L, "R": R, "delta": delta, "N": N, "center": ci,
                   "index": index, "c0": c0})
 
 

@@ -109,22 +109,16 @@ class Exp4State:
         self._pending = (a, p, dens)
         return a, p
 
-    def update(self, x, a, observed_loss: float,
-               propensity: Optional[float] = None) -> np.ndarray:
+    def update(self, x, a, observed_loss: float) -> np.ndarray:
         """Multiplicative update with the IW estimates; returns them.
 
-        With propensity=None the action must come from the immediately
-        preceding step (double updates rejected); an explicit propensity
-        allows replaying a logged action against the current weights.
+        The action must come from the immediately preceding step (double
+        updates rejected), whose propensity and densities it reuses.
         """
-        if propensity is None:
-            if self._pending is None or (self._pending[0] is not a and
-                                         not np.array_equal(self._pending[0], a)):
-                raise RuntimeError("update must follow its matching step")
-            _, p, dens = self._pending
-        else:
-            p = propensity
-            dens = self.density_vector(x, a)
+        if self._pending is None or (self._pending[0] is not a and
+                                     not np.array_equal(self._pending[0], a)):
+            raise RuntimeError("update must follow its matching step")
+        _, p, dens = self._pending
         if p <= 0:
             raise ValueError("propensity must be positive")
         est = dens * (observed_loss / p)

@@ -259,20 +259,21 @@ def run_experiment(config: RunConfig,
 # ---------------------------------------------------------------------------
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def trace_csv_lines(trace: RegretTrace) -> List[str]:
-    lines = ["t,action,loss,cumloss"]
-    cum = 0.0
-    for t in range(len(trace.losses)):
-        a = trace.actions[t]
-        a_txt = (_fmt(float(a)) if np.ndim(a) == 0
-                 else ";".join(_fmt(float(v)) for v in a))
-        cum += float(trace.losses[t])
-        lines.append(f"{t + 1},{a_txt},{_fmt(float(trace.losses[t]))},{_fmt(cum)}")
-    return lines
+    """The run CSV: per round t, the action (coordinates joined by ';' on
+    the cube), the loss and the cumulative loss, each to 17 digits."""
+    acts = np.asarray(trace.actions, dtype=float)
+    losses = np.asarray(trace.losses, dtype=float)
+    # cumsum adds in round order from 0.0, as a running sum does
+    cum = np.cumsum(np.concatenate([[0.0], losses]))[1:]
+    if acts.ndim == 1:
+        a_col, row = acts.tolist(), "{},{:.17g},{:.17g},{:.17g}".format
+    else:
+        a_col = [";".join(map("{:.17g}".format, a)) for a in acts.tolist()]
+        row = "{},{},{:.17g},{:.17g}".format
+    return ["t,action,loss,cumloss",
+            *map(row, range(1, len(losses) + 1), a_col, losses.tolist(),
+                 cum.tolist())]
 
 
 def write_outputs(config: RunConfig, traces: List[RegretTrace],

@@ -137,11 +137,9 @@ class RectKernel:
 class BandwidthGrid:
     """Multiples of 1/D with kappa between 1 and 2^(ceil(log2 T)+1).
 
-    D = d * 2^(d+2) * T^2.  The member list is materialized only when small;
-    membership, extremes, and snapping work without materialization.
+    D = d * 2^(d+2) * T^2.  The member list is never built: membership,
+    extremes, and snapping work from D alone.
     """
-
-    MATERIALIZE_CAP = 10 ** 6
 
     def __init__(self, d: int, T: int):
         if T < 2:
@@ -164,15 +162,6 @@ class BandwidthGrid:
 
     def __len__(self) -> int:
         return self.D - math.ceil(self.D * self.kappa_cap ** (-1.0 / self.d)) + 1
-
-    @property
-    def H(self) -> np.ndarray:
-        n = len(self)
-        if n > self.MATERIALIZE_CAP:
-            raise ValueError(
-                f"bandwidth grid has {n} members; too large to materialize")
-        start = round(self.min_h * self.D)
-        return np.arange(start, self.D + 1) / self.D
 
     def snap(self, h: float) -> float:
         """Largest grid multiple below h; keeps kappa within a factor 2.

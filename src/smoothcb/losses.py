@@ -4,16 +4,15 @@ Integrals are batch-first.  Piecewise-constant and piecewise-linear losses
 over 1-d spaces keep a prefix table of their exact integral at the
 breakpoints, so an interval costs F(hi) - F(lo), and a batch of shifted
 copies of one piecewise-linear loss shares its table.  The cube in d >= 2
-gets separable per-coordinate products, and anything else falls back to a
-range-checked callable integrated by adaptive quadrature, box by box.
+gets separable per-coordinate products and sums of scaled ones, whose box
+integrals are products of the factors' exact 1-d integrals.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import integrate as _sciint
 
 _RANGE_TOL = 1e-12
 
@@ -197,34 +196,22 @@ class SeparableProductLoss(LossFunction):
         return total
 
 
-class CallableLoss(LossFunction):
-    """Arbitrary callable with a [0,1] range contract, quadrature-integrated."""
+class SeparableSumLoss(LossFunction):
+    """Sum of scaled separable products on the cube [0,1]^d.
 
-    def __init__(self, fn: Callable, d: int = 1, tol: float = 1e-9):
-        self.fn = fn
-        self.d = d
-        self.tol = tol
+    ``terms`` is a list of (scale, SeparableProductLoss); a value is the
+    sum of scale * product(a), added in the order given, and a box integral
+    the same sum of the products' exact box integrals.
+    """
+
+    def __init__(self, terms: Sequence[Tuple[float, SeparableProductLoss]]):
+        self.terms = list(terms)
+        self.d = self.terms[0][1].d
 
     def __call__(self, a):
-        out = np.atleast_1d(np.asarray(self.fn(a), dtype=float))
-        _check_range(out)
-        return float(out[0]) if out.size == 1 else out
+        arr = np.asarray(a, dtype=float).reshape(-1, self.d)
+        out = sum(s * np.atleast_1d(p(arr)) for s, p in self.terms)
+        return float(out[0]) if out.shape[0] == 1 else out
 
-    def integrate(self, lo, hi):
-        if self.d != 1:
-            raise ValueError("1-d integrate on a d>1 callable loss")
-        return self.integrate_box(np.asarray(lo, dtype=float)[..., None],
-                                  np.asarray(hi, dtype=float)[..., None])
-
-    def integrate_box(self, lo, hi):
-        """Integral over each box [lo, hi] of (..., d), box by box."""
-        lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float),
-                                     np.asarray(hi, dtype=float))
-        out = np.zeros(lo.shape[:-1])
-        opts = {"epsabs": self.tol, "limit": 200}
-        for i in np.ndindex(out.shape):
-            if np.all(hi[i] > lo[i]):
-                out[i], _ = _sciint.nquad(
-                    lambda *a: float(np.atleast_1d(self(np.array(a)))[0]),
-                    list(zip(lo[i], hi[i])), opts=opts)
-        return out[()]
+    def integrate_box(self, lo: np.ndarray, hi: np.ndarray):
+        return sum(s * p.integrate_box(lo, hi) for s, p in self.terms)

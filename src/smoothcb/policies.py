@@ -155,34 +155,6 @@ def packing_number(space: ActionSpace, points, delta: float) -> int:
     return len(kept)
 
 
-def exact_max_packing(space: ActionSpace, points, delta: float) -> int:
-    """Brute-force maximum delta-packing; only for <= 20 points."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None] if space.d > 1 else pts
-    n = len(pts)
-    if n > 20:
-        raise ValueError("brute-force packing limited to 20 points")
-    ok = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            ok[i, j] = i == j or space.distance(pts[i], pts[j]) >= delta
-
-    best = 0
-
-    def grow(chosen: List[int], candidates: List[int]) -> None:
-        nonlocal best
-        best = max(best, len(chosen))
-        for k, c in enumerate(candidates):
-            if len(chosen) + len(candidates) - k <= best:
-                return
-            if all(ok[c, d] for d in chosen):
-                grow(chosen + [c], candidates[k + 1:])
-
-    grow([], list(range(n)))
-    return best
-
-
 # Monte Carlo points per context for the ball union on the cube in d >= 2
 N_MC = 10 ** 4
 # (context, ball, segment) cells per block: bounds the build's temporaries

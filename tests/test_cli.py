@@ -1,10 +1,23 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from smoothcb import cli, harness
 from smoothcb.cli import main, parse_env_spec
+
+
+def test_import_loads_no_scipy():
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    script = ("import sys, smoothcb, smoothcb.cli\n"
+              "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
 
 
 class TestEnvSpecParsing:

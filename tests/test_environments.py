@@ -1,9 +1,17 @@
+import hashlib
+import json
+import math
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from by_context import ByContext
+from callable_loss import CallableLoss
 
 from smoothcb.environments import (FiniteContexts, StochasticEnv,
                                    make_named_instance)
+from smoothcb.harness import RunConfig, default_policy_class, run_experiment
 from smoothcb.kernels import RectKernel
 from smoothcb.losses import PiecewiseConstantLoss, PiecewiseLinearLoss
 from smoothcb.policies import PolicyClass
@@ -156,8 +164,10 @@ class TestNeedleInstances:
 
     def test_cells_disjoint_in_left_half(self):
         env = make_named_instance("needle_h", h=1.0 / 32.0, R=10.0)
-        cells = env.metadata["cells"]
         h = env.metadata["h"]
+        cells = np.array([
+            make_named_instance("needle_h", h=h, index=k).metadata["center"]
+            for k in range(1, env.metadata["N"] + 1)])
         assert np.all(cells - h >= -1e-12)
         assert np.all(cells + h <= 0.5 + 1e-12)
         gaps = np.diff(np.sort(cells))
@@ -165,11 +175,12 @@ class TestNeedleInstances:
 
     @pytest.mark.parametrize("name,params", [
         ("needle_L", {"L": 4.0}), ("needle_h", {"h": 1.0 / 32.0}),
-        ("needle_h", {"h": 1.0 / 32.0, "d": 2})])
+        ("needle_h", {"h": 1.0 / 32.0, "d": 2}),
+        ("needle_h", {"h": 1.0 / 16.0, "d": 3})])
     def test_cells_match_pocket_formula(self, name, params):
-        # pocket s of N sits at width * (2s - 1), s = 1..N per axis
-        env = make_named_instance(name, R=10.0, **params)
-        md = env.metadata
+        # pocket s of N sits at width * (2s - 1), s = 1..N per axis, and
+        # index k selects row k - 1 of the meshgrid of those axes
+        md = make_named_instance(name, R=10.0, **params).metadata
         width = md["delta"] / md["L"] if name == "needle_L" else md["h"]
         d = params.get("d", 1)
         side = round(md["N"] ** (1.0 / d))
@@ -177,7 +188,23 @@ class TestNeedleInstances:
         want = (axis if d == 1 else
                 np.stack([m.ravel() for m in np.meshgrid(*[axis] * d)],
                          axis=1))
-        assert np.array_equal(md["cells"], want)
+        assert md["center"] is None
+        got = [make_named_instance(name, R=10.0, index=k,
+                                   **params).metadata["center"]
+               for k in range(1, md["N"] + 1)]
+        assert np.array_equal(got, want)
+
+    def test_one_pocket_built(self):
+        # the selected pocket's centre comes from its formula: neither the
+        # 2 * 10^8 tent centres at L = 1e8 nor a 250^3 pocket grid is built
+        tracemalloc.start()
+        try:
+            make_named_instance("needle_L", L=1e8, index=1)
+            make_named_instance("needle_h", h=1e-3, d=3, index=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_safe_half_value(self):
         env = make_named_instance("needle_h", h=0.125, R=10.0, index=1)
@@ -192,7 +219,7 @@ class TestNeedleInstances:
         env = make_named_instance("needle_h", h=0.125, R=10.0, index=2)
         h = env.metadata["h"]
         delta = env.metadata["delta"]
-        c = env.metadata["cells"][1]
+        c = env.metadata["center"]
         kern = RectKernel(env.space, h)
         got = kern.smoothed_loss(float(c), env.mean_loss_of(None))
         assert got == pytest.approx(0.5 - delta, abs=1e-9)
@@ -217,9 +244,116 @@ class TestNeedleInstances:
         delta = env.metadata["delta"]
         loss = env.mean_loss_of(None)
         c0 = env.metadata["c0"]
-        ci = env.metadata["cells"][0]
+        ci = env.metadata["center"]
         assert float(loss(c0)) == pytest.approx(0.5 - delta / 2.0)
         assert float(loss(ci)) == pytest.approx(0.5 - delta)
+
+
+def _field(md, d):
+    """needle_h's mean in d >= 2 written directly, as a test per point: the
+    closed pocket's value overrides the safe orthant's."""
+    ci, h, delta = md["center"], md["h"], md["delta"]
+
+    def phi(a):
+        a = np.asarray(a, dtype=float).reshape(-1, d)
+        out = np.full(a.shape[0], 0.5)
+        out[np.min(a, axis=1) >= 0.5] = 0.5 - delta / 2.0
+        if ci is not None:
+            out[np.max(np.abs(a - ci), axis=1) <= h] = 0.5 - delta
+        return out
+
+    return phi
+
+
+class TestNeedleCube:
+    """needle_h in d >= 2: its separable form against the field written
+    directly, point by point, and against quadrature of that field."""
+
+    @pytest.mark.parametrize("h,d", [
+        (0.125, 2), (1 / 36, 2), (0.1, 2), (1 / 12 + 1e-17, 2),
+        (1 / 16, 3), (0.125, 3)])
+    def test_values_match_field_bitwise(self, h, d):
+        rng = np.random.default_rng(0)
+        N = int(math.floor(1.0 / (4.0 * h))) ** d
+        # pocket N's corner is the one nearest (1/2, ..., 1/2)
+        for index in sorted({0, 1, N // 2, N}):
+            env = make_named_instance("needle_h", h=h, d=d, index=index)
+            md = env.metadata
+            ci = md["center"] if index else np.full(d, 0.25)
+            # every combination of the pocket's faces, 1/2, the ends of
+            # [0, 1] and their neighbouring doubles: faces, edges, corners
+            ends = np.concatenate([ci - h, ci + h, [0.5]])
+            coords = np.unique(np.concatenate([
+                ends, np.nextafter(ends, 0.0), np.nextafter(ends, 1.0), ci,
+                [0.0, 1.0]]))
+            pts = np.concatenate([
+                np.stack([m.ravel() for m in np.meshgrid(*[coords] * d)],
+                         axis=1),
+                rng.random((500, d))])
+            loss, field = env.mean_loss_of(None), _field(md, d)
+            assert loss(pts).tobytes() == field(pts).tobytes()
+            for a in pts[::37]:
+                assert loss(a) == float(field(a)[0])
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_pocket_wins_at_shared_corner(self, d):
+        env = make_named_instance("needle_h", h=0.125, d=d, index=2 ** d)
+        md = env.metadata
+        assert np.all(md["center"] + md["h"] == 0.5)
+        loss, half = env.mean_loss_of(None), np.full(d, 0.5)
+        assert loss(half) == 0.5 - md["delta"]
+        assert loss(np.nextafter(half, 1.0)) == 0.5 - md["delta"] / 2.0
+        assert loss(np.nextafter(half, 0.0)) == 0.5 - md["delta"]
+
+    @pytest.mark.parametrize("d,n", [(2, 64), (3, 8)])
+    def test_benchmark_matches_quadrature(self, d, n):
+        # nquad of the field box by box, to its 1e-9 epsabs; 2^3 policies
+        # keep the three-fold quadrature to seconds
+        h = 0.125
+        env = make_named_instance("needle_h", h=h, d=d, index=1)
+        pc = default_policy_class(env, n)
+        assert pc.size == n
+        acts = pc.actions_many([None])[0]
+        lo, hi = np.maximum(0.0, acts - h), np.minimum(1.0, acts + h)
+        want = (CallableLoss(_field(env.metadata, d), d=d)
+                .integrate_box(lo, hi) / np.prod(hi - lo, axis=1))
+        got = env.smoothed_policy_losses(pc, h)
+        assert np.max(np.abs(got - want)) <= 1e-9
+        bench, idx = env.smoothed_benchmark(pc, h)
+        assert abs(bench - want.min()) <= 1e-9
+        assert idx == int(np.argmax(want <= want.min() + 1e-12))
+
+    def test_benchmark_is_fast(self):
+        # 64 exact box integrals; quadrature of the same boxes took 2 s
+        env = make_named_instance("needle_h", h=0.125, d=2, index=1)
+        pc = default_policy_class(env, 64)
+        best = math.inf
+        for _ in range(3):
+            t0 = time.perf_counter()
+            env.smoothed_benchmark(pc, 0.125)
+            best = min(best, time.perf_counter() - t0)
+        assert best < 0.5
+
+    # sha256 of actions, losses and epoch rows of seeded runs on the d = 2
+    # field whose pocket corner meets the safe orthant
+    DIGESTS = {
+        ("exp4", 512): "25e1db337116916e9a04c5ec330d81a1"
+                       "d2ab82e93ba804a3838c3f4345bc013b",
+        ("pe-s", 2048): "4ab6bbaca825a68ef5a6830e112c7be7"
+                        "86328cf7dfdc0da55b3434a1edd4892e",
+    }
+
+    @pytest.mark.parametrize("alg,T", sorted(DIGESTS))
+    def test_trajectory_digest(self, alg, T):
+        cfg = RunConfig(alg=alg, env_name="needle_h", T=T, h=0.125,
+                        env_params={"h": 0.125, "d": 2, "index": 4},
+                        seeds=[0, 1], n_policies=16)
+        digest = hashlib.sha256()
+        for tr in run_experiment(cfg):
+            digest.update(np.asarray(tr.actions, dtype=np.float64).tobytes())
+            digest.update(np.asarray(tr.losses, dtype=np.float64).tobytes())
+            digest.update(json.dumps(tr.epochs, sort_keys=True).encode())
+        assert digest.hexdigest() == self.DIGESTS[(alg, T)]
 
 
 class TestValidation:

@@ -17,6 +17,13 @@ def _state(actions, h=0.1, T=100, eta=None):
     return Exp4State.for_kernel(RectKernel(space, h), pc, T, eta=eta)
 
 
+def _replay(state, x, a, observed_loss, propensity):
+    """Absorb a logged action with a given propensity against the current
+    weights: update's estimate with that propensity and the densities at a."""
+    state._pending = (a, propensity, state.density_vector(x, a))
+    return state.update(x, a, observed_loss)
+
+
 class TestLearningRate:
     def test_default_formula(self):
         s = _state(np.linspace(0, 0.99, 100), h=0.1, T=10000)
@@ -127,7 +134,7 @@ class TestUpdate:
     def test_unsupported_members_keep_relative_weight(self):
         s = _state([0.2, 0.6, 0.62])
         a = 0.22  # inside member 0's ball only
-        est = s.update(None, a, 0.5, propensity=1.0)
+        est = _replay(s, None, a, 0.5, 1.0)
         assert est[1] == est[2] == 0.0
         P = s.P
         assert P[1] == pytest.approx(P[2], abs=1e-12)
@@ -286,7 +293,7 @@ class TestStableVariant:
 class TestRestartInPlace:
     """The in-place restart against the restart as a fresh learner: a new
     Exp4State at the doubled range's rate that carries the round counter
-    and absorbs the round through update(..., propensity=p)."""
+    and absorbs the round as a replay with the step's propensity."""
 
     def test_matches_fresh_learner_restart(self):
         space = ActionSpace.ring()
@@ -324,7 +331,7 @@ class TestRestartInPlace:
                 ref = fresh(ref.t)
                 restarts[play] += 1
             if play and restart:
-                ref.update(None, a_r, a_r / p_t, propensity=p_r)
+                _replay(ref, None, a_r, a_r / p_t, p_r)
             elif play:
                 ref.update(None, a_r, a_r / p_t)
             else:

@@ -6,9 +6,9 @@ import pytest
 
 from smoothcb.environments import (FiniteContexts, StochasticEnv,
                                    make_named_instance)
-from smoothcb.harness import (RunConfig, default_policy_class, diagnose,
-                              run_experiment, run_one, trace_csv_lines,
-                              write_outputs)
+from smoothcb.harness import (RegretTrace, RunConfig, default_policy_class,
+                              diagnose, run_experiment, run_one,
+                              trace_csv_lines, write_outputs)
 from smoothcb.losses import PiecewiseConstantLoss
 from smoothcb.spaces import ActionSpace
 
@@ -117,7 +117,42 @@ class TestRegretAccounting:
             assert val <= base + L * h + 1e-9
 
 
+def _fmt(v):
+    return f"{v:.17g}"
+
+
+def _csv_lines_loop(trace):
+    """The run CSV row by row with a running sum: the formatter's reference."""
+    lines = ["t,action,loss,cumloss"]
+    cum = 0.0
+    for t in range(len(trace.losses)):
+        a = trace.actions[t]
+        a_txt = (_fmt(float(a)) if np.ndim(a) == 0
+                 else ";".join(_fmt(float(v)) for v in a))
+        cum += float(trace.losses[t])
+        lines.append(
+            f"{t + 1},{a_txt},{_fmt(float(trace.losses[t]))},{_fmt(cum)}")
+    return lines
+
+
 class TestOutputs:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_csv_lines_match_loop(self, d):
+        rng = np.random.default_rng(0)
+        n = 1000
+        actions = rng.random((n, d) if d > 1 else n)
+        losses = rng.random(n)
+        special = [1e-17, 0.1, 1.0, 0.0, 0.3, 1.0 - 1e-16, 5e-324]
+        losses[:len(special)] = special
+        actions.flat[:len(special)] = special
+        # long runs of tiny and unit losses, where rounding the sum shows
+        losses[100:400:2] = 1e-17
+        losses[400:600] = 1.0
+        tr = RegretTrace(seed=0, actions=actions, losses=losses,
+                         benchmark=0.0, benchmark_h=None, regret=0.0,
+                         pseudo_regret=None, walltime=0.0)
+        assert trace_csv_lines(tr) == _csv_lines_loop(tr)
+
     def test_csv_format(self):
         cfg = RunConfig(alg="exp4", env_name="absolute", T=20, h=0.1,
                         seeds=[0], n_policies=4)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from smoothcb.losses import (CallableLoss,
-                             PiecewiseConstantLoss, PiecewiseLinearLoss,
-                             SeparableProductLoss)
+from callable_loss import CallableLoss
+from smoothcb.losses import (PiecewiseConstantLoss, PiecewiseLinearLoss,
+                             SeparableProductLoss, SeparableSumLoss)
 
 
 def _random_pw_linear(rng, n_knots=6):
@@ -96,6 +96,28 @@ class TestSeparableProduct:
         loss = SeparableProductLoss([f1, f2])
         got = loss.integrate_box(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
         assert got == pytest.approx(0.6 * 0.5, abs=1e-12)
+
+
+class TestSeparableSum:
+    def _loss(self):
+        f1 = PiecewiseConstantLoss([0.0, 0.5, 1.0], [0.4, 0.8])
+        f2 = PiecewiseLinearLoss([0.0, 1.0], [0.0, 1.0])
+        one = PiecewiseConstantLoss.constant(1.0)
+        return SeparableSumLoss([(0.5, SeparableProductLoss([f1, f2])),
+                                 (0.25, SeparableProductLoss([one, one]))])
+
+    def test_pointwise_sum(self):
+        loss = self._loss()
+        assert loss(np.array([0.2, 0.5])) == pytest.approx(
+            0.5 * 0.4 * 0.5 + 0.25)
+        got = loss(np.array([[0.2, 0.5], [0.7, 1.0]]))
+        assert got == pytest.approx([0.5 * 0.4 * 0.5 + 0.25, 0.5 * 0.8 + 0.25])
+
+    def test_box_integral_sums_terms(self):
+        # over [0, 1] x [0, 1/2]: 0.5 * (0.6 * 1/8) + 0.25 * 1/2
+        got = self._loss().integrate_box(np.array([0.0, 0.0]),
+                                         np.array([1.0, 0.5]))
+        assert got == pytest.approx(0.5 * 0.6 * 0.125 + 0.125, abs=1e-12)
 
 
 class TestCallable:

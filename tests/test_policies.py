@@ -3,9 +3,8 @@ import pytest
 
 from smoothcb import policies
 from smoothcb.elimination import solve_variance_program
-from smoothcb.policies import (PolicyClass, VersionSpace, exact_max_packing,
-                               packing_number, projected_actions,
-                               union_ball_volume)
+from smoothcb.policies import (PolicyClass, VersionSpace, packing_number,
+                               projected_actions, union_ball_volume)
 from smoothcb.spaces import ActionSpace
 
 
@@ -79,6 +78,34 @@ class TestProjection:
     def test_duplicates_collapse(self):
         pc = PolicyClass.constant(ActionSpace.ring(), [0.4, 0.4])
         assert len(projected_actions(VersionSpace(pc))) == 1
+
+
+def exact_max_packing(space, points, delta):
+    """Brute-force maximum delta-packing; only for <= 20 points."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None] if space.d > 1 else pts
+    n = len(pts)
+    if n > 20:
+        raise ValueError("brute-force packing limited to 20 points")
+    ok = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        for j in range(n):
+            ok[i, j] = i == j or space.distance(pts[i], pts[j]) >= delta
+
+    best = 0
+
+    def grow(chosen, candidates):
+        nonlocal best
+        best = max(best, len(chosen))
+        for k, c in enumerate(candidates):
+            if len(chosen) + len(candidates) - k <= best:
+                return
+            if all(ok[c, d] for d in chosen):
+                grow(chosen + [c], candidates[k + 1:])
+
+    grow([], list(range(n)))
+    return best
 
 
 class TestPacking:

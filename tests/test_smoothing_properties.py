@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from callable_loss import CallableLoss
 from smoothcb.elimination import (ElimConfig, EpochState,
                                   SmoothPolicyElimination)
 from smoothcb.environments import make_named_instance
 from smoothcb.kernels import RectKernel
-from smoothcb.losses import (CallableLoss, PiecewiseConstantLoss,
-                             PiecewiseLinearLoss, SeparableProductLoss)
+from smoothcb.losses import (PiecewiseConstantLoss, PiecewiseLinearLoss,
+                             SeparableProductLoss)
 from smoothcb.policies import PolicyClass, VersionSpace, union_geometry
 from smoothcb.spaces import ActionSpace
 
