@@ -13,7 +13,7 @@ from .estimators import (IWSample, iw_estimate, median_of_means,
 from .exp4 import Exp4State, StableExp4
 from .elimination import (ElimConfig, SmoothPolicyElimination, SolverFailure,
                           solve_variance_program)
-from .corral import CorralMaster, KernelBuckets, build
+from .corral import CorralMaster, build
 from .harness import (RunConfig, RegretTrace, DiagnosticsReport,
                       default_policy_class, diagnose, run_experiment, run_one)
 

@@ -1,9 +1,10 @@
 """Log-barrier corralling of kappa-bucketed exponential-weights learners.
 
-Kernels are grouped into buckets by ceil(log2 kappa).  Each bucket gets a
-restart-stable exponential-weights learner over (kernel, policy) pairs, and
-a master runs online mirror descent with the log-barrier regularizer over
-the buckets, feeding each learner its importance-weighted scalar loss with
+Bandwidths are grouped into buckets by ceil(log2 kappa).  Each bucket gets
+a restart-stable exponential-weights learner over its bandwidths times the
+policy class, Xi_b = {K_h(pi(x)) : h in bucket b, pi in Pi}, and a master
+runs online mirror descent with the log-barrier regularizer over the
+buckets, feeding each learner its importance-weighted scalar loss with
 revealing probability equal to the master weight.  Master learning rates
 increase by a fixed growth factor whenever a learner's weight crosses its
 threshold (the threshold then doubles).
@@ -18,7 +19,7 @@ the round.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from .kernels import BandwidthGrid, RectKernel
 from .policies import PolicyClass
 from .exp4 import StableExp4
 
-GENERIC = "generic"
 UNIFORM_H = "uniform_h"
 LIPSCHITZ_ADAPTIVE = "lipschitz_adaptive"
 
@@ -36,41 +36,28 @@ OMD_TOL = 1e-13
 OMD_MAX_ITER = 60
 
 
-class KernelBuckets:
-    """Partition of a kernel family by ceil(log2 kappa)."""
-
-    def __init__(self, kernels: Sequence[RectKernel]):
-        if not kernels:
-            raise ValueError("kernel family must be nonempty")
-        self.kernels = list(kernels)
-        self.buckets: Dict[int, List[RectKernel]] = {}
-        for k in self.kernels:
-            b = math.ceil(math.log2(k.kappa())) if k.kappa() > 1 else 0
-            self.buckets.setdefault(b, []).append(k)
-
-    @property
-    def bucket_ids(self) -> List[int]:
-        return sorted(self.buckets)
-
-
 class CorralMaster:
-    """Mirror-descent master over bucketed stable learners."""
+    """Mirror-descent master over bucketed stable learners.
 
-    def __init__(self, pc: PolicyClass, buckets: KernelBuckets, T: int,
+    ``buckets`` maps each bucket id ceil(log2 kappa) (0 for kappa = 1) to
+    its bandwidths, in the order given; bucket b's learner runs over those
+    bandwidths times the policy class.
+    """
+
+    def __init__(self, pc: PolicyClass, hs: Sequence[float], T: int,
                  eta: float):
-        self.pc = pc
-        self.buckets = buckets
+        if len(hs) == 0:
+            raise ValueError("the bandwidth family must be nonempty")
         self.T = T
-        ids = buckets.bucket_ids
-        self.bucket_ids = ids
-        B = len(ids)
-        self.subs: List[StableExp4] = []
-        for b in ids:
-            kerns, idxs = [], []
-            for k in buckets.buckets[b]:
-                kerns.extend([k] * pc.size)
-                idxs.extend(range(pc.size))
-            self.subs.append(StableExp4(pc, kerns, idxs, T, rho_hat=max(1, B)))
+        self.buckets: Dict[int, List[float]] = {}
+        for h in hs:
+            kappa = RectKernel(pc.space, h).kappa()
+            b = math.ceil(math.log2(kappa)) if kappa > 1 else 0
+            self.buckets.setdefault(b, []).append(h)
+        self.bucket_ids = sorted(self.buckets)
+        B = len(self.bucket_ids)
+        self.subs = [StableExp4(pc, self.buckets[b], T, rho_hat=max(1, B))
+                     for b in self.bucket_ids]
         # the learners' range guesses, refreshed when one restarts
         self.rho_hats = np.array([s.rho_hat for s in self.subs])
         self.q = np.full(B, 1.0 / B)
@@ -154,29 +141,22 @@ class CorralMaster:
         return a, record
 
 
-def build(kernels: Optional[Sequence[RectKernel]], pc: PolicyClass, T: int,
-          beta: float = 1.0, mode: str = GENERIC,
-          eta: Optional[float] = None) -> CorralMaster:
+def build(pc: PolicyClass, T: int, beta: float = 1.0,
+          mode: str = UNIFORM_H) -> CorralMaster:
     """Assemble a corralling master.
 
     Modes:
 
-    * generic: corral the given kernels with the supplied (or 1/sqrt(T))
-      master learning rate.
-    * uniform_h: bandwidth grid representatives, one kernel per kappa
-      bucket; eta = T^(-1/(1+beta)) * ln(|Pi| d T)^(-beta/(1+beta)).
+    * uniform_h: the bandwidth grid's snaps of 2^(-j/d) down to T^(-1/d),
+      bucketed by kappa (on the ring, bucket 0 holds h = 1/2 and h = 1);
+      eta = T^(-1/(1+beta)) * ln(|Pi| d T)^(-beta/(1+beta)).
     * lipschitz_adaptive: geometric bandwidth grid tied to the master rate;
       eta = T^(-(1+d beta)/(1+(d+1) beta)) * ln(|Pi| d T)^(-beta/(1+(d+1)beta)).
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must lie in [0,1]")
     d = pc.space.d
-    if mode == GENERIC:
-        if not kernels:
-            raise ValueError("generic mode needs an explicit kernel family")
-        if eta is None:
-            eta = 1.0 / math.sqrt(T)
-    elif mode == UNIFORM_H:
+    if mode == UNIFORM_H:
         grid = BandwidthGrid(d, T)
         eta = (T ** (-1.0 / (1.0 + beta))
                * math.log(pc.size * d * T) ** (-beta / (1.0 + beta)))
@@ -189,7 +169,6 @@ def build(kernels: Optional[Sequence[RectKernel]], pc: PolicyClass, T: int,
                 break
             hs.add(grid.snap(h))
             j += 1
-        kernels = [RectKernel(pc.space, h) for h in sorted(hs)]
     elif mode == LIPSCHITZ_ADAPTIVE:
         eta = (T ** (-(1.0 + d * beta) / (1.0 + (d + 1.0) * beta))
                * math.log(pc.size * d * T)
@@ -202,7 +181,6 @@ def build(kernels: Optional[Sequence[RectKernel]], pc: PolicyClass, T: int,
                 hs.add(h)
         if not hs:
             hs = {0.5}
-        kernels = [RectKernel(pc.space, h) for h in sorted(hs)]
     else:
         raise ValueError(f"unknown corral mode: {mode!r}")
-    return CorralMaster(pc, KernelBuckets(kernels), T, eta=eta)
+    return CorralMaster(pc, sorted(hs), T, eta=eta)

@@ -366,14 +366,16 @@ def _needle_h(h: float = 0.125, R: float = 10.0, d: int = 1, index: int = 0,
         breaks = [0.0, 0.5, 1.0]
         vals = [0.5, 0.5 - delta / 2.0]
         if c is not None:
-            lo, hi = c - h, c + h
+            # the closed pocket as the right-open piece [lo, hi); a piece
+            # may be one double wide, so its left end stands for it
+            lo, hi = _closed_pocket(c, h)
+            hi = float(np.nextafter(hi, 1.0))
             breaks = sorted({0.0, lo, hi, 0.5, 1.0})
             vals = []
-            for b0, b1 in zip(breaks[:-1], breaks[1:]):
-                mid = (b0 + b1) / 2.0
-                if lo <= mid <= hi:
+            for b0 in breaks[:-1]:
+                if lo <= b0 < hi:
                     vals.append(0.5 - delta)
-                elif mid >= 0.5:
+                elif b0 >= 0.5:
                     vals.append(0.5 - delta / 2.0)
                 else:
                     vals.append(0.5)

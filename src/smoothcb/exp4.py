@@ -1,10 +1,11 @@
 """Exponential-weights learning over smoothing-kernel policy classes.
 
-The learner maintains weights over a finite class of stochastic policies
-xi = K(pi(x)): a base policy pi composed with a rectangular smoothing kernel
-K.  Each round it samples a policy from the weight distribution, samples an
-action from that policy's ball, and updates every policy's weight with the
-importance-weighted loss estimate built from the mixture propensity.
+The learner maintains weights over the finite class of stochastic policies
+Xi = {K_h(pi(x)) : h in H, pi in Pi}: every base policy of the class composed
+with the rectangular smoothing kernel of every bandwidth in H.  Each round it
+samples a member from the weight distribution, samples an action from that
+member's ball, and updates every member's weight with the importance-weighted
+loss estimate built from the mixture propensity.
 
 A restart-based stable variant tolerates externally importance-weighted
 losses (as fed by a corralling master): whenever the revealing probability
@@ -15,7 +16,7 @@ restarts with a re-tuned learning rate.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,44 +27,28 @@ from .policies import PolicyClass
 class Exp4State:
     """Mutable exponential-weights state over a stochastic policy class.
 
-    ``kernels`` and ``policy_indices`` together define Xi: member j plays
-    kernels[j] centered at pc.act(policy_indices[j], x).
+    Xi is the bandwidths ``hs`` times the policy class, bandwidth-major:
+    member j = i * |Pi| + p plays the kernel of hs[i] centered at
+    pc.act(p, x).
     """
 
-    def __init__(self, pc: PolicyClass, kernels: Sequence[RectKernel],
-                 policy_indices: Sequence[int], T: int,
+    def __init__(self, pc: PolicyClass, hs: Sequence[float], T: int,
                  eta: Optional[float] = None):
         if T < 1:
             raise ValueError("horizon must be >= 1")
-        if len(kernels) != len(policy_indices) or len(kernels) == 0:
-            raise ValueError("kernels and policy_indices must align, nonempty")
-        if any(k.h == 0.0 for k in kernels):
+        if len(hs) == 0:
+            raise ValueError("the bandwidth list must be nonempty")
+        if 0.0 in hs:
             raise ValueError("algorithms reject the Dirac kernel h=0")
         self.pc = pc
-        self.kernels = list(kernels)
-        self.policy_indices = np.asarray(policy_indices, dtype=int)
+        self.kernels = [RectKernel(pc.space, h) for h in hs]
         self.T = T
-        self.n = len(self.kernels)
+        self.n = len(self.kernels) * pc.size
         self.kappa = max(k.kappa() for k in self.kernels)
         self.eta = self.tuned_eta() if eta is None else eta
         self.logw = np.zeros(self.n)
         self.t = 0
         self._pending: Optional[Tuple] = None
-        # group members by kernel so densities vectorize per group:
-        # (kernel, member indices, their policy indices)
-        self._groups: List[Tuple[RectKernel, np.ndarray, np.ndarray]] = []
-        seen = {}
-        for j, k in enumerate(self.kernels):
-            seen.setdefault((id(k.space), k.h), (k, []))[1].append(j)
-        for k, idxs in seen.values():
-            idxs = np.asarray(idxs, dtype=int)
-            self._groups.append((k, idxs, self.policy_indices[idxs]))
-
-    @staticmethod
-    def for_kernel(kernel: RectKernel, pc: PolicyClass, T: int,
-                   eta: Optional[float] = None) -> "Exp4State":
-        """All base policies under a single smoothing kernel."""
-        return Exp4State(pc, [kernel] * pc.size, np.arange(pc.size), T, eta)
 
     def tuned_eta(self, rho: float = 1.0) -> float:
         """sqrt(2 ln|Xi| / (T kappa rho)), the rate tuned to a loss range rho
@@ -83,14 +68,9 @@ class Exp4State:
         """xi(a|x) for every member of Xi (``acts``: pc.actions_at(x))."""
         if acts is None:
             acts = self.pc.actions_at(x)
-        if len(self._groups) == 1:
-            # one kernel: its members are all of Xi, in order
-            kernel, _, pols = self._groups[0]
-            return kernel.densities(acts[pols], a)
-        out = np.zeros(self.n)
-        for kernel, idxs, pols in self._groups:
-            out[idxs] = kernel.densities(acts[pols], a)
-        return out
+        if len(self.kernels) == 1:
+            return self.kernels[0].densities(acts, a)
+        return np.concatenate([k.densities(acts, a) for k in self.kernels])
 
     # -- protocol ---------------------------------------------------------
 
@@ -102,8 +82,9 @@ class Exp4State:
         w = np.exp(self.logw)
         P = w / w.sum()
         j = min(int(P.cumsum().searchsorted(rng.random())), self.n - 1)
+        i, pol = divmod(j, self.pc.size)
         acts = self.pc.actions_at(x)
-        a = self.kernels[j].sample(acts[self.policy_indices[j]], rng)
+        a = self.kernels[i].sample(acts[pol], rng)
         dens = self.density_vector(x, a, acts)
         p = float(P @ dens)
         self._pending = (a, p, dens)
@@ -143,12 +124,11 @@ class StableExp4(Exp4State):
     plays or restarts on, and the master's counter is the clock.
     """
 
-    def __init__(self, pc: PolicyClass, kernels: Sequence[RectKernel],
-                 policy_indices: Sequence[int], T: int,
+    def __init__(self, pc: PolicyClass, hs: Sequence[float], T: int,
                  rho_hat: float = 1.0):
         if rho_hat < 1.0:
             raise ValueError("rho_hat must be >= 1")
-        super().__init__(pc, kernels, policy_indices, T)
+        super().__init__(pc, hs, T)
         self.rho_hat = float(rho_hat)
         self.restart_count = 0
         self.eta = self.tuned_eta(self.rho_hat)

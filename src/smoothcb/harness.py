@@ -21,7 +21,7 @@ from . import corral as corral_mod
 from .elimination import ElimConfig, SmoothPolicyElimination
 from .environments import StochasticEnv, make_named_instance
 from .exp4 import Exp4State
-from .kernels import BandwidthGrid, RectKernel
+from .kernels import BandwidthGrid
 from .policies import (PolicyClass, VersionSpace, packing_number,
                        projected_actions)
 
@@ -141,7 +141,7 @@ def default_policy_class(env: StochasticEnv, n: int,
 
 def _loop_exp4(env: StochasticEnv, pc: PolicyClass, h: float, T: int,
                env_rng, alg_rng):
-    state = Exp4State.for_kernel(RectKernel(env.space, h), pc, T)
+    state = Exp4State(pc, [h], T)
     actions = np.empty(T) if env.space.d == 1 else np.empty((T, env.space.d))
     losses = np.empty(T)
     means = np.empty(T)
@@ -152,7 +152,7 @@ def _loop_exp4(env: StochasticEnv, pc: PolicyClass, h: float, T: int,
         state.update(x, a, loss)
         actions[t] = a
         losses[t] = loss
-    return actions, losses, means, None
+    return actions, losses, means
 
 
 def _loop_corral(env: StochasticEnv, master: corral_mod.CorralMaster,
@@ -171,7 +171,7 @@ def _loop_corral(env: StochasticEnv, master: corral_mod.CorralMaster,
         a, rec = master.round(x, loss_eval, alg_rng)
         actions[t] = a
         losses[t] = rec["loss"]
-    return actions, losses, means, master
+    return actions, losses, means
 
 
 def _loop_elim(env: StochasticEnv, pc: PolicyClass, cfg: RunConfig,
@@ -180,10 +180,7 @@ def _loop_elim(env: StochasticEnv, pc: PolicyClass, cfg: RunConfig,
                        n_ctx=cfg.n_ctx)
     alg = SmoothPolicyElimination(env, pc, econf)
     out = alg.run(alg_rng, rng_env=env_rng)
-    actions = out["actions"]
-    losses = out["losses"]
-    means = out.get("mean_losses")
-    return actions, losses, means, out
+    return out["actions"], out["losses"], out["mean_losses"], out["epochs"]
 
 
 def _benchmark(config: RunConfig, env: StochasticEnv, pc: PolicyClass):
@@ -219,22 +216,20 @@ def run_one(config: RunConfig, seed: int, env: Optional[StochasticEnv] = None,
     t0 = time.time()
     epochs = None
     if config.alg == "exp4":
-        actions, losses, means, _ = _loop_exp4(
+        actions, losses, means = _loop_exp4(
             env, pc, config.h, config.T, env_rng, alg_rng)
     elif config.alg in ("pe-s", "pe-l"):
         variant = "s" if config.alg == "pe-s" else "l"
-        actions, losses, means, out = _loop_elim(
+        actions, losses, means, epochs = _loop_elim(
             env, pc, config, variant, env_rng, alg_rng)
-        epochs = out["epochs"]
     else:
-        master = corral_mod.build(None, pc, config.T, beta=config.beta, mode=(
+        master = corral_mod.build(pc, config.T, beta=config.beta, mode=(
             corral_mod.UNIFORM_H if config.alg == "corral-uniform-h"
             else corral_mod.LIPSCHITZ_ADAPTIVE))
-        actions, losses, means, _ = _loop_corral(env, master, env_rng, alg_rng)
+        actions, losses, means = _loop_corral(env, master, env_rng, alg_rng)
     total = float(np.sum(losses))
     regret = total - config.T * bench
-    pseudo = (float(np.sum(means)) - config.T * bench
-              if means is not None else None)
+    pseudo = float(np.sum(means)) - config.T * bench
     return RegretTrace(
         seed=seed, actions=actions, losses=losses, benchmark=bench,
         benchmark_h=bench_h, regret=regret, pseudo_regret=pseudo,

@@ -155,8 +155,9 @@ class BandwidthGrid:
         self.max_h = 1.0
 
     def contains(self, h: float) -> bool:
+        # m / D carries a rounding error relative to m, and D grows like T^2
         k = h * self.D
-        if abs(k - round(k)) > 1e-9:
+        if abs(k - round(k)) > 1e-9 + 1e-15 * k:
             return False
         return self.min_h - 1e-15 <= h <= 1.0 and h ** (-self.d) >= 1.0 - 1e-12
 

@@ -227,7 +227,7 @@ def test_08_hedge_inequality_exact():
     viol = 0
     for seed in range(10):
         rng = np.random.default_rng(100 + seed)
-        s = Exp4State.for_kernel(RectKernel(RING, 0.1), pc, 200)
+        s = Exp4State(pc, [0.1], 200)
         lhs_mix = sq = 0.0
         totals = np.zeros(s.n)
         for _ in range(200):
@@ -415,11 +415,10 @@ def test_11_corral_single_learner_degeneracy():
     T, h = 300, 0.1
 
     env_rng, alg_rng = _rngs(0)
-    a1, l1, _, _ = _loop_exp4(env, pc, h, T, env_rng, alg_rng)
+    a1, l1, _ = _loop_exp4(env, pc, h, T, env_rng, alg_rng)
     env_rng, alg_rng = _rngs(0)
-    master = corral.build([RectKernel(env.space, h)], pc, T,
-                          mode=corral.GENERIC)
-    a2, l2, _, _ = _loop_corral(env, master, env_rng, alg_rng)
+    master = corral.CorralMaster(pc, [h], T, eta=T ** -0.5)
+    a2, l2, _ = _loop_corral(env, master, env_rng, alg_rng)
 
     def lines(actions, losses):
         tr = RegretTrace(seed=0, actions=actions, losses=losses,

@@ -19,78 +19,73 @@ def _pc(actions=(0.2, 0.5, 0.8)):
 
 class TestBuckets:
     def test_partition_by_log_kappa(self):
-        space = ActionSpace.ring()
         # kappa = 1/(2h): h values giving kappa 3, 5, 9
-        kerns = [RectKernel(space, 1 / 6), RectKernel(space, 0.1),
-                 RectKernel(space, 1 / 18)]
-        buckets = corral.KernelBuckets(kerns)
-        assert buckets.bucket_ids == [2, 3, 4]
-        assert buckets.buckets[2] == [kerns[0]]
-        assert buckets.buckets[3] == [kerns[1]]
-        assert buckets.buckets[4] == [kerns[2]]
+        hs = [1 / 6, 0.1, 1 / 18]
+        master = corral.CorralMaster(_pc(), hs, 64, eta=64 ** -0.5)
+        assert master.bucket_ids == [2, 3, 4]
+        assert master.buckets[2] == [hs[0]]
+        assert master.buckets[3] == [hs[1]]
+        assert master.buckets[4] == [hs[2]]
 
     def test_kappa_cap_per_bucket(self):
-        space = ActionSpace.ring()
-        kerns = [RectKernel(space, h) for h in (0.5, 0.3, 0.2, 0.1, 0.05)]
-        buckets = corral.KernelBuckets(kerns)
-        for b in buckets.bucket_ids:
-            kappa_b = max(k.kappa() for k in buckets.buckets[b])
+        pc = _pc()
+        master = corral.CorralMaster(pc, [0.5, 0.3, 0.2, 0.1, 0.05], 64,
+                                     eta=64 ** -0.5)
+        for b in master.bucket_ids:
+            kappa_b = max(RectKernel(pc.space, h).kappa()
+                          for h in master.buckets[b])
             assert kappa_b <= 2.0 ** b + 1e-12
 
     def test_every_kernel_in_exactly_one_bucket(self):
-        space = ActionSpace.ring()
-        kerns = [RectKernel(space, h) for h in np.linspace(0.02, 0.5, 17)]
-        buckets = corral.KernelBuckets(kerns)
-        seen = [k for b in buckets.bucket_ids for k in buckets.buckets[b]]
-        assert sorted(id(k) for k in seen) == sorted(id(k) for k in kerns)
+        hs = list(np.linspace(0.02, 0.5, 17))
+        master = corral.CorralMaster(_pc(), hs, 64, eta=64 ** -0.5)
+        seen = [h for b in master.bucket_ids for h in master.buckets[b]]
+        assert sorted(seen) == sorted(hs)
 
 
 class TestBuild:
     def test_uniform_h_learning_rate(self):
         pc = _pc()
         T = 2 ** 14
-        master = corral.build(None, pc, T, beta=1.0, mode=corral.UNIFORM_H)
+        master = corral.build(pc, T, beta=1.0, mode=corral.UNIFORM_H)
         expected = T ** -0.5 * math.log(pc.size * 1 * T) ** -0.5
         assert master.etas[0] == pytest.approx(expected, rel=1e-12)
 
     def test_uniform_h_kernels_on_grid(self):
         pc = _pc()
         T = 2 ** 10
-        master = corral.build(None, pc, T, beta=1.0, mode=corral.UNIFORM_H)
+        master = corral.build(pc, T, beta=1.0, mode=corral.UNIFORM_H)
         grid = BandwidthGrid(1, T)
-        hs = [k.h for b in master.buckets.bucket_ids
-              for k in master.buckets.buckets[b]]
+        hs = [h for b in master.bucket_ids for h in master.buckets[b]]
         assert len(hs) >= 2
         for h in hs:
             assert grid.contains(h)
 
     def test_lipschitz_adaptive_kernels_valid(self):
         pc = _pc()
-        master = corral.build(None, pc, 2 ** 10, beta=0.5,
+        master = corral.build(pc, 2 ** 10, beta=0.5,
                               mode=corral.LIPSCHITZ_ADAPTIVE)
-        for b in master.buckets.bucket_ids:
-            for k in master.buckets.buckets[b]:
-                assert 0.0 < k.h <= 1.0
+        for b in master.bucket_ids:
+            for h in master.buckets[b]:
+                assert 0.0 < h <= 1.0
 
     def test_validation(self):
         pc = _pc()
         with pytest.raises(ValueError):
-            corral.build(None, pc, 100, beta=2.0, mode=corral.UNIFORM_H)
+            corral.build(pc, 100, beta=2.0, mode=corral.UNIFORM_H)
         with pytest.raises(ValueError):
-            corral.build(None, pc, 100, mode=corral.GENERIC)
+            corral.CorralMaster(pc, [], 100, eta=100 ** -0.5)
         with pytest.raises(ValueError):
-            corral.build([RectKernel(pc.space, 0.1)], pc, 100, mode="nope")
+            corral.build(pc, 100, mode="nope")
 
 
 class TestSingleSubDegeneracy:
     def test_matches_standalone_learner(self):
         pc = _pc()
         T = 200
-        kern = RectKernel(pc.space, 0.1)
         env = make_named_instance("absolute")
-        master = corral.build([kern], pc, T, mode=corral.GENERIC)
-        standalone = StableExp4(pc, [kern] * pc.size, range(pc.size), T,
-                                rho_hat=1.0)
+        master = corral.CorralMaster(pc, [0.1], T, eta=T ** -0.5)
+        standalone = StableExp4(pc, [0.1], T, rho_hat=1.0)
         rng_m = np.random.default_rng(42)
         rng_s = np.random.default_rng(42)
         env_m = np.random.default_rng(7)
@@ -111,9 +106,7 @@ class TestSingleSubDegeneracy:
 class TestMasterDynamics:
     def _run(self, T, seed=0):
         pc = _pc()
-        space = pc.space
-        kerns = [RectKernel(space, 0.2), RectKernel(space, 0.05)]
-        master = corral.build(kerns, pc, T, mode=corral.GENERIC)
+        master = corral.CorralMaster(pc, [0.2, 0.05], T, eta=T ** -0.5)
         env = make_named_instance("discontinuous")
         rng = np.random.default_rng(seed)
         env_rng = np.random.default_rng(seed + 1)
@@ -138,10 +131,8 @@ class TestMasterDynamics:
         # with a constant loss, every sub's importance-weighted feed
         # averages to that constant over the master's randomness
         pc = _pc()
-        space = pc.space
-        kerns = [RectKernel(space, 0.2), RectKernel(space, 0.05)]
         T = 4000
-        master = corral.build(kerns, pc, T, mode=corral.GENERIC)
+        master = corral.CorralMaster(pc, [0.2, 0.05], T, eta=T ** -0.5)
         rng = np.random.default_rng(4)
         feeds = np.zeros(len(master.subs))
         for _ in range(T):
@@ -191,14 +182,13 @@ class TestVectorRestartCheck:
     def _masters(self, mode):
         env = make_named_instance("needle_h", h=1 / 32, R=10.0, index=1)
         pc = PolicyClass.constant(env.space, np.linspace(0.05, 0.95, 8))
-        if mode == corral.GENERIC:
-            kerns = [RectKernel(env.space, 0.2), RectKernel(env.space, 0.05)]
-        else:
-            kerns = None
-        return env, [corral.build(kerns, pc, self.T, mode=mode)
-                     for _ in range(2)]
+        if mode == "generic":  # an explicit bandwidth family
+            return env, [corral.CorralMaster(pc, [0.2, 0.05], self.T,
+                                             eta=self.T ** -0.5)
+                         for _ in range(2)]
+        return env, [corral.build(pc, self.T, mode=mode) for _ in range(2)]
 
-    @pytest.mark.parametrize("mode", [corral.GENERIC, corral.UNIFORM_H])
+    @pytest.mark.parametrize("mode", ["generic", corral.UNIFORM_H])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_per_learner_round(self, mode, seed):
         env, (new, ref) = self._masters(mode)
@@ -237,7 +227,7 @@ class TestVectorRestartCheck:
 
     def test_round_past_horizon_raises(self):
         pc = _pc()
-        master = corral.build(None, pc, 16, mode=corral.UNIFORM_H)
+        master = corral.build(pc, 16, mode=corral.UNIFORM_H)
         rng = np.random.default_rng(0)
         for _ in range(16):
             master.round(None, lambda a: 0.5, rng)
@@ -265,11 +255,9 @@ class TestOmdStep:
     def test_simplex_and_log_barrier_update(self, inputs):
         q, eta, losses = inputs
         B = len(q)
-        space = ActionSpace.ring()
-        # kappa = 2^b puts each kernel in its own bucket
-        kerns = [RectKernel(space, 0.5 / 2 ** b) for b in range(B)]
-        master = corral.CorralMaster(_pc(), corral.KernelBuckets(kerns),
-                                     T=64, eta=1.0)
+        # kappa = 2^b puts each bandwidth in its own bucket
+        hs = [0.5 / 2 ** b for b in range(B)]
+        master = corral.CorralMaster(_pc(), hs, T=64, eta=1.0)
         master.q, master.etas = q.copy(), np.full(B, eta)
         master._omd_step(losses)
         new = master.q

@@ -224,6 +224,20 @@ class TestNeedleInstances:
         got = kern.smoothed_loss(float(c), env.mean_loss_of(None))
         assert got == pytest.approx(0.5 - delta, abs=1e-9)
 
+    @pytest.mark.parametrize("h", [1 / 8, 1 / 32])
+    def test_pocket_closed_in_one_dimension(self, h):
+        # the pocket's value holds on both ends c +- h, as in d >= 2, and
+        # the doubles just outside them are not in the pocket
+        N = int(1.0 / (4.0 * h))
+        for index in range(1, N + 1):
+            env = make_named_instance("needle_h", h=h, index=index)
+            c, delta = env.metadata["center"], env.metadata["delta"]
+            loss = env.mean_loss_of(None)
+            assert loss(c - h) == loss(c) == loss(c + h) == 0.5 - delta
+            assert loss(np.nextafter(c + h, 1.0)) > 0.5 - delta
+            if c - h > 0.0:
+                assert loss(np.nextafter(c - h, 0.0)) > 0.5 - delta
+
     def test_plain_field_flat_on_left(self):
         env = make_named_instance("needle_h", h=0.125, R=10.0, index=0)
         loss = env.mean_loss_of(None)

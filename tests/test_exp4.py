@@ -14,7 +14,7 @@ from smoothcb.spaces import ActionSpace
 def _state(actions, h=0.1, T=100, eta=None):
     space = ActionSpace.ring()
     pc = PolicyClass.constant(space, actions)
-    return Exp4State.for_kernel(RectKernel(space, h), pc, T, eta=eta)
+    return Exp4State(pc, [h], T, eta=eta)
 
 
 def _replay(state, x, a, observed_loss, propensity):
@@ -43,7 +43,7 @@ class TestLearningRate:
         space = ActionSpace.ring()
         pc = PolicyClass.constant(space, [0.5])
         with pytest.raises(ValueError):
-            Exp4State.for_kernel(RectKernel(space, 0.0), pc, 10)
+            Exp4State(pc, [0.0], 10)
 
 
 class TestPropensity:
@@ -109,7 +109,7 @@ class TestPropensityEverySpace:
         hs = (0.15, 0.4) if mixed else (0.15,)
         kernels = [RectKernel(pc.space, h) for h in hs for _ in range(pc.size)]
         idxs = np.tile(np.arange(pc.size), len(hs))
-        s = Exp4State(pc, kernels, idxs, T=40, eta=0.5)
+        s = Exp4State(pc, hs, T=40, eta=0.5)
         rng = np.random.default_rng(12)
         for _ in range(40):
             x = draw(rng)
@@ -208,7 +208,7 @@ class TestStepInvariants:
     def test_stable_learner_across_restarts(self):
         space = ActionSpace.ring()
         pc = PolicyClass.constant(space, [0.1, 0.3, 0.5, 0.7, 0.9])
-        st = StableExp4(pc, [RectKernel(space, 0.05)] * 5, range(5), 400)
+        st = StableExp4(pc, [0.05], 400)
         rng = np.random.default_rng(13)
         for t in range(200):
             a = self._step_checked(st, rng)
@@ -247,8 +247,7 @@ class TestStableVariant:
     def _stable(self, rho=1.0, T=100):
         space = ActionSpace.ring()
         pc = PolicyClass.constant(space, [0.2, 0.6])
-        kerns = [RectKernel(space, 0.1)] * 2
-        return StableExp4(pc, kerns, [0, 1], T, rho_hat=rho)
+        return StableExp4(pc, [0.1], T, rho_hat=rho)
 
     def test_full_reveal_never_restarts(self):
         st = self._stable()
@@ -298,17 +297,16 @@ class TestRestartInPlace:
     def test_matches_fresh_learner_restart(self):
         space = ActionSpace.ring()
         pc = PolicyClass.constant(space, [0.1, 0.3, 0.5, 0.7, 0.9])
-        kerns = [RectKernel(space, 0.05)] * 5
         T, rho = 400, 2.0
-        kappa = kerns[0].kappa()
+        kappa = RectKernel(space, 0.05).kappa()
 
         def fresh(t):
             eta = math.sqrt(2.0 * math.log(5) / (T * kappa * rho))
-            ref = Exp4State(pc, kerns, range(5), T, eta=eta)
+            ref = Exp4State(pc, [0.05], T, eta=eta)
             ref.t = t
             return ref
 
-        st = StableExp4(pc, kerns, range(5), T, rho_hat=rho)
+        st = StableExp4(pc, [0.05], T, rho_hat=rho)
         ref = fresh(0)
         rng_s, rng_r = (np.random.default_rng(21) for _ in range(2))
         restarts = {True: 0, False: 0}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -83,6 +84,31 @@ class TestDeterminism:
                         seeds=[0, 1], n_policies=8)
         t0, t1 = run_experiment(cfg)
         assert not np.array_equal(t0.actions, t1.actions)
+
+
+class TestSeededLearnerTrajectories:
+    # sha256 of actions and losses of seeded exp4 and corral runs; the
+    # uniform-h master's kappa = 1 bucket holds h = 1/2 and h = 1, and the
+    # Lipschitz master's buckets hold two bandwidths each
+    DIGESTS = {
+        ("exp4", "discontinuous"): "117ac57f78b96c879c6c009016e73828"
+                                   "66a5dbd43f39c265c6d2f13478013af6",
+        ("corral-uniform-h", "absolute"): "7c526661e3353551116b2da511274574"
+                                          "82b2a7bb4f2dc8ca10872dac16236d0a",
+        ("corral-lipschitz", "absolute"): "34c42fbe0305cce940edd28326e6b0ff"
+                                          "3659c95b95c6d25ffebd5741358f47a7",
+    }
+
+    @pytest.mark.parametrize("alg,env_name", sorted(DIGESTS))
+    def test_trajectory_digest(self, alg, env_name):
+        extra = {"h": 0.1} if alg == "exp4" else {}
+        cfg = RunConfig(alg=alg, env_name=env_name, T=2048, seeds=[0, 1],
+                        n_policies=16, **extra)
+        digest = hashlib.sha256()
+        for tr in run_experiment(cfg):
+            digest.update(np.asarray(tr.actions, dtype=np.float64).tobytes())
+            digest.update(np.asarray(tr.losses, dtype=np.float64).tobytes())
+        assert digest.hexdigest() == self.DIGESTS[(alg, env_name)]
 
 
 class TestRegretAccounting:

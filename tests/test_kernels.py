@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothcb.kernels import BandwidthGrid, RectKernel
 from smoothcb.losses import PiecewiseConstantLoss, PiecewiseLinearLoss
@@ -206,6 +208,22 @@ class TestBandwidthGrid:
         grid = BandwidthGrid(1, 4)
         assert grid.snap(0.25) == 0.25
         assert grid.snap(grid.snap(0.3)) == grid.snap(0.3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=st.integers(2, 3), T=st.integers(4, 4096),
+           u=st.floats(0.0, 1.0))
+    def test_snap_on_the_cube(self, d, T, u):
+        # for h in [T^(-1/d), 1] the snap is a grid member at or below h
+        # whose kappa on the cube is at most twice h's
+        grid = BandwidthGrid(d, T)
+        floor_h = T ** (-1.0 / d)
+        h = min(1.0, floor_h + u * (1.0 - floor_h))
+        h_hat = grid.snap(h)
+        assert grid.contains(h_hat)
+        assert h_hat <= h
+        cube = ActionSpace.cube(d)
+        assert (RectKernel(cube, h_hat).kappa()
+                <= 2.0 * RectKernel(cube, h).kappa())
 
     def test_members_are_grid_multiples(self):
         grid = BandwidthGrid(1, 4)

@@ -76,7 +76,7 @@ def test_corral_learners_count_under_exp4_step():
     try:
         pc = PolicyClass.constant(ActionSpace.ring(),
                                   np.linspace(0.05, 0.95, 8))
-        master = corral.build(None, pc, 64, mode=corral.UNIFORM_H)
+        master = corral.build(pc, 64, mode=corral.UNIFORM_H)
         rng = np.random.default_rng(0)
         for _ in range(64):
             master.round(None, lambda a: 0.5, rng)
