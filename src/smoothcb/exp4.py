@@ -68,8 +68,6 @@ class Exp4State:
         """xi(a|x) for every member of Xi (``acts``: pc.actions_at(x))."""
         if acts is None:
             acts = self.pc.actions_at(x)
-        if len(self.kernels) == 1:
-            return self.kernels[0].densities(acts, a)
         return np.concatenate([k.densities(acts, a) for k in self.kernels])
 
     # -- protocol ---------------------------------------------------------

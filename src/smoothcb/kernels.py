@@ -137,8 +137,8 @@ class RectKernel:
 class BandwidthGrid:
     """Multiples of 1/D with kappa between 1 and 2^(ceil(log2 T)+1).
 
-    D = d * 2^(d+2) * T^2.  The member list is never built: membership,
-    extremes, and snapping work from D alone.
+    D = d * 2^(d+2) * T^2.  The member list is never built: the extremes
+    and snapping work from D alone.
     """
 
     def __init__(self, d: int, T: int):
@@ -153,13 +153,6 @@ class BandwidthGrid:
         # smallest multiple of 1/D with h^(-d) <= kappa_cap
         self.min_h = math.ceil(self.D * self.kappa_cap ** (-1.0 / d)) / self.D
         self.max_h = 1.0
-
-    def contains(self, h: float) -> bool:
-        # m / D carries a rounding error relative to m, and D grows like T^2
-        k = h * self.D
-        if abs(k - round(k)) > 1e-9 + 1e-15 * k:
-            return False
-        return self.min_h - 1e-15 <= h <= 1.0 and h ** (-self.d) >= 1.0 - 1e-12
 
     def __len__(self) -> int:
         return self.D - math.ceil(self.D * self.kappa_cap ** (-1.0 / self.d)) + 1

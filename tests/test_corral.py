@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from bandwidth_grid import grid_contains
 
 from smoothcb import corral
 from smoothcb.environments import make_named_instance
@@ -59,7 +60,7 @@ class TestBuild:
         hs = [h for b in master.bucket_ids for h in master.buckets[b]]
         assert len(hs) >= 2
         for h in hs:
-            assert grid.contains(h)
+            assert grid_contains(grid, h)
 
     def test_lipschitz_adaptive_kernels_valid(self):
         pc = _pc()
@@ -75,6 +76,8 @@ class TestBuild:
             corral.build(pc, 100, beta=2.0, mode=corral.UNIFORM_H)
         with pytest.raises(ValueError):
             corral.CorralMaster(pc, [], 100, eta=100 ** -0.5)
+        with pytest.raises(ValueError):
+            corral.CorralMaster(pc, [0.1, 0.0], 100, eta=100 ** -0.5)
         with pytest.raises(ValueError):
             corral.build(pc, 100, mode="nope")
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from bandwidth_grid import grid_contains, grid_members
 
 from smoothcb.kernels import BandwidthGrid, RectKernel
 from smoothcb.losses import PiecewiseConstantLoss, PiecewiseLinearLoss
@@ -12,12 +13,6 @@ def _random_pw_constant(rng, n_pieces=8):
     breaks = np.unique(np.concatenate([[0.0, 1.0],
                                        rng.uniform(0, 1, n_pieces - 1)]))
     return PiecewiseConstantLoss(breaks, rng.uniform(0, 1, len(breaks) - 1))
-
-
-def grid_members(grid):
-    """Every member of a small bandwidth grid, smallest first."""
-    start = round(grid.min_h * grid.D)
-    return np.arange(start, grid.D + 1) / grid.D
 
 
 class TestDensity:
@@ -219,7 +214,7 @@ class TestBandwidthGrid:
         floor_h = T ** (-1.0 / d)
         h = min(1.0, floor_h + u * (1.0 - floor_h))
         h_hat = grid.snap(h)
-        assert grid.contains(h_hat)
+        assert grid_contains(grid, h_hat)
         assert h_hat <= h
         cube = ActionSpace.cube(d)
         assert (RectKernel(cube, h_hat).kappa()
@@ -237,7 +232,7 @@ class TestBandwidthGrid:
     def test_lazy_membership_large_T(self):
         grid = BandwidthGrid(1, 2 ** 14)
         assert len(grid) > 10 ** 6
-        assert grid.contains(grid.min_h)
-        assert grid.contains(1.0)
-        assert not grid.contains(grid.min_h - 1.0 / grid.D)
-        assert not grid.contains(0.3 + 0.5 / grid.D)
+        assert grid_contains(grid, grid.min_h)
+        assert grid_contains(grid, 1.0)
+        assert not grid_contains(grid, grid.min_h - 1.0 / grid.D)
+        assert not grid_contains(grid, 0.3 + 0.5 / grid.D)
