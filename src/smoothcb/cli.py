@@ -21,13 +21,11 @@ import os
 import sys
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from .elimination import SolverFailure
 from .environments import make_named_instance
 from .harness import (ALGORITHMS, RunConfig, check_policy_spec,
-                      default_policy_class, diagnose, run_experiment,
-                      write_outputs)
+                      default_policy_class, diagnose, regret_summary,
+                      run_experiment)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -144,11 +142,11 @@ def _config_from(args, env_name, env_params, T=None, h=None) -> RunConfig:
 def _cmd_run(args) -> int:
     env_name, env_params = parse_env_spec(args.env)
     config = _config_from(args, env_name, env_params)
-    traces = run_experiment(config, out_dir=args.out)
-    regs = [tr.regret for tr in traces]
+    stats = regret_summary(run_experiment(config, out_dir=args.out))
     print(f"alg={config.alg} env={env_name} T={config.T} "
-          f"seeds={len(traces)} benchmark={traces[0].benchmark:.6g} "
-          f"regret mean={np.mean(regs):.6g} std={np.std(regs):.6g}")
+          f"seeds={len(config.seeds)} benchmark={stats['benchmark']:.6g} "
+          f"regret mean={stats['regret_mean']:.6g} "
+          f"std={stats['regret_std']:.6g}")
     return EXIT_OK
 
 
@@ -162,14 +160,11 @@ def _cmd_sweep(args) -> int:
             config = _config_from(args, env_name, env_params, T=T, h=h)
             sub_out = (os.path.join(args.out, f"T{config.T}_h{config.h}")
                        if args.out else None)
-            traces = run_experiment(config, out_dir=sub_out)
-            regs = np.array([tr.regret for tr in traces])
-            rows.append({"T": config.T, "h": config.h,
-                         "benchmark": traces[0].benchmark,
-                         "regret_mean": float(regs.mean()),
-                         "regret_std": float(regs.std())})
+            stats = regret_summary(run_experiment(config, out_dir=sub_out))
+            rows.append({"T": config.T, "h": config.h, **stats})
             print(f"T={config.T} h={config.h} "
-                  f"regret mean={regs.mean():.6g} std={regs.std():.6g}")
+                  f"regret mean={stats['regret_mean']:.6g} "
+                  f"std={stats['regret_std']:.6g}")
     if args.out:
         with open(os.path.join(args.out, "sweep.json"), "w") as f:
             json.dump(rows, f, indent=2)
@@ -208,30 +203,24 @@ def _cmd_diagnose(args) -> int:
 def _cmd_lowerbound(args) -> int:
     env_name = "needle_h" if args.kind == "h" else "needle_L"
     base: Dict = {"R": args.R}
-    h = _parse_value(args.h) if args.h else None
     if args.kind == "h":
         if not args.h:
             raise ValueError("lowerbound --kind h needs --h")
-        base["h"] = h
+        base["h"] = _parse_value(args.h)
     else:
         if not args.L:
             raise ValueError("lowerbound --kind L needs --L")
         base["L"] = args.L
     results = {}
     for label, index in (("plain", 0), ("hidden", args.index)):
-        config = RunConfig(
-            alg=args.alg, env_name=env_name,
-            env_params={**base, "index": index}, T=args.T, h=h, L=args.L,
-            beta=args.beta, seeds=_parse_seeds(args.seeds),
-            n_policies=args.policies)
+        config = _config_from(args, env_name, {**base, "index": index})
         sub_out = os.path.join(args.out, label) if args.out else None
-        traces = run_experiment(config, out_dir=sub_out)
-        regs = np.array([tr.regret for tr in traces])
-        results[label] = {"regret_mean": float(regs.mean()),
-                          "regret_std": float(regs.std()),
-                          "benchmark": traces[0].benchmark}
-        print(f"{label}: regret mean={regs.mean():.6g} "
-              f"std={regs.std():.6g} benchmark={traces[0].benchmark:.6g}")
+        stats = regret_summary(run_experiment(config, out_dir=sub_out))
+        results[label] = {k: stats[k] for k in
+                          ("regret_mean", "regret_std", "benchmark")}
+        print(f"{label}: regret mean={stats['regret_mean']:.6g} "
+              f"std={stats['regret_std']:.6g} "
+              f"benchmark={stats['benchmark']:.6g}")
     if args.out:
         with open(os.path.join(args.out, "lowerbound.json"), "w") as f:
             json.dump(results, f, indent=2)

@@ -277,7 +277,7 @@ class SmoothPolicyElimination:
         thresh = scores.min() + 3.0 * state.r_m
         new_mask = np.zeros(self.pc.size, dtype=bool)
         new_mask[state.vs.indices[scores <= thresh]] = True
-        return VersionSpace(self.pc, new_mask, m=state.m + 1)
+        return VersionSpace(self.pc, new_mask)
 
     def _play_epoch(self, state: EpochState, n: int,
                     rng: np.random.Generator, rng_env: np.random.Generator,

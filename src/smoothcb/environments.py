@@ -318,7 +318,7 @@ def _indicator(lo: float, hi: float) -> PiecewiseConstantLoss:
 
 
 def _needle_field(ci, h: float, delta: float, d: int) -> SeparableSumLoss:
-    """needle_h's mean on the cube in d >= 2: 1/2 - (Delta/2) 1[a in S] -
+    """needle_h's mean on the cube: 1/2 - (Delta/2) 1[a in S] -
     Delta 1[a in P] for the safe orthant S = [1/2, 1]^d and the closed
     pocket P around ci (none when ci is None).
 
@@ -362,26 +362,13 @@ def _needle_h(h: float = 0.125, R: float = 10.0, d: int = 1, index: int = 0,
            f"needle index must be an integer in [0, {N}]")
     c = _pocket_center(h, side, d, index) if index >= 1 else None
     space = ActionSpace.cube(d)
+    mean = _needle_field(None if c is None else np.atleast_1d(c), h, delta, d)
     if d == 1:
-        breaks = [0.0, 0.5, 1.0]
-        vals = [0.5, 0.5 - delta / 2.0]
-        if c is not None:
-            # the closed pocket as the right-open piece [lo, hi); a piece
-            # may be one double wide, so its left end stands for it
-            lo, hi = _closed_pocket(c, h)
-            hi = float(np.nextafter(hi, 1.0))
-            breaks = sorted({0.0, lo, hi, 0.5, 1.0})
-            vals = []
-            for b0 in breaks[:-1]:
-                if lo <= b0 < hi:
-                    vals.append(0.5 - delta)
-                elif b0 >= 0.5:
-                    vals.append(0.5 - delta / 2.0)
-                else:
-                    vals.append(0.5)
-        mean = PiecewiseConstantLoss(breaks, vals)
-    else:
-        mean = _needle_field(c, h, delta, d)
+        # 1-d smoothing integrates and each round calls the loss at one
+        # action: collapse the field into its pieces, valued at left ends
+        breaks = sorted({b for _, p in mean.terms
+                         for b in p.factors[0].breaks})
+        mean = PiecewiseConstantLoss(breaks, mean(breaks[:-1]))
     return StochasticEnv(
         space, _single_context(space), lambda xs: mean, noise=noise,
         name="needle_h",

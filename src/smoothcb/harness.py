@@ -22,8 +22,7 @@ from .elimination import ElimConfig, SmoothPolicyElimination
 from .environments import StochasticEnv, make_named_instance
 from .exp4 import Exp4State
 from .kernels import BandwidthGrid
-from .policies import (PolicyClass, VersionSpace, packing_number,
-                       projected_actions)
+from .policies import PolicyClass, packing_number
 
 ALGORITHMS = ("exp4", "pe-s", "pe-l", "corral-uniform-h", "corral-lipschitz")
 
@@ -103,7 +102,6 @@ class RegretTrace:
     pseudo_regret: Optional[float]
     walltime: float
     epochs: Optional[List[dict]] = None
-    annotations: Dict = field(default_factory=dict)
 
     @property
     def cumloss(self) -> np.ndarray:
@@ -271,6 +269,15 @@ def trace_csv_lines(trace: RegretTrace) -> List[str]:
                  cum.tolist())]
 
 
+def regret_summary(traces: List[RegretTrace]) -> dict:
+    """The benchmark and the regret's mean and sample std over the seeds
+    (0.0 for one seed)."""
+    regs = np.array([tr.regret for tr in traces])
+    return {"benchmark": traces[0].benchmark,
+            "regret_mean": float(regs.mean()),
+            "regret_std": float(regs.std(ddof=1)) if len(regs) > 1 else 0.0}
+
+
 def write_outputs(config: RunConfig, traces: List[RegretTrace],
                   out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
@@ -285,14 +292,14 @@ def write_outputs(config: RunConfig, traces: List[RegretTrace],
                 f.write(",".join(cols) + "\n")
                 for row in tr.epochs:
                     f.write(",".join(str(row[c]) for c in cols) + "\n")
-    regs = np.array([tr.regret for tr in traces])
+    stats = regret_summary(traces)
     summary = {
         "config": {k: (list(v) if isinstance(v, (tuple, range)) else v)
                    for k, v in vars(config).items()},
-        "benchmark": traces[0].benchmark,
+        "benchmark": stats["benchmark"],
         "benchmark_h": traces[0].benchmark_h,
-        "regret_mean": float(regs.mean()),
-        "regret_std": float(regs.std(ddof=1)) if len(regs) > 1 else 0.0,
+        "regret_mean": stats["regret_mean"],
+        "regret_std": stats["regret_std"],
         "pseudo_regret_mean": (
             float(np.mean([tr.pseudo_regret for tr in traces]))
             if traces[0].pseudo_regret is not None else None),
@@ -318,23 +325,23 @@ class DiagnosticsReport:
     alpha_unif: float
 
 
-def _expected_packing(env: StochasticEnv, pc: PolicyClass, panel,
-                      level_vals: np.ndarray, eps_opt: float,
-                      delta_pack: float) -> float:
+def _expected_packing(pc: PolicyClass, panel, level_vals: np.ndarray,
+                      eps_opt: float, delta_pack: float) -> float:
     """E_x over the panel of the packing number of the eps_opt-optimal set.
 
     Packing at scale delta means disjoint closed delta-balls, so centers
-    must be strictly more than 2*delta apart.
+    must be strictly more than 2*delta apart.  Each distinct row of the
+    panel's actions is packed once (a point repeated within a row lies at
+    distance 0 and the greedy skips it); the weighted counts are then
+    added in panel order, as a running total would add them.
     """
     mask = level_vals <= level_vals.min() + eps_opt + 1e-12
-    vs = VersionSpace(pc, mask)
     xs, ws = panel
-    total = 0.0
-    for x, w in zip(xs, ws):
-        pts = projected_actions(vs, x)
-        total += w * packing_number(pc.space, pts,
-                                    2.0 * delta_pack + 1e-12)
-    return total
+    acts = pc.actions_many(xs)[:, mask]
+    rows, inv = np.unique(acts, axis=0, return_inverse=True)
+    packs = np.array([packing_number(pc.space, r, 2.0 * delta_pack + 1e-12)
+                      for r in rows])
+    return np.cumsum(ws * packs[inv])[-1]
 
 
 def diagnose(env: StochasticEnv, pc: PolicyClass, h: Optional[float] = None,
@@ -367,10 +374,10 @@ def diagnose(env: StochasticEnv, pc: PolicyClass, h: Optional[float] = None,
     for eps in epsilon_grid:
         row = {"eps": float(eps)}
         if vals_h is not None:
-            row["M_h"] = _expected_packing(env, pc, panel, vals_h,
+            row["M_h"] = _expected_packing(pc, panel, vals_h,
                                            12.0 * eps, h)
         if vals_0 is not None:
-            row["M_0"] = _expected_packing(env, pc, panel, vals_0,
+            row["M_0"] = _expected_packing(pc, panel, vals_0,
                                            12.0 * L * eps, eps)
         table.append(row)
     theta = (max(r["M_h"] / r["eps"] for r in table)

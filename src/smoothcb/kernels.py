@@ -70,10 +70,7 @@ class RectKernel:
             return 1.0 / min(1.0, 2.0 * self.h)
         if sp.kind == CUBE:
             return min(1.0, self.h) ** (-sp.d)
-        pts = sp.grid_points()
-        counts = np.sum(
-            np.abs(pts[:, None] - pts[None, :]) <= self.h + 1e-12, axis=1)
-        return float(sp.M / counts.min())
+        return float(sp.M / sp._grid_balls(sp.grid_points(), self.h)[1].min())
 
     def sample(self, center, rng: np.random.Generator):
         """One draw from the kernel centred at ``center``: sample_ball's
@@ -152,7 +149,6 @@ class BandwidthGrid:
         self.kappa_cap = 2.0 ** (math.ceil(math.log2(T)) + 1)
         # smallest multiple of 1/D with h^(-d) <= kappa_cap
         self.min_h = math.ceil(self.D * self.kappa_cap ** (-1.0 / d)) / self.D
-        self.max_h = 1.0
 
     def __len__(self) -> int:
         return self.D - math.ceil(self.D * self.kappa_cap ** (-1.0 / self.d)) + 1

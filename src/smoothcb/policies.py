@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-from typing import List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -107,14 +107,12 @@ class PolicyClass:
 class VersionSpace:
     """Subset of a policy class surviving elimination, by membership mask."""
 
-    def __init__(self, pc: PolicyClass, mask: Optional[np.ndarray] = None,
-                 m: int = 1):
+    def __init__(self, pc: PolicyClass, mask: Optional[np.ndarray] = None):
         self.pc = pc
         self.mask = (np.ones(pc.size, dtype=bool) if mask is None
                      else np.asarray(mask, dtype=bool).copy())
         if not self.mask.any():
             raise ValueError("version space must be nonempty")
-        self.m = m
 
     @property
     def indices(self) -> np.ndarray:
@@ -148,11 +146,13 @@ def packing_number(space: ActionSpace, points, delta: float) -> int:
         pts = pts[np.lexsort((pts,))]
     else:
         pts = pts[np.lexsort(pts.T[::-1])]
-    kept: List = []
+    kept = np.empty_like(pts)
+    n = 0
     for p in pts:
-        if all(space.distance(p, q) >= delta for q in kept):
-            kept.append(p)
-    return len(kept)
+        if np.all(space.distances(kept[:n], p) >= delta):
+            kept[n] = p
+            n += 1
+    return n
 
 
 # Monte Carlo points per context for the ball union on the cube in d >= 2

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -241,6 +242,21 @@ class TestSweepCommand:
             rows = json.load(f)
         assert [r["h"] for r in rows] == [0.1, 0.25]
 
+    def test_std_matches_the_run_summary(self, tmp_path, capsys):
+        # a sweep row and its run's summary.json report one regret std
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--alg", "exp4", "--env", "absolute",
+                     "--h-list", "0.1", "--T", "50", "--seeds", "2",
+                     "--policies", "4", "--out", str(out)])
+        assert code == 0
+        with open(out / "sweep.json") as f:
+            row, = json.load(f)
+        with open(out / "T50_h0.1" / "summary.json") as f:
+            summary = json.load(f)
+        assert row["regret_std"] == summary["regret_std"] > 0.0
+        assert row["regret_mean"] == summary["regret_mean"]
+        assert f"std={summary['regret_std']:.6g}" in capsys.readouterr().out
+
 
 class TestDiagnoseCommand:
     def test_report_printed_and_saved(self, tmp_path, capsys):
@@ -257,6 +273,13 @@ class TestDiagnoseCommand:
         # near-optimal sets at these scales collapse to one ball
         assert all(r["M_h"] == 1 for r in payload["table"])
 
+    def test_linear_sphere_defaults_within_a_minute(self, capsys):
+        # 64 policies, 16 eps values and both tables, over 2,000 contexts
+        t0 = time.perf_counter()
+        assert main(["diagnose", "--env", "linear_sphere", "--h", "0.1"]) == 0
+        assert time.perf_counter() - t0 < 60.0
+        assert capsys.readouterr().out.count("M_h=") == 16
+
 
 class TestLowerboundCommand:
     def test_paired_runs(self, tmp_path, capsys):
@@ -268,3 +291,12 @@ class TestLowerboundCommand:
         with open(out / "lowerbound.json") as f:
             res = json.load(f)
         assert set(res) == {"plain", "hidden"}
+
+    def test_missing_policy_csv(self, tmp_path, capsys):
+        # lowerbound reads --policy-csv as run does
+        code = main(["lowerbound", "--alg", "exp4", "--kind", "h",
+                     "--h", "0.125", "--T", "64",
+                     "--policy-csv", str(tmp_path / "missing.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "missing.csv" in err and "Traceback" not in err

@@ -10,7 +10,7 @@ from by_context import ByContext
 from callable_loss import CallableLoss
 
 from smoothcb.environments import (FiniteContexts, StochasticEnv,
-                                   make_named_instance)
+                                   _closed_pocket, make_named_instance)
 from smoothcb.harness import RunConfig, default_policy_class, run_experiment
 from smoothcb.kernels import RectKernel
 from smoothcb.losses import PiecewiseConstantLoss, PiecewiseLinearLoss
@@ -238,6 +238,20 @@ class TestNeedleInstances:
             if c - h > 0.0:
                 assert loss(np.nextafter(c - h, 0.0)) > 0.5 - delta
 
+    @pytest.mark.parametrize("h", [1 / 4, 1 / 8, 1 / 10, 1 / 32, 0.07,
+                                   1 / 64, 0.013])
+    @pytest.mark.parametrize("R", [0.5, 10.0, 1000.0])
+    def test_one_dimension_matches_piecewise_reference(self, h, R):
+        # the 1-d field, collapsed from the separable terms, against the
+        # pieces written out one by one: same breaks, values and prefix table
+        N = int(math.floor(1.0 / (4.0 * h)))
+        for index in range(N + 1):
+            env = make_named_instance("needle_h", h=h, R=R, index=index)
+            got, want = env.mean_loss_of(None), _needle_1d(env.metadata)
+            assert np.array_equal(got.breaks, want.breaks)
+            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(got._F, want._F)
+
     def test_plain_field_flat_on_left(self):
         env = make_named_instance("needle_h", h=0.125, R=10.0, index=0)
         loss = env.mean_loss_of(None)
@@ -261,6 +275,27 @@ class TestNeedleInstances:
         ci = env.metadata["center"]
         assert float(loss(c0)) == pytest.approx(0.5 - delta / 2.0)
         assert float(loss(ci)) == pytest.approx(0.5 - delta)
+
+
+def _needle_1d(md):
+    """needle_h's mean in d = 1 as right-open pieces, each valued by the
+    rule for its left end: the closed pocket [lo, hi] as the piece
+    [lo, next double above hi), then the safe half [1/2, 1]."""
+    c, h, delta = md["center"], md["h"], md["delta"]
+    breaks, vals = [0.0, 0.5, 1.0], [0.5, 0.5 - delta / 2.0]
+    if c is not None:
+        lo, hi = _closed_pocket(c, h)
+        hi = float(np.nextafter(hi, 1.0))
+        breaks = sorted({0.0, lo, hi, 0.5, 1.0})
+        vals = []
+        for b0 in breaks[:-1]:
+            if lo <= b0 < hi:
+                vals.append(0.5 - delta)
+            elif b0 >= 0.5:
+                vals.append(0.5 - delta / 2.0)
+            else:
+                vals.append(0.5)
+    return PiecewiseConstantLoss(breaks, vals)
 
 
 def _field(md, d):

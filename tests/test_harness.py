@@ -4,13 +4,17 @@ import os
 
 import numpy as np
 import pytest
+from by_context import ByContext
+from packing_reference import expected_packing
 
+from smoothcb import harness
 from smoothcb.environments import (FiniteContexts, StochasticEnv,
                                    make_named_instance)
 from smoothcb.harness import (RegretTrace, RunConfig, default_policy_class,
                               diagnose, run_experiment, run_one,
                               trace_csv_lines, write_outputs)
-from smoothcb.losses import PiecewiseConstantLoss
+from smoothcb.losses import PiecewiseConstantLoss, PiecewiseLinearLoss
+from smoothcb.policies import PolicyClass
 from smoothcb.spaces import ActionSpace
 
 
@@ -249,6 +253,59 @@ class TestDiagnostics:
         assert rep.z_hat is not None
         assert rep.fit_residual is not None
         assert rep.alpha_unif >= 1.0
+
+
+def _diagnose_both(monkeypatch, env, pc, n_ctx=2000):
+    """diagnose's report, then the same report with every packing number
+    taken one context at a time by the reference."""
+    L = env.lipschitz_constant or 1.0
+    got = diagnose(env, pc, h=0.1, L=L, n_ctx=n_ctx)
+    monkeypatch.setattr(harness, "_expected_packing", expected_packing)
+    return got, diagnose(env, pc, h=0.1, L=L, n_ctx=n_ctx)
+
+
+class TestDiagnosticsReference:
+    """The M_h and M_0 tables and every coefficient derived from them equal
+    the per-context reference exactly, on the default eps grid."""
+
+    @pytest.mark.parametrize("name,params,n_policies,n_ctx", [
+        ("discontinuous", {}, 64, 2000), ("absolute", {}, 64, 2000),
+        ("linear_sphere", {}, 16, 100), ("needle_h", {"index": 1}, 64, 2000),
+        ("needle_h", {"d": 2, "index": 1}, 64, 2000),
+        ("needle_L", {"index": 1}, 64, 2000)])
+    def test_named_instances(self, monkeypatch, name, params, n_policies,
+                             n_ctx):
+        env = make_named_instance(name, **params)
+        pc = default_policy_class(env, n_policies)
+        got, want = _diagnose_both(monkeypatch, env, pc, n_ctx)
+        assert got == want
+
+    def test_linear_policies_on_the_sphere(self, monkeypatch):
+        # every context projects the class to its own row of actions
+        env = make_named_instance("linear_sphere")
+        w = np.random.default_rng(3).normal(size=(8, 2))
+        pc = PolicyClass.linear_sphere(
+            env.space, w / np.linalg.norm(w, axis=1)[:, None], rescale=True)
+        got, want = _diagnose_both(monkeypatch, env, pc, n_ctx=100)
+        assert got == want
+
+    def test_repeated_contexts_and_shared_rows(self, monkeypatch):
+        # contexts 1 and 2 repeat in the panel and rows 0 and 2 of the
+        # table agree, so rows are packed once but weighted in panel order
+        rng = np.random.default_rng(5)
+        table = rng.random((3, 6))
+        table[2] = table[0]
+        values = [0, 1, 2, 1, 0, 2, 2]
+        weights = rng.random(len(values))
+        losses = [PiecewiseLinearLoss([0.0, 0.5, 1.0], rng.random(3))
+                  for _ in range(3)]
+        contexts = FiniteContexts(values, weights / weights.sum())
+        env = StochasticEnv(ActionSpace.ring(), contexts,
+                            lambda xs: ByContext(losses, xs),
+                            noise="deterministic")
+        pc = PolicyClass.tabular(env.space, table)
+        got, want = _diagnose_both(monkeypatch, env, pc)
+        assert got == want
 
 
 class TestSeedStreams:

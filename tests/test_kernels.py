@@ -118,6 +118,19 @@ class TestKappa:
     def test_ring_whole_space(self):
         assert RectKernel(ActionSpace.ring(), 0.5).kappa() == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("M", [1, 2, 3, 10, 64, 100, 257])
+    def test_grid_matches_pairwise_count(self, M):
+        # M over the fewest grid points within h + 1e-12 of a grid point,
+        # counted over all M x M pairs
+        space = ActionSpace.grid(M)
+        pts = space.grid_points()
+        hs = np.concatenate([np.arange(0, M + 1) / M,
+                             np.linspace(0.0, 1.0, 37)[1:]])
+        for h in hs[hs > 0]:
+            counts = np.sum(np.abs(pts[:, None] - pts[None, :])
+                            <= h + 1e-12, axis=1)
+            assert RectKernel(space, h).kappa() == float(M / counts.min())
+
 
 class TestSmoothedLoss:
     def test_v_shape_with_point_dip(self):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from packing_reference import greedy_packing
 
 from smoothcb import policies
 from smoothcb.elimination import solve_variance_program
@@ -131,6 +134,46 @@ class TestPacking:
             # maximality surrogate: greedy never under-reports a
             # brute-force maximal packing by more than validity allows
             assert k <= exact_max_packing(space, pts, delta)
+
+
+_PACKING_SPACES = {"ring": ActionSpace.ring(), "cube1": ActionSpace.cube(1),
+                   "cube2": ActionSpace.cube(2), "grid": ActionSpace.grid(17)}
+
+
+@st.composite
+def _packing_cases(draw):
+    """A space, points on it with repeats (and, on the ring, pairs close
+    across 0), and a delta that is sometimes one of their distances."""
+    name = draw(st.sampled_from(sorted(_PACKING_SPACES)))
+    space = _PACKING_SPACES[name]
+    n = draw(st.integers(1, 12))
+    if name == "grid":
+        pts = [i / space.M for i in draw(
+            st.lists(st.integers(1, space.M), min_size=n, max_size=n))]
+    else:
+        unit = st.floats(0.0, 1.0, exclude_max=name == "ring")
+        pts = draw(st.lists(unit if space.d == 1 else st.tuples(unit, unit),
+                            min_size=n, max_size=n))
+    if name == "ring":
+        for lo, hi in draw(st.lists(st.tuples(st.floats(0.0, 0.1),
+                                              st.floats(1e-6, 0.1)),
+                                    max_size=3)):
+            pts += [lo, 1.0 - hi]
+    pts += draw(st.lists(st.sampled_from(pts), max_size=4))
+    dists = [space.distance(p, q) for p in pts for q in pts]
+    delta = draw(st.one_of(st.floats(1e-3, 0.6),
+                           st.sampled_from([x for x in dists if x > 0]
+                                           or [0.25])))
+    return space, pts, delta
+
+
+class TestPackingAgainstScalarGreedy:
+    @settings(max_examples=300, deadline=None)
+    @given(_packing_cases())
+    def test_equals_scalar_greedy(self, case):
+        space, pts, delta = case
+        assert packing_number(space, pts, delta) == greedy_packing(
+            space, pts, delta)
 
 
 def _reference_geometry(space, centers, h, points=None):
