@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 configuration error, 3 exploration solver failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -176,7 +177,7 @@ def _cmd_diagnose(args) -> int:
     check_policy_spec(args.policies, args.policy_csv)
     env = make_named_instance(env_name, **env_params)
     pc = default_policy_class(env, args.policies, args.policy_csv)
-    h = float(_parse_value(args.h)) if args.h else None
+    h = _parse_value(args.h) if args.h else None
     L = args.L if args.L is not None else env.lipschitz_constant
     eps = _floats(args.eps_grid) if args.eps_grid else None
     report = diagnose(env, pc, h=h, L=L, epsilon_grid=eps)
@@ -191,12 +192,8 @@ def _cmd_diagnose(args) -> int:
           f"z_hat={report.z_hat} fit_residual={report.fit_residual} "
           f"alpha_unif={report.alpha_unif:.6g}")
     if args.out:
-        payload = {"table": report.table, "theta_h": report.theta_h,
-                   "psi_L": report.psi_L, "z_hat": report.z_hat,
-                   "fit_residual": report.fit_residual,
-                   "alpha_unif": report.alpha_unif}
         with open(os.path.join(args.out, "diagnostics.json"), "w") as f:
-            json.dump(payload, f, indent=2)
+            json.dump(dataclasses.asdict(report), f, indent=2)
     return EXIT_OK
 
 

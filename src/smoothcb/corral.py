@@ -136,8 +136,7 @@ class CorralMaster:
                 self.etas[crossed] *= self.growth
         self.t += 1
         record = {
-            "t": self.t, "b": self.bucket_ids[b_t], "q_b": q_bt,
-            "a": a, "loss": loss,
+            "b": self.bucket_ids[b_t], "q_b": q_bt, "loss": loss,
             "restarts": [s.restart_count for s in self.subs],
         }
         return a, record

@@ -27,8 +27,9 @@ def _check(ok: bool, message: str) -> None:
 
 def _real(v) -> bool:
     """A finite real number: not a string, bool, inf or nan."""
+    # compared, not converted, so that an int too large for a float passes
     return (isinstance(v, numbers.Real) and not isinstance(v, bool)
-            and math.isfinite(v))
+            and -math.inf < v < math.inf)
 
 
 def _whole(v) -> bool:
@@ -169,23 +170,18 @@ class StochasticEnv:
         return self.contexts.panel(n_ctx, rng)
 
     def smoothed_policy_losses(self, pc: PolicyClass, h: float,
-                               n_ctx: int = 2000,
-                               rng: Optional[np.random.Generator] = None,
                                panel=None) -> np.ndarray:
         """lambda_h(pi) for every policy: one batched kernel integral over
         the panel's (contexts x policies), weighted over the contexts (h = 0
-        gives unsmoothed values)."""
+        gives unsmoothed values).  ``panel`` defaults to context_panel()."""
         kern = RectKernel(self.space, h)
-        xs, ws = panel if panel is not None else self.context_panel(n_ctx, rng)
+        xs, ws = panel if panel is not None else self.context_panel()
         return ws @ kern.smoothed_losses(pc.actions_many(xs),
                                          self.mean_losses(xs))
 
     def smoothed_benchmark(self, pc: PolicyClass, h: float,
-                           n_ctx: int = 2000,
-                           rng: Optional[np.random.Generator] = None,
                            panel=None) -> Tuple[float, int]:
-        vals = self.smoothed_policy_losses(pc, h, n_ctx=n_ctx, rng=rng,
-                                           panel=panel)
+        vals = self.smoothed_policy_losses(pc, h, panel=panel)
         # ties (within float jitter) resolve to the lowest policy index
         idx = int(np.argmax(vals <= vals.min() + 1e-12))
         return float(vals[idx]), idx

@@ -16,7 +16,7 @@ restarts with a re-tuned learning rate.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -106,6 +106,14 @@ class Exp4State:
         self.t += 1
         self._pending = None
         return est
+
+    def round(self, x, loss_eval: Callable[[object], float],
+              rng: np.random.Generator):
+        """One interaction, in the corralling master's protocol: step, feed
+        back ``loss_eval`` at the played action; return (a, propensity)."""
+        a, p = self.step(x, rng)
+        self.update(x, a, loss_eval(a))
+        return a, p
 
 
 class StableExp4(Exp4State):

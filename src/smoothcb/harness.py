@@ -8,8 +8,6 @@ counter-splitting), so each component is independently reproducible.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -19,7 +17,7 @@ import numpy as np
 
 from . import corral as corral_mod
 from .elimination import ElimConfig, SmoothPolicyElimination
-from .environments import StochasticEnv, make_named_instance
+from .environments import StochasticEnv, _real, _whole, make_named_instance
 from .exp4 import Exp4State
 from .kernels import BandwidthGrid
 from .policies import PolicyClass, packing_number
@@ -27,22 +25,22 @@ from .policies import PolicyClass, packing_number
 ALGORITHMS = ("exp4", "pe-s", "pe-l", "corral-uniform-h", "corral-lipschitz")
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-def _is_real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
-
 def check_policy_spec(n_policies, policy_csv) -> None:
     """Reject a policy-class spec that is not a count >= 1 plus an optional
     CSV path; run (through RunConfig) and diagnose both check with this."""
-    if not _is_int(n_policies) or n_policies < 1:
+    if not _whole(n_policies) or n_policies < 1:
         raise ValueError(
             f"n_policies must be an integer >= 1, got {n_policies!r}")
     if not isinstance(policy_csv, (str, type(None))):
         raise ValueError(f"policy_csv must be a path, got {policy_csv!r}")
+
+
+def check_bandwidth(h) -> float:
+    """h as a float, or ValueError unless it is a number in (0, 1]; run
+    (through RunConfig) and diagnose both check with this."""
+    if not (_real(h) and 0 < h <= 1):
+        raise ValueError(f"h must lie in (0, 1], got {h!r}")
+    return float(h)
 
 
 @dataclass
@@ -62,14 +60,14 @@ class RunConfig:
     def __post_init__(self):
         if self.alg not in ALGORITHMS:
             raise ValueError(f"unknown algorithm: {self.alg!r}")
-        if not _is_int(self.T) or self.T < 2:
+        if not _whole(self.T) or self.T < 2:
             raise ValueError(f"T must be an integer >= 2, got {self.T!r}")
         check_policy_spec(self.n_policies, self.policy_csv)
-        if not _is_int(self.n_ctx) or self.n_ctx < 1:
+        if not _whole(self.n_ctx) or self.n_ctx < 1:
             raise ValueError(
                 f"n_ctx must be an integer >= 1, got {self.n_ctx!r}")
         if (not isinstance(self.seeds, (list, tuple, range))
-                or not self.seeds or not all(map(_is_int, self.seeds))):
+                or not self.seeds or not all(map(_whole, self.seeds))):
             raise ValueError(
                 f"seeds must be a non-empty list of integers, "
                 f"got {self.seeds!r}")
@@ -77,13 +75,10 @@ class RunConfig:
             raise ValueError(
                 f"seeds must not repeat, got {list(self.seeds)!r}")
         if self.h is not None:
-            if not (_is_real(self.h) and 0 < self.h <= 1):
-                raise ValueError(f"h must lie in (0, 1], got {self.h!r}")
-            self.h = float(self.h)
-        if self.L is not None and not (_is_real(self.L)
-                                       and math.isfinite(self.L)):
+            self.h = check_bandwidth(self.h)
+        if self.L is not None and not _real(self.L):
             raise ValueError(f"L must be a finite number, got {self.L!r}")
-        if not (_is_real(self.beta) and 0 <= self.beta <= 1):
+        if not (_real(self.beta) and 0 <= self.beta <= 1):
             raise ValueError(f"beta must lie in [0, 1], got {self.beta!r}")
         if self.alg in ("exp4", "pe-s") and not self.h:
             raise ValueError(f"{self.alg} needs --h")
@@ -137,38 +132,21 @@ def default_policy_class(env: StochasticEnv, n: int,
 # ---------------------------------------------------------------------------
 
 
-def _loop_exp4(env: StochasticEnv, pc: PolicyClass, h: float, T: int,
-               env_rng, alg_rng):
-    state = Exp4State(pc, [h], T)
-    actions = np.empty(T) if env.space.d == 1 else np.empty((T, env.space.d))
-    losses = np.empty(T)
-    means = np.empty(T)
-    for t in range(T):
-        x = env.contexts.sample(env_rng)
-        a, _ = state.step(x, alg_rng)
-        loss, means[t] = env.realize_at(x, a, env_rng)
-        state.update(x, a, loss)
-        actions[t] = a
-        losses[t] = loss
-    return actions, losses, means
-
-
-def _loop_corral(env: StochasticEnv, master: corral_mod.CorralMaster,
-                 env_rng, alg_rng):
-    T = master.T
+def _loop_rounds(env: StochasticEnv, learner, env_rng, alg_rng):
+    """Play ``learner.T`` rounds of a learner with the ``round(x, loss_eval,
+    rng)`` protocol (``Exp4State`` or ``CorralMaster``)."""
+    T = learner.T
     actions = np.empty(T) if env.space.d == 1 else np.empty((T, env.space.d))
     losses = np.empty(T)
     means = np.empty(T)
     for t in range(T):
         x = env.contexts.sample(env_rng)
 
-        def loss_eval(aa):
-            loss, means[t] = env.realize_at(x, aa, env_rng)
-            return loss
+        def loss_eval(a):
+            losses[t], means[t] = env.realize_at(x, a, env_rng)
+            return losses[t]
 
-        a, rec = master.round(x, loss_eval, alg_rng)
-        actions[t] = a
-        losses[t] = rec["loss"]
+        actions[t], _ = learner.round(x, loss_eval, alg_rng)
     return actions, losses, means
 
 
@@ -213,18 +191,18 @@ def run_one(config: RunConfig, seed: int, env: Optional[StochasticEnv] = None,
     env_rng, alg_rng = _rngs(seed)
     t0 = time.time()
     epochs = None
-    if config.alg == "exp4":
-        actions, losses, means = _loop_exp4(
-            env, pc, config.h, config.T, env_rng, alg_rng)
-    elif config.alg in ("pe-s", "pe-l"):
+    if config.alg in ("pe-s", "pe-l"):
         variant = "s" if config.alg == "pe-s" else "l"
         actions, losses, means, epochs = _loop_elim(
             env, pc, config, variant, env_rng, alg_rng)
     else:
-        master = corral_mod.build(pc, config.T, beta=config.beta, mode=(
-            corral_mod.UNIFORM_H if config.alg == "corral-uniform-h"
-            else corral_mod.LIPSCHITZ_ADAPTIVE))
-        actions, losses, means = _loop_corral(env, master, env_rng, alg_rng)
+        if config.alg == "exp4":
+            learner = Exp4State(pc, [config.h], config.T)
+        else:
+            learner = corral_mod.build(pc, config.T, beta=config.beta, mode=(
+                corral_mod.UNIFORM_H if config.alg == "corral-uniform-h"
+                else corral_mod.LIPSCHITZ_ADAPTIVE))
+        actions, losses, means = _loop_rounds(env, learner, env_rng, alg_rng)
     total = float(np.sum(losses))
     regret = total - config.T * bench
     pseudo = float(np.sum(means)) - config.T * bench
@@ -356,6 +334,8 @@ def diagnose(env: StochasticEnv, pc: PolicyClass, h: Optional[float] = None,
     of M/eps over the grid; the zooming exponent is the log-log slope of
     M_0(12 L eps, eps) against 1/eps.
     """
+    if h is not None:
+        h = check_bandwidth(h)
     if epsilon_grid is None:
         epsilon_grid = np.geomspace(1e-3, 0.5, 16)
     eps_arr = np.asarray(epsilon_grid, dtype=float)

@@ -108,14 +108,19 @@ class RectKernel:
             return np.reshape(loss(c), c.shape[:-1] if sp.d > 1
                               else c.shape).astype(float)
         if sp.kind == GRID:
-            pts = sp.grid_points()
-            member = np.abs(c[..., None] - pts) <= h + 1e-12
-            a = np.broadcast_to(pts, c.shape[:-1] + pts.shape)
-            vals = np.broadcast_to(loss(a), a.shape)
-            val = (member @ vals[..., None])[..., 0] / sp.M
+            # each ball is a run of count grid points from first on, so its
+            # mean is a difference of the row's prefix sums over the grid
+            first, count = sp._grid_balls(c, h)
+            rows = c.shape[:-1] + (sp.M,)
+            F = np.cumsum(np.broadcast_to(
+                loss(np.broadcast_to(sp.grid_points(), rows)), rows), axis=-1)
+            F = np.concatenate([np.zeros(rows[:-1] + (1,)), F], axis=-1)
+            val = (np.take_along_axis(F, first + count, axis=-1)
+                   - np.take_along_axis(F, first, axis=-1)) / count
         elif sp.d > 1:
             val = loss.integrate_box(np.maximum(0.0, c - h),
                                      np.minimum(1.0, c + h))
+            val = val / sp.ball_volumes(c, h)
         else:
             # a ring ball wider than the circle is the whole circle; the
             # parts wrapped below 0 or past 1 are the last two terms
@@ -125,7 +130,7 @@ class RectKernel:
             if sp.kind == RING:
                 val = (val + loss.integrate(lo + 1.0, 1.0)
                        + loss.integrate(0.0, hi - 1.0))
-        val = val / sp.ball_volumes(c, h)
+            val = val / sp.ball_volumes(c, h)
         if np.any(val < -1e-9) or np.any(val > 1.0 + 1e-9):
             raise ValueError("loss violated its [0,1] range contract")
         return np.clip(val, 0.0, 1.0)

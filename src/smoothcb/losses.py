@@ -41,24 +41,15 @@ def _check_range(values) -> None:
         raise ValueError("loss values must lie in [0,1]")
 
 
-def _special_points(special_points) -> Dict[float, float]:
-    """Range-checked {point: value} overrides, keys and values as floats."""
-    out = {float(p): float(v) for p, v in (special_points or {}).items()}
-    _check_range(list(out.values()))
-    return out
-
-
 class PiecewiseConstantLoss(LossFunction):
     """Right-open constant pieces on [0,1].
 
     ``breaks`` has length K+1 with breaks[0]=0, breaks[-1]=1; ``values`` has
     length K with the value on [breaks[i], breaks[i+1]).  The point a=1 takes
-    the last piece's value.  ``special_points`` optionally overrides the
-    value at isolated points (measure zero, ignored by integrate).
+    the last piece's value.
     """
 
-    def __init__(self, breaks: Sequence[float], values: Sequence[float],
-                 special_points: Optional[Dict[float, float]] = None):
+    def __init__(self, breaks: Sequence[float], values: Sequence[float]):
         self.breaks = np.asarray(breaks, dtype=float)
         self.values = np.asarray(values, dtype=float)
         if len(self.breaks) != len(self.values) + 1:
@@ -68,7 +59,6 @@ class PiecewiseConstantLoss(LossFunction):
         if np.any(np.diff(self.breaks) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
         _check_range(self.values)
-        self.special_points = _special_points(special_points)
         self._F = np.concatenate(
             [[0.0], np.cumsum(np.diff(self.breaks) * self.values)])
 
@@ -78,19 +68,12 @@ class PiecewiseConstantLoss(LossFunction):
 
     def __call__(self, a):
         if isinstance(a, float) or np.ndim(a) == 0:
-            af = float(a)
-            if af in self.special_points:
-                return self.special_points[af]
-            i = int(self.breaks.searchsorted(af, side="right")) - 1
+            i = int(self.breaks.searchsorted(float(a), side="right")) - 1
             return float(self.values[min(max(i, 0), len(self.values) - 1)])
         arr = np.atleast_1d(np.asarray(a, dtype=float))
         idx = np.clip(np.searchsorted(self.breaks, arr, side="right") - 1,
                       0, len(self.values) - 1)
-        out = self.values[idx]
-        if self.special_points:
-            for p, v in self.special_points.items():
-                out = np.where(arr == p, v, out)
-        return out
+        return self.values[idx]
 
     def _antiderivative(self, x: np.ndarray) -> np.ndarray:
         # F is linear between breakpoints (and np.interp clamps to [0, 1])
@@ -111,7 +94,10 @@ class PiecewiseLinearLoss(LossFunction):
         if np.any(np.diff(self.breaks) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
         _check_range(self.knots)
-        self.special_points = _special_points(special_points)
+        # range-checked {point: value} overrides, as floats
+        self.special_points = {float(p): float(v)
+                               for p, v in (special_points or {}).items()}
+        _check_range(list(self.special_points.values()))
         self._F = np.concatenate([[0.0], np.cumsum(
             np.diff(self.breaks) * (self.knots[:-1] + self.knots[1:]) / 2.0)])
 

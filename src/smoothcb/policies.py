@@ -24,19 +24,16 @@ class PolicyClass:
       class "x0 -> a").
     * Tabular: an (n_contexts x |Pi|) table of actions, contexts addressed
       by integer index.
-    * LinearSphere: unit-norm weight vectors w; pi_w(x) = <w, x>, optionally
-      rescaled to [0,1] via u = (1 + <w,x>)/2 so outputs live in the unit
-      cube (set rescale=True when driving the algorithms).
+    * LinearSphere: unit-norm weight vectors w; pi_w(x) = (1 + <w, x>)/2,
+      the raw value <w, x> in [-1, 1] mapped into the unit interval.
     """
 
     def __init__(self, space: ActionSpace, representation: str,
                  actions: Optional[np.ndarray] = None,
                  table: Optional[np.ndarray] = None,
-                 weights: Optional[np.ndarray] = None,
-                 rescale: bool = False):
+                 weights: Optional[np.ndarray] = None):
         self.space = space
         self.representation = representation
-        self.rescale = rescale
         if representation == CONSTANT:
             self.actions = np.asarray(actions, dtype=float)
             self.size = self.actions.shape[0]
@@ -66,10 +63,8 @@ class PolicyClass:
         return PolicyClass(space, TABULAR, table=table)
 
     @staticmethod
-    def linear_sphere(space: ActionSpace, weights,
-                      rescale: bool = False) -> "PolicyClass":
-        return PolicyClass(space, LINEAR_SPHERE, weights=weights,
-                           rescale=rescale)
+    def linear_sphere(space: ActionSpace, weights) -> "PolicyClass":
+        return PolicyClass(space, LINEAR_SPHERE, weights=weights)
 
     @staticmethod
     def from_csv(space: ActionSpace, path: str) -> "PolicyClass":
@@ -101,7 +96,7 @@ class PolicyClass:
         # one matrix-vector product per context
         x = np.asarray(values, dtype=float)[:, :, None]
         z = np.clip((self.weights @ x)[..., 0], -1.0, 1.0)
-        return (1.0 + z) / 2.0 if self.rescale else z
+        return (1.0 + z) / 2.0
 
 
 class VersionSpace:

@@ -84,19 +84,6 @@ class ActionSpace:
             )
         return arr
 
-    def contains(self, a) -> bool:
-        arr = self._as_array(a)
-        if self.kind == RING:
-            return bool(np.all(arr >= 0) and np.all(arr < 1))
-        if self.kind == CUBE:
-            return bool(np.all(arr >= 0) and np.all(arr <= 1))
-        i = np.round(arr * self.M)
-        return bool(
-            np.all(np.abs(arr * self.M - i) < 1e-12)
-            and np.all(i >= 1)
-            and np.all(i <= self.M)
-        )
-
     def distance(self, a, b) -> float:
         """Metric distance between two actions."""
         x = self._as_array(a)
@@ -191,20 +178,15 @@ class ActionSpace:
             return [(0.0, hi - 1.0), (lo, 1.0)]
         return [(lo, hi)]
 
-    def sample_uniform(self, rng: np.random.Generator, size: int = None):
-        """Draw from the base measure nu."""
-        n = 1 if size is None else size
+    def sample_uniform(self, rng: np.random.Generator, size: int):
+        """``size`` draws from the base measure nu, shape (size,) or
+        (size, d) on the cube."""
         if self.kind == RING:
-            out = rng.uniform(0.0, 1.0, size=n)
-        elif self.kind == CUBE:
-            out = rng.uniform(0.0, 1.0, size=(n, self.d))
-            if self.d == 1:
-                out = out[:, 0]
-        else:
-            out = rng.integers(1, self.M + 1, size=n) / self.M
-        if size is None:
-            return float(out[0]) if out.ndim == 1 else out[0]
-        return out
+            return rng.uniform(0.0, 1.0, size=size)
+        if self.kind == CUBE:
+            out = rng.uniform(0.0, 1.0, size=(size, self.d))
+            return out[:, 0] if self.d == 1 else out
+        return rng.integers(1, self.M + 1, size=size) / self.M
 
     def sample_ball(self, centers, r: float, rng: np.random.Generator):
         """One uniform (under nu) draw from each closed ball B(centers[i], r).
@@ -226,34 +208,34 @@ class ActionSpace:
 
     # -- diagnostics ---------------------------------------------------
 
-    def estimate_uniformity(self, hs: Iterable[float],
-                            grid_resolution: int = 64) -> float:
+    def estimate_uniformity(self, hs: Iterable[float]) -> float:
         """Grid estimate of sup_{a,a',h} nu(B(a,2h)) / nu(B(a',h)).
 
-        A lower bound on the true constant (the sup is only taken over the
-        grid of centers).
+        A lower bound on the true constant (the sup is only taken over a
+        grid of centers: 64 per axis, or the grid's own points).
         """
         hs = list(hs)
         if not hs:
             raise ValueError("hs must be nonempty")
         if any(h <= 0 for h in hs):
             raise ValueError("bandwidths must be positive")
-        if grid_resolution < 2:
-            raise ValueError("grid_resolution must be >= 2")
+        space = self
         if self.kind == GRID:
             centers = self.grid_points()
         elif self.kind == RING:
-            centers = np.linspace(0.0, 1.0, grid_resolution, endpoint=False)
+            centers = np.linspace(0.0, 1.0, 64, endpoint=False)
         else:
-            axis = np.linspace(0.0, 1.0, grid_resolution)
-            if self.d == 1:
-                centers = axis
-            else:
-                mesh = np.meshgrid(*([axis] * self.d))
-                centers = np.stack([m.ravel() for m in mesh], axis=1)
+            # a cube ball's volume is the product of its per-axis sides, and
+            # a float product is monotone in each factor, so the extremes
+            # over the lattice of 64^d centres are d-fold products of the
+            # extremes over one axis, multiplied in np.prod's order
+            space, centers = ActionSpace.cube(1), np.linspace(0.0, 1.0, 64)
+
+        def extreme(r, pick):
+            return np.prod(np.full(self.d, pick(space.ball_volumes(centers, r))))
+
         best = 0.0
         for h in hs:
-            big = self.ball_volumes(centers, 2.0 * h)
-            small = self.ball_volumes(centers, h)
-            best = max(best, float(np.max(big) / np.min(small)))
+            best = max(best, float(extreme(2.0 * h, np.max)
+                                   / extreme(h, np.min)))
         return best

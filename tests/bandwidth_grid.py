@@ -1,7 +1,10 @@
-"""Reference membership for a BandwidthGrid: the package only snaps into
-the grid, so these enumerate and test its members directly."""
+"""Reference membership for a BandwidthGrid and an ActionSpace: the
+package only snaps into the grid and draws inside the space, so these
+enumerate and test their members directly."""
 
 import numpy as np
+
+from smoothcb.spaces import CUBE, RING
 
 
 def grid_members(grid):
@@ -17,3 +20,19 @@ def grid_contains(grid, h: float) -> bool:
     if abs(k - round(k)) > 1e-9 + 1e-15 * k:
         return False
     return grid.min_h - 1e-15 <= h <= 1.0 and h ** (-grid.d) >= 1.0 - 1e-12
+
+
+def space_contains(space, a) -> bool:
+    """Whether the action a is a point of the space: [0, 1) on the ring,
+    [0, 1]^d on the cube, and a grid point i / M on the grid."""
+    arr = np.atleast_1d(np.asarray(a, dtype=float))
+    if arr.shape[-1] != space.d:
+        raise ValueError(
+            f"action has dimension {arr.shape[-1]}, space has {space.d}")
+    if space.kind == RING:
+        return bool(np.all(arr >= 0) and np.all(arr < 1))
+    if space.kind == CUBE:
+        return bool(np.all(arr >= 0) and np.all(arr <= 1))
+    i = np.round(arr * space.M)
+    return bool(np.all(np.abs(arr * space.M - i) < 1e-12)
+                and np.all(i >= 1) and np.all(i <= space.M))

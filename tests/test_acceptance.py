@@ -20,8 +20,8 @@ from smoothcb.environments import (FiniteContexts, StochasticEnv,
                                    make_named_instance)
 from smoothcb.estimators import median_of_means, mom_error_bound
 from smoothcb.exp4 import Exp4State
-from smoothcb.harness import (RegretTrace, RunConfig, _loop_corral,
-                              _loop_elim, _loop_exp4, _rngs,
+from smoothcb.harness import (RegretTrace, RunConfig, _loop_elim,
+                              _loop_rounds, _rngs,
                               default_policy_class, diagnose, run_one,
                               trace_csv_lines)
 from smoothcb.kernels import BandwidthGrid, RectKernel
@@ -415,10 +415,10 @@ def test_11_corral_single_learner_degeneracy():
     T, h = 300, 0.1
 
     env_rng, alg_rng = _rngs(0)
-    a1, l1, _ = _loop_exp4(env, pc, h, T, env_rng, alg_rng)
+    a1, l1, _ = _loop_rounds(env, Exp4State(pc, [h], T), env_rng, alg_rng)
     env_rng, alg_rng = _rngs(0)
     master = corral.CorralMaster(pc, [h], T, eta=T ** -0.5)
-    a2, l2, _ = _loop_corral(env, master, env_rng, alg_rng)
+    a2, l2, _ = _loop_rounds(env, master, env_rng, alg_rng)
 
     def lines(actions, losses):
         tr = RegretTrace(seed=0, actions=actions, losses=losses,

@@ -219,13 +219,25 @@ class TestBadRunConfig:
                                     "1", f"--eps-grid={grid}"],
                            "--eps-grid needs two distinct values")
 
+    @pytest.mark.parametrize("h", ["0", "-1", "2", "abc", "1" + "0" * 400],
+                             ids=["0", "-1", "2", "abc", "huge-int"])
+    def test_bad_diagnose_bandwidth(self, capsys, h):
+        # diagnose checks --h as run does; h = 0 would be a Dirac kernel
+        self._check_exit_2(capsys, ["diagnose", "--env", "absolute", "--h", h,
+                                    "--policies", "8", "--eps-grid", "0.1,0.2"],
+                           "h must lie in (0, 1]")
+
+    def test_huge_integer_bandwidth(self, capsys):
+        self._check_exit_2(capsys, self._with("--h", "1" + "0" * 400),
+                           "h must lie in (0, 1]")
+
     def test_lipschitz_regret_checked_before_play(self, capsys, monkeypatch):
         # discontinuous has no Lipschitz constant, so there is no benchmark
         # for corral-lipschitz; the run must stop before its first round
         def no_play(*args, **kwargs):
             raise AssertionError("rounds were played")
 
-        monkeypatch.setattr(harness, "_loop_corral", no_play)
+        monkeypatch.setattr(harness, "_loop_rounds", no_play)
         self._check_exit_2(capsys, ["run", "--alg", "corral-lipschitz", "--env",
                                  "discontinuous", "--T", "4096"],
                         "Lipschitz regret needs")
@@ -269,6 +281,8 @@ class TestDiagnoseCommand:
         assert "theta_h=" in text
         with open(out / "diagnostics.json") as f:
             payload = json.load(f)
+        assert list(payload) == ["table", "theta_h", "psi_L", "z_hat",
+                                 "fit_residual", "alpha_unif"]
         assert len(payload["table"]) == 3
         # near-optimal sets at these scales collapse to one ball
         assert all(r["M_h"] == 1 for r in payload["table"])
@@ -279,6 +293,15 @@ class TestDiagnoseCommand:
         assert main(["diagnose", "--env", "linear_sphere", "--h", "0.1"]) == 0
         assert time.perf_counter() - t0 < 60.0
         assert capsys.readouterr().out.count("M_h=") == 16
+
+    def test_six_dimensional_cube_quickly(self, capsys):
+        # the cube's uniformity constant comes from one axis of 64 centres,
+        # not a lattice of 64^6
+        t0 = time.perf_counter()
+        assert main(["diagnose", "--env", "needle_h:d=6",
+                     "--policies", "8"]) == 0
+        assert time.perf_counter() - t0 < 30.0
+        assert "alpha_unif=" in capsys.readouterr().out
 
 
 class TestLowerboundCommand:

@@ -112,8 +112,9 @@ class TestLinearSphere:
         ws = rng.standard_normal((20, len(wstar)))
         ws /= np.linalg.norm(ws, axis=1, keepdims=True)
         ws = np.vstack([wstar, ws])
-        pc = PolicyClass.linear_sphere(env.space, ws, rescale=True)
-        vals = env.smoothed_policy_losses(pc, 0.0, n_ctx=400)
+        pc = PolicyClass.linear_sphere(env.space, ws)
+        vals = env.smoothed_policy_losses(pc, 0.0,
+                                           panel=env.context_panel(400))
         assert np.argmin(vals) == 0
 
     def test_mean_loss_range_and_floor(self):

@@ -79,7 +79,7 @@ def _policy_case(kind):
     if kind == "cube1-linear":
         ws = rng.standard_normal((6, 2))
         ws /= np.linalg.norm(ws, axis=1, keepdims=True)
-        pc = PolicyClass.linear_sphere(ActionSpace.cube(1), ws, rescale=True)
+        pc = PolicyClass.linear_sphere(ActionSpace.cube(1), ws)
 
         def draw(r):
             v = r.standard_normal(2)

@@ -285,7 +285,7 @@ class TestDiagnosticsReference:
         env = make_named_instance("linear_sphere")
         w = np.random.default_rng(3).normal(size=(8, 2))
         pc = PolicyClass.linear_sphere(
-            env.space, w / np.linalg.norm(w, axis=1)[:, None], rescale=True)
+            env.space, w / np.linalg.norm(w, axis=1)[:, None])
         got, want = _diagnose_both(monkeypatch, env, pc, n_ctx=100)
         assert got == want
 

@@ -26,12 +26,6 @@ class TestPiecewiseConstant:
         assert loss.integrate(0.2, 0.3) == pytest.approx(
             0.05 * 0.0 + 0.05 * 1.0, abs=1e-12)
 
-    def test_special_point_is_measure_zero(self):
-        loss = PiecewiseConstantLoss([0.0, 1.0], [0.5],
-                                     special_points={0.7: 0.1})
-        assert loss(0.7) == 0.1
-        assert loss.integrate(0.0, 1.0) == pytest.approx(0.5, abs=1e-12)
-
     def test_range_enforced(self):
         with pytest.raises(ValueError):
             PiecewiseConstantLoss([0.0, 1.0], [1.5])
@@ -59,22 +53,18 @@ class TestPiecewiseLinear:
 
 class TestSpecialPoints:
     @pytest.mark.parametrize("make", [
-        lambda sp: PiecewiseConstantLoss([0.0, 1.0], [0.3],
-                                         special_points=sp),
         lambda sp: PiecewiseLinearLoss([0.0, 1.0], [0.2, 0.4],
                                        special_points=sp)],
-        ids=["constant", "linear"])
+        ids=["linear"])
     @pytest.mark.parametrize("value", [3.0, -0.5, float("nan")])
     def test_out_of_range_value_rejected(self, make, value):
         with pytest.raises(ValueError, match="must lie in"):
             make({0.5: value})
 
     @pytest.mark.parametrize("make", [
-        lambda sp: PiecewiseConstantLoss([0.0, 1.0], [0.3],
-                                         special_points=sp),
         lambda sp: PiecewiseLinearLoss([0.0, 1.0], [0.2, 0.4],
                                        special_points=sp)],
-        ids=["constant", "linear"])
+        ids=["linear"])
     def test_int_value_returned_as_float(self, make):
         loss = make({0.5: 1, 0.25: 0})
         for a in (0.5, 0.25, np.float64(0.5)):

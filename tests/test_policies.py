@@ -22,14 +22,8 @@ class TestPolicyClass:
         pc = PolicyClass.tabular(ActionSpace.cube(1), table)
         assert pc.act(5, 2) == table[2][5]
 
-    def test_linear_sphere_raw_range(self):
-        pc = PolicyClass.linear_sphere(ActionSpace.cube(1),
-                                       [[1.0, 0.0]])
-        assert pc.act(0, np.array([0.3, 0.9])) == pytest.approx(0.3)
-
     def test_linear_sphere_rescaled_to_unit_interval(self):
-        pc = PolicyClass.linear_sphere(ActionSpace.cube(1), [[1.0, 0.0]],
-                                       rescale=True)
+        pc = PolicyClass.linear_sphere(ActionSpace.cube(1), [[1.0, 0.0]])
         assert pc.act(0, np.array([-1.0, 0.0])) == pytest.approx(0.0)
         assert pc.act(0, np.array([0.3, 0.9])) == pytest.approx(0.65)
 
@@ -46,8 +40,8 @@ class TestPolicyClass:
             "tabular": (PolicyClass.tabular(ActionSpace.cube(1),
                                             rng.random((4, 6))), [3, 0, 3]),
             "sphere": (PolicyClass.linear_sphere(
-                ActionSpace.cube(1), w / np.linalg.norm(w, axis=1)[:, None],
-                rescale=True), list(rng.normal(size=(50, 2)))),
+                ActionSpace.cube(1), w / np.linalg.norm(w, axis=1)[:, None]),
+                list(rng.normal(size=(50, 2)))),
         }
         pc, xs = pcs[kind]
         many = pc.actions_many(xs)

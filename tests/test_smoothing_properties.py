@@ -279,8 +279,7 @@ class TestImportanceWeightingUnbiased:
             return np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
         xs = circle(np.array(ctx_angles))
-        pc = PolicyClass.linear_sphere(env.space, circle(np.array(pol_angles)),
-                                       rescale=True)
+        pc = PolicyClass.linear_sphere(env.space, circle(np.array(pol_angles)))
         weights = data.draw(st.lists(st.floats(1e-3, 1.0),
                                      min_size=pc.size, max_size=pc.size))
         self._check(pc, pc.actions_many(xs), env.mean_losses(xs), h, mu,

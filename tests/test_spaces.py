@@ -6,6 +6,22 @@ import pytest
 from smoothcb.spaces import ActionSpace
 
 
+def _lattice_uniformity(space, hs, res=64):
+    """The uniformity constant as a max and min over every centre of the
+    lattice of res^d points (the grid's own points on a grid)."""
+    if space.kind == "grid":
+        centers = space.grid_points()
+    elif space.kind == "ring":
+        centers = np.linspace(0.0, 1.0, res, endpoint=False)
+    else:
+        axis = np.linspace(0.0, 1.0, res)
+        mesh = np.meshgrid(*([axis] * space.d))
+        centers = (axis if space.d == 1
+                   else np.stack([m.ravel() for m in mesh], axis=1))
+    return max(float(np.max(space.ball_volumes(centers, 2.0 * h))
+                     / np.min(space.ball_volumes(centers, h))) for h in hs)
+
+
 class TestDistance:
     def test_ring_wraparound(self):
         space = ActionSpace.ring()
@@ -52,7 +68,7 @@ class TestBallVolume:
         for space in (ActionSpace.ring(), ActionSpace.cube(2),
                       ActionSpace.grid(7)):
             assert space.ball_volume(space.sample_uniform(
-                np.random.default_rng(0)), 1.0) == pytest.approx(1.0)
+                np.random.default_rng(0), 1)[0], 1.0) == pytest.approx(1.0)
 
     def test_cube_doubling(self):
         # nu(B(a, 2r)) <= 2^d nu(B(a, r)) everywhere on the cube
@@ -87,6 +103,31 @@ class TestUniformity:
         space = ActionSpace.grid(4)
         assert space.estimate_uniformity([0.3]) >= 1.0
 
+    @pytest.mark.parametrize("space", [
+        ActionSpace.ring(), ActionSpace.grid(4), ActionSpace.grid(37),
+        ActionSpace.cube(1), ActionSpace.cube(2), ActionSpace.cube(3)],
+        ids=repr)
+    def test_equals_the_lattice(self, space):
+        rng = np.random.default_rng(7)
+        hs = [1.0 / 64, 0.01, 0.05, 0.1, 1.0 / 3, 0.5, 0.7, 1.0,
+              *rng.uniform(0.001, 1.0, 12 if space.d < 3 else 4)]
+        for h in hs:
+            assert (space.estimate_uniformity([h])
+                    == _lattice_uniformity(space, [h])), h
+        assert (space.estimate_uniformity(hs)
+                == _lattice_uniformity(space, hs))
+
+    def test_high_dimensional_cube_in_little_memory(self):
+        # the lattice would hold 64^8 centres
+        tracemalloc.start()
+        try:
+            alpha = ActionSpace.cube(8).estimate_uniformity([0.1, 2.0 ** -4])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert alpha == pytest.approx(4.0 ** 8, rel=1e-12)
+        assert peak < 2 ** 20
+
 
 class TestFacts:
     def test_capped_interval_ratio(self):
@@ -119,7 +160,7 @@ class TestGrid:
         rng = np.random.default_rng(4)
         pts = set(np.round(space.grid_points(), 12))
         for _ in range(50):
-            assert round(space.sample_uniform(rng), 12) in pts
+            assert round(space.sample_uniform(rng, 1)[0], 12) in pts
 
 
 class TestSampleBall:
