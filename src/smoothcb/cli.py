@@ -277,6 +277,12 @@ def main(argv=None) -> int:
     except SolverFailure as e:
         print(f"solver failure: {e}", file=sys.stderr)
         return EXIT_SOLVER
+    except MemoryError:
+        T = getattr(args, "T_list", None) or args.T
+        print(f"configuration error: out of memory at T = {T} with "
+              f"{args.policies} policies; a run holds its actions and losses "
+              "for all T rounds", file=sys.stderr)
+        return EXIT_CONFIG
     except (ValueError, KeyError, FileNotFoundError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -7,10 +7,12 @@ weighting with median-of-means aggregation across batches, and prunes
 policies that fall behind the empirical best by more than the epoch radius
 allows.  An epoch is played the same way on every space kind and context
 class: its contexts, mixed draws and realized losses are drawn whole, as
-vectors over its rounds; survivor centres, propensities and estimates are
-then formed CHUNK rounds at a time and summed at once into the
-(survivors x delta_T) batch sums that median-of-means scores.  An epoch
-that is not scored forms none of them.
+vectors over its rounds.  Its scores come from per-cell loss sums: with
+finite contexts on a 1-d space or the grid, every action in a cell (a
+context value and a segment of the survivors' balls) has the same survivor
+densities and propensity, so one (cells x survivors) table turns each
+batch's per-cell loss sums into its estimates; other rounds add their own
+density rows.  An epoch that is not scored forms nothing per survivor.
 
 Two schedules: the fixed-bandwidth variant keeps h_m = h and halves the
 radius r_m = 2^-m; the Lipschitz variant halves the bandwidth h_m = 2^-m
@@ -25,10 +27,11 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .environments import StochasticEnv
+from .environments import FiniteContexts, StochasticEnv
 from .estimators import median_of_means
 from .kernels import RectKernel
-from .policies import PolicyClass, VersionSpace, union_geometry
+from .policies import PolicyClass, VersionSpace, segment_cuts, union_geometry
+from .spaces import GRID
 
 VARIANT_S = "s"
 VARIANT_L = "l"
@@ -36,9 +39,13 @@ VARIANT_L = "l"
 # SOLVER_ITER_CAP iterations
 SOLVER_TOL = 1e-3
 SOLVER_ITER_CAP = 5000
-# rounds per block of an epoch's (rounds x survivors) work; blocks do not
-# depend on the batch length, and a batch may span several blocks
+# rounds per block of an epoch's per-round work; blocks do not depend on the
+# batch length, and a batch may span several blocks.  An epoch forms at most
+# CHUNK cells, so its (cells x survivors) table is no larger than a block.
 CHUNK = 2 ** 13
+# an action closer than EDGE to a segment's end takes its own density row:
+# there the kernel's distance test and the sorted cuts may round apart
+EDGE = 1e-12
 
 
 class SolverFailure(RuntimeError):
@@ -256,13 +263,90 @@ class SmoothPolicyElimination:
         q, dens = self.propensity(state, centers, a)
         return a, q, dens
 
-    def _estimates(self, state: EpochState, centers: np.ndarray, a,
-                   loss: np.ndarray):
-        """(q, est) for a block of rounds: est[i, j] = dens[i, j] * loss[i]
-        / q[i] is survivor j's IW estimate of its smoothed loss at round i."""
+    def _weights(self, state: EpochState, centers: np.ndarray, a):
+        """W = dens / q at one action per row of survivor centres: row i
+        times a loss realised at a[i] is the survivors' IW estimates."""
         q, dens = self.propensity(state, centers, a)
-        dens *= (loss / q)[:, None]  # in place: no second (n x k) array
-        return q, dens
+        dens /= q[:, None]  # in place: no second (rows x survivors) array
+        return dens
+
+    def _cells(self, state: EpochState, values):
+        """(locate, W) for the cells of an epoch whose contexts are values.
+
+        A cell is a pair (context value, segment).  On 1-d spaces the
+        segments lie between consecutive ``segment_cuts`` of the survivors'
+        h_m-balls, on the grid they are the grid points; every action in a
+        cell has the same survivor densities and propensity, so W[cell] is
+        formed at one point of it.  ``locate(index, a)`` gives each round's
+        cell, or -1 for a round that takes its own row: one within EDGE of
+        a cut, and every round where no cells are formed (sampled contexts,
+        the cube in d >= 2, or more than CHUNK cells).
+        """
+        space, k = self.pc.space, len(state.vs)
+        no_cells = (lambda index, a: np.full(len(index), -1),
+                    np.zeros((0, k)))
+        if not isinstance(self.env.contexts, FiniteContexts) or space.d > 1:
+            return no_cells
+        centers = self.pc.actions_many(values)[:, state.vs.indices]
+        if space.kind == GRID:
+            pts, M = space.grid_points(), space.M
+            points = np.broadcast_to(pts, (len(values), M))
+
+            def locate(index, a):  # every grid action is a grid point
+                return index * M + pts.searchsorted(a)
+        else:
+            cuts = segment_cuts(space, centers, state.h_m)
+            points = (cuts[:, :-1] + cuts[:, 1:]) / 2.0
+            # complex keys order by real part, the context, then by action
+            width, flat = cuts.shape[1], cuts.ravel()
+            keys = (np.arange(len(values))[:, None] + 1j * cuts).ravel()
+
+            def locate(index, a):
+                pos = np.minimum(
+                    keys.searchsorted(index + 1j * a, side="right") - 1,
+                    (index + 1) * width - 2)
+                inside = (a - flat[pos] > EDGE) & (flat[pos + 1] - a > EDGE)
+                return np.where(inside, pos - index, -1)
+        if points.size > CHUNK:
+            return no_cells
+        return locate, self._weights(
+            state, np.repeat(centers, points.shape[1], axis=0),
+            points.ravel())
+
+    def _score(self, state: EpochState, values, index, a,
+               loss: np.ndarray) -> np.ndarray:
+        """(survivors x delta_T) batch means of the IW estimates
+        dens[i, j] * loss[i] / q[i] over batches of tilde_n_m rounds.
+
+        A round in a cell adds its loss to S[batch, cell], and the cells'
+        share of the batch sums is S @ W; a round without one adds its own
+        row of W times its loss.  Rounds are keyed CHUNK at a time.
+        """
+        tilde_n = state.tilde_n_m
+        locate, W = self._cells(state, values)
+        cells = len(W)
+        S = np.zeros((self.delta_T, cells))
+        sums = np.zeros((self.delta_T, len(state.vs)))
+        for start in range(0, len(a), CHUNK):
+            b = slice(start, min(start + CHUNK, len(a)))
+            batch = np.arange(b.start, b.stop) // tilde_n
+            cell = locate(index[b], a[b])
+            first, n_b = batch[0], batch[-1] - batch[0] + 1
+            at = cell >= 0
+            S[first:first + n_b] += np.bincount(
+                (batch[at] - first) * cells + cell[at], weights=loss[b][at],
+                minlength=n_b * cells).reshape(n_b, cells)
+            own = ~at
+            if own.any():
+                rows = self._weights(
+                    state, self._centers(state.vs, values, index[b][own]),
+                    a[b][own])
+                rows *= loss[b][own][:, None]
+                # one sum per batch over its consecutive rows
+                starts = np.flatnonzero(np.diff(batch[own], prepend=-1))
+                sums[batch[own][starts]] += np.add.reduceat(rows, starts,
+                                                            axis=0)
+        return (S @ W + sums).T / tilde_n
 
     def end_epoch(self, state: EpochState, means: np.ndarray) -> VersionSpace:
         """Median-of-means scores from the (survivors x delta_T) batch
@@ -285,9 +369,8 @@ class SmoothPolicyElimination:
         """Play n rounds; returns (actions, losses, mean losses, means).
 
         Contexts, draws and losses are drawn whole, in that order.  With
-        ``score`` (which needs n = n_m), the estimates are formed CHUNK
-        rounds at a time and summed into batches of tilde_n_m rounds: means
-        is (survivors x delta_T), batch b's mean estimate of each survivor's
+        ``score`` (which needs n = n_m), means is ``_score``'s (survivors x
+        delta_T) batch means: batch b's mean estimate of each survivor's
         smoothed loss.  Without it nothing per survivor is formed and means
         is None.
         """
@@ -308,19 +391,7 @@ class SmoothPolicyElimination:
             return a, loss, mean, None
         if n != state.n_m:
             raise ValueError("a scored epoch plays n_m rounds")
-        tilde_n = state.tilde_n_m
-        sums = np.zeros((self.delta_T, len(survivors)))
-        for b in blocks:
-            _, est = self._estimates(
-                state, self._centers(state.vs, values, index[b]), a[b],
-                loss[b])
-            # the block's rows, cut where batches start
-            first = b.start // tilde_n
-            cuts = np.arange(first * tilde_n, b.stop, tilde_n) - b.start
-            cuts[0] = 0
-            sums[first:first + len(cuts)] += np.add.reduceat(est, cuts,
-                                                             axis=0)
-        return a, loss, mean, sums.T / tilde_n
+        return a, loss, mean, self._score(state, values, index, a, loss)
 
     # -- full run ----------------------------------------------------------
 

@@ -26,10 +26,14 @@ def _check(ok: bool, message: str) -> None:
 
 
 def _real(v) -> bool:
-    """A finite real number: not a string, bool, inf or nan."""
-    # compared, not converted, so that an int too large for a float passes
-    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
-            and -math.inf < v < math.inf)
+    """A real number that is finite as a float: not a string, bool, inf or
+    nan, nor an integer too large for a float."""
+    if not isinstance(v, numbers.Real) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def _whole(v) -> bool:
@@ -384,6 +388,8 @@ def _needle_L(L: float = 4.0, R: float = 10.0, d: int = 1, index: int = 0,
     _check(_real(L) and L >= 1, "needle_L needs a finite L >= 1")
     _check(_real(R) and R > 0, "needle_L needs a finite R > 0")
     delta = min((L / (40.0 * R * 8.0)) ** 0.5, 0.125)
+    _check(L / (4.0 * delta) < math.inf,
+           f"needle_L: L = {L:g} is too large to count its pockets")
     N = int(math.floor(L / (4.0 * delta)))
     _check(_whole(index) and 0 <= index <= N,
            f"needle index must be an integer in [0, {N}]")

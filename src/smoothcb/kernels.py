@@ -166,6 +166,7 @@ class BandwidthGrid:
         """
         if h < self.T ** (-1.0 / self.d) - 1e-12:
             raise ValueError("bandwidth below T^(-1/d); snapping undefined")
-        snapped = math.floor(h * self.D + 1e-12) / self.D
-        snapped = min(snapped, 1.0)
-        return snapped
+        m = math.floor(h * self.D + 1e-12)
+        if m / self.D > h:  # the slack carried h up to the multiple above
+            m -= 1
+        return min(m / self.D, 1.0)

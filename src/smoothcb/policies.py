@@ -180,6 +180,24 @@ def union_geometry(space: ActionSpace, centers: np.ndarray, h: float,
             for i in range(0, len(c), step)]
 
 
+def segment_cuts(space: ActionSpace, centers: np.ndarray,
+                 h: float) -> np.ndarray:
+    """Each row's h-ball ends in [0, 1], sorted between a 0 and a 1.
+
+    On a 1-d space every ball's kernel density is constant between two
+    consecutive cuts.  ``centers`` has shape (n, k); the result is (n, 2k+2),
+    or (n, 2) on the ring when a ball covers the whole circle.
+    """
+    c = np.asarray(centers, dtype=float)
+    ends = np.concatenate([c - h, c + h], axis=1)
+    if space.kind == CUBE:
+        ends = np.clip(ends, 0.0, 1.0)
+    else:  # a ring ball wraps around 0, or covers the whole ring
+        ends = np.mod(ends, 1.0) if 2.0 * h < 1.0 else ends[:, :0]
+    return np.sort(np.concatenate(
+        [np.zeros((len(c), 1)), ends, np.ones((len(c), 1))], axis=1), axis=1)
+
+
 def _union_block(space: ActionSpace, c: np.ndarray, h: float,
                  rng: np.random.Generator):
     n = len(c)
@@ -189,13 +207,7 @@ def _union_block(space: ActionSpace, c: np.ndarray, h: float,
                 else rng.uniform(0.0, 1.0, size=(n, N_MC, space.d)))
         meas = np.full(mids.shape[:2], 1.0 / mids.shape[1])
     else:
-        ends = np.concatenate([c - h, c + h], axis=1)
-        if space.kind == CUBE:
-            ends = np.clip(ends, 0.0, 1.0)
-        else:  # a ring ball wraps around 0, or covers the whole ring
-            ends = np.mod(ends, 1.0) if 2.0 * h < 1.0 else ends[:, :0]
-        cuts = np.sort(np.concatenate(
-            [np.zeros((n, 1)), ends, np.ones((n, 1))], axis=1), axis=1)
+        cuts = segment_cuts(space, c, h)
         keep = np.diff(cuts, axis=1) > 1e-15
         # the kept segments first, in order, then the padding
         order = np.argsort(~keep, axis=1, kind="stable")

@@ -200,7 +200,10 @@ class TestBadRunConfig:
         "linear_sphere:d_ctx=0", "linear_sphere:d_ctx=1.5",
         "linear_sphere:wstar=3", "needle_L:L=inf", "needle_h:d=0",
         "needle_h:R=0", "needle_L:R=0", "needle_h:index=1.5",
-        "linear_sphere:L=nan", "needle_h:R=-1", "discontinuous:ap=2"])
+        "linear_sphere:L=nan", "needle_h:R=-1", "discontinuous:ap=2",
+        "needle_L:L=1e308",
+        pytest.param("needle_L:L=1" + "0" * 400, id="needle_L:L=huge-int"),
+        pytest.param("needle_h:R=1" + "0" * 400, id="needle_h:R=huge-int")])
     def test_bad_instance_parameter(self, capsys, env):
         self._check_exit_2(capsys, ["run", "--alg", "pe-s", "--h", "0.1",
                                     "--T", "64", "--seeds", "1", "--env", env],
@@ -230,6 +233,16 @@ class TestBadRunConfig:
     def test_huge_integer_bandwidth(self, capsys):
         self._check_exit_2(capsys, self._with("--h", "1" + "0" * 400),
                            "h must lie in (0, 1]")
+
+    def test_horizon_out_of_memory(self, capsys, monkeypatch):
+        # the traces of 10^11 rounds do not fit; the loop's allocation
+        # failure is stood in for, not made
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(harness, "_loop_rounds", no_memory)
+        self._check_exit_2(capsys, self._with("--T", "100000000000"),
+                           "out of memory at T = 100000000000")
 
     def test_lipschitz_regret_checked_before_play(self, capsys, monkeypatch):
         # discontinuous has no Lipschitz constant, so there is no benchmark

@@ -23,7 +23,8 @@ from smoothcb.estimators import IWSample, iw_estimate
 from smoothcb.harness import RunConfig, default_policy_class, run_experiment
 from smoothcb.kernels import RectKernel
 from smoothcb.losses import PiecewiseConstantLoss, PiecewiseLinearLoss
-from smoothcb.policies import PolicyClass, VersionSpace, union_ball_volume
+from smoothcb.policies import (PolicyClass, VersionSpace, segment_cuts,
+                               union_ball_volume)
 from smoothcb.spaces import ActionSpace
 
 
@@ -142,6 +143,21 @@ def _make_alg(actions, h=0.1, T=1024, variant="s", L=None, env=None):
     cfg = ElimConfig(variant=variant, T=T, h=h if variant == "s" else None,
                      L=L)
     return env, pc, SmoothPolicyElimination(env, pc, cfg)
+
+
+def _estimates(alg, state, centers, a, loss):
+    """The per-round scorer: (q, est) with est[i, j] = dens[i, j] * loss[i]
+    / q[i], survivor j's IW estimate of its smoothed loss at round i."""
+    q, dens = alg.propensity(state, centers, a)
+    return q, dens * (loss / q)[:, None]
+
+
+def _reference_means(alg, state, values, index, a, loss):
+    """median_of_means' batch means of the full (survivors x n_m) matrix
+    of per-round estimates."""
+    _, est = _estimates(alg, state, alg._centers(state.vs, values, index), a,
+                        loss)
+    return est.T.reshape(len(state.vs), alg.delta_T, -1).mean(axis=-1)
 
 
 def _rows(alg, state, n):
@@ -280,8 +296,31 @@ def _named(name, n_policies, bandwidth, **params):
     return env, default_policy_class(env, n_policies), bandwidth
 
 
+def _ring_contexts_instance():
+    # three weighted contexts and a tabular class whose balls wrap past 0
+    # at one context and past 1 at another
+    space = ActionSpace.ring()
+    losses = [PiecewiseLinearLoss([0.0, x, 1.0], [x, 0.0, 1.0 - x])
+              for x in (0.2, 0.5, 0.9)]
+    env = StochasticEnv(space, FiniteContexts([0, 1, 2], [0.5, 0.3, 0.2]),
+                        lambda xs: ByContext(losses, xs), noise="bernoulli")
+    table = np.array([[0.05, 0.2, 0.3, 0.6, 0.8],
+                      [0.1, 0.45, 0.5, 0.55, 0.97],
+                      [0.0, 0.35, 0.7, 0.9, 0.95]])
+    return env, PolicyClass.tabular(space, table), 0.1
+
+
+def _tiny_segment_instance():
+    # two ball ends 4e-16 apart: union_geometry drops the segment between
+    env = make_named_instance("absolute")
+    return env, _ring_pc([0.2, 0.2 + 4e-16, 0.5, 0.7]), 0.1
+
+
 _INSTANCES = {
     "ring": lambda: _named("absolute", 8, 0.1),
+    "ring_contexts": _ring_contexts_instance,
+    "ring_tiny_segment": _tiny_segment_instance,
+    "ring_whole": lambda: _named("absolute", 8, 0.6),
     "cube1": lambda: _named("needle_h", 8, 0.1, h=0.125, index=1),
     "cube2": lambda: _named("needle_h", 9, 0.25, h=0.125, d=2, index=1),
     "grid": _grid_instance,
@@ -319,7 +358,7 @@ class TestOneEpochPath:
         loss2, _ = env.realize_many(values, index, a2, rng_env)
         assert np.array_equal(a, a2) and np.array_equal(loss, loss2)
         # the scorer an epoch applies to each of its blocks of rounds
-        q, est = alg._estimates(state, centers, a, loss)
+        q, est = _estimates(alg, state, centers, a, loss)
         assert np.array_equal(q, q2)
         kern = RectKernel(pc.space, state.h_m)
         support = state.vs.indices
@@ -334,6 +373,41 @@ class TestOneEpochPath:
             for j, pi in enumerate(support):
                 assert est[i, j] == pytest.approx(
                     iw_estimate(kern, pc, int(pi), s), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("name", sorted(_INSTANCES))
+    def test_cell_scores_match_the_per_round_reference(self, name):
+        env, pc, alg, state = self._epoch(name)
+        state = dataclasses.replace(state, tilde_n_m=37,
+                                    n_m=37 * alg.delta_T)
+        n = state.n_m
+        a, loss, _, _ = alg._play_epoch(state, n, np.random.default_rng(2),
+                                        np.random.default_rng(1),
+                                        score=False)
+        values, index = env.contexts.sample_many(np.random.default_rng(1), n)
+        cells = isinstance(env.contexts, FiniteContexts) and pc.space.d == 1
+        segments = cells and pc.space.kind != "grid"
+        if segments:
+            # every ball end and its neighbouring doubles, and 0 and 1 where
+            # the space holds them, in place of the first drawn actions
+            cuts = segment_cuts(pc.space, pc.actions_many(values)[
+                :, state.vs.indices], state.h_m).ravel()
+            edges = np.unique(np.concatenate(
+                [cuts, np.nextafter(cuts, 0.0), np.nextafter(cuts, 1.0)]))
+            edges = edges[[space_contains(pc.space, e) for e in edges]]
+            a = a.copy()
+            a[:len(edges)] = edges
+        # rounds in cells, and rounds that take their own rows
+        cell = alg._cells(state, values)[0](index, a)
+        assert np.any(cell >= 0) == cells
+        assert np.any(cell < 0) == (segments or not cells)
+        means = alg._score(state, values, index, a, loss)
+        ref = _reference_means(alg, state, values, index, a, loss)
+        assert np.any(ref > 0)
+        np.testing.assert_allclose(means, ref, rtol=1e-12, atol=0.0)
+        for r_m in (0.5, 0.05, 0.01, 0.001):
+            at = dataclasses.replace(state, r_m=r_m)
+            assert np.array_equal(alg.end_epoch(at, means).mask,
+                                  alg.end_epoch(at, ref).mask)
 
     @pytest.mark.parametrize("name", ["ring", "sphere"])
     def test_chunking_changes_nothing_drawn(self, name, monkeypatch):
@@ -353,11 +427,8 @@ class TestOneEpochPath:
         for run in runs.values():
             assert np.array_equal(run[0], a) and np.array_equal(run[1], loss)
             assert np.array_equal(run[2], mean)
-        # median_of_means' batch means of the full (survivors x n_m) matrix
         values, index = env.contexts.sample_many(np.random.default_rng(1), n)
-        _, est = alg._estimates(state, alg._centers(state.vs, values, index),
-                                a, loss)
-        full = est.T.reshape(len(state.vs), alg.delta_T, -1).mean(axis=-1)
+        full = _reference_means(alg, state, values, index, a, loss)
         assert np.any(full > 0)
         for run in runs.values():
             np.testing.assert_allclose(run[3], full, rtol=1e-12, atol=0.0)

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from bandwidth_grid import grid_contains, grid_members
 
@@ -282,6 +282,8 @@ class TestBandwidthGrid:
     @settings(max_examples=300, deadline=None)
     @given(d=st.integers(2, 3), T=st.integers(4, 4096),
            u=st.floats(0.0, 1.0))
+    # h = 0.9999999999999998 lies within the floor's slack below D / D
+    @example(d=2, T=10, u=0.9999999999999999)
     def test_snap_on_the_cube(self, d, T, u):
         # for h in [T^(-1/d), 1] the snap is a grid member at or below h
         # whose kappa on the cube is at most twice h's
