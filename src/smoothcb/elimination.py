@@ -30,7 +30,8 @@ import numpy as np
 from .environments import FiniteContexts, StochasticEnv
 from .estimators import median_of_means
 from .kernels import RectKernel
-from .policies import PolicyClass, VersionSpace, segment_cuts, union_geometry
+from .policies import (PolicyClass, VersionSpace, distinct_rows, segment_cuts,
+                       union_geometry)
 from .spaces import GRID
 
 VARIANT_S = "s"
@@ -120,6 +121,10 @@ def solve_variance_program(
     certified optimum bound, where V is the panel-weighted volume of the
     union of the survivors' h-balls, measured on the objective's own
     ``union_geometry`` segments (its own points on the cube in d >= 2).
+    The geometry and each objective term are built once per distinct row of
+    survivor actions over the panel (once per context on the cube in
+    d >= 2, whose points are drawn per context) and weighted back onto the
+    panel's contexts.
     Returns (Q, value at Q, iterations, V).  Raises SolverFailure when the
     cap is hit and the best value still exceeds V/(1-mu)*(1+10*SOLVER_TOL).
     """
@@ -127,19 +132,22 @@ def solve_variance_program(
         raise ValueError("mu must lie in (0, 1/2]")
     xs, ws = panel
     k = len(vs)
-    blocks = union_geometry(pc.space, pc.actions_many(xs)[:, vs.indices], h,
-                            rng)
-    V = float(ws @ np.concatenate([vol for _, _, vol in blocks]))
+    c = pc.actions_many(xs)[:, vs.indices]
+    first, inverse = distinct_rows(pc.space, c)
+    blocks = union_geometry(pc.space, c[first], h, rng)
+    # each row's volume and term are expanded back onto the panel, not summed
+    # per row, so the panel sums add the same terms in the same order
+    V = float(ws @ np.concatenate([vol for _, _, vol in blocks])[inverse])
     target = V / (1.0 - mu) * (1.0 + SOLVER_TOL)
     hard_target = V / (1.0 - mu) * (1.0 + 10.0 * SOLVER_TOL)
 
     def terms_at(Q):
-        per_ctx = []
+        per_row = []
         for dens, meas, _ in blocks:
             q = mu + (1.0 - mu) * (Q @ dens)
-            per_ctx.append(((dens * meas[:, None, :])
+            per_row.append(((dens * meas[:, None, :])
                             @ (1.0 / q)[..., None])[..., 0])
-        return ws @ np.concatenate(per_ctx)
+        return ws @ np.concatenate(per_row)[inverse]
 
     # Self-play entropic ascent: weight flows toward the worst-off policy,
     # which raises the mixture density on its ball and lowers its term.  The

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import corral as corral_mod
 from .elimination import ElimConfig, SmoothPolicyElimination
-from .environments import StochasticEnv, _real, _whole, make_named_instance
+from .environments import (FiniteContexts, StochasticEnv, _real, _whole,
+                           make_named_instance)
 from .exp4 import Exp4State
 from .kernels import BandwidthGrid
 from .policies import PolicyClass, packing_number
@@ -110,9 +111,19 @@ def _rngs(seed: int):
 
 def default_policy_class(env: StochasticEnv, n: int,
                          csv_path: Optional[str] = None) -> PolicyClass:
-    """Constant class on an n-point grid of the env's space (or CSV table)."""
+    """Constant class on an n-point grid of the env's space (or CSV table,
+    whose rows the env's contexts must index as integers)."""
     if csv_path:
-        return PolicyClass.from_csv(env.space, csv_path)
+        pc = PolicyClass.from_csv(env.space, csv_path)
+        rows = len(pc.table)
+        finite = isinstance(env.contexts, FiniteContexts)
+        if not (finite and all(_whole(x) and 0 <= x < rows
+                               for x in env.contexts.values)):
+            raise ValueError(
+                f"--policy-csv {csv_path!r} has rows for the integer contexts "
+                f"0..{rows - 1}, but this env's contexts are "
+                f"{env.contexts.values if finite else 'sampled vectors'}")
+        return pc
     space = env.space
     if space.kind == "grid":
         return PolicyClass.constant(space, space.grid_points())

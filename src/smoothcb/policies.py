@@ -39,6 +39,9 @@ class PolicyClass:
             self.size = self.actions.shape[0]
         elif representation == TABULAR:
             self.table = np.asarray(table, dtype=float)
+            if self.table.ndim < 2:
+                raise ValueError("a tabular class needs a (contexts x "
+                                 f"policies) table, not {self.table.shape}")
             self.size = self.table.shape[1]
         elif representation == LINEAR_SPHERE:
             w = np.asarray(weights, dtype=float)
@@ -164,20 +167,40 @@ def union_geometry(space: ActionSpace, centers: np.ndarray, h: float,
     Returns (dens, meas, volume) blocks of consecutive contexts: ball j's
     kernel density dens[c, j, s] on segment s of context c, the segment's
     measure meas[c, s], and the union's measure volume[c].  On 1-d spaces
-    the segments lie between ball ends; those of length <= 1e-15 are dropped
-    and shorter contexts end in zero-measure padding, and the volume is the
-    lengths of the covered runs, summed left to right.  The grid's segments
-    are its points and the d >= 2 cube's are N_MC draws from ``rng`` per
-    context; the volume is the covered share of those same points.
+    the segments lie between ball ends; those of length <= 1e-15 are
+    dropped, and every context is padded with zero-measure segments to the
+    most any context keeps, so its arrays, and sums over them, do not depend
+    on how the contexts are blocked or grouped; the volume is the lengths of
+    the covered runs, summed left to right.  The grid's segments are its
+    points and the d >= 2 cube's are N_MC draws from ``rng`` per context;
+    the volume is the covered share of those same points.  The exploration
+    program builds it once per distinct row of survivor actions, except on
+    the cube in d >= 2 (``distinct_rows``).
     """
     c = np.asarray(centers, dtype=float)
-    k = c.shape[1]
-    width = (space.M if space.kind == GRID
-             else N_MC * space.d if space.d > 1 else 2 * k + 1)
-    step = max(1, _BLOCK_CELLS // (k * width))
+    if space.kind == GRID or space.d > 1:
+        cuts = np.empty((len(c), 0))
+        width = space.M if space.kind == GRID else N_MC * space.d
+    else:
+        cuts = segment_cuts(space, c, h)
+        width = int((np.diff(cuts, axis=1) > 1e-15).sum(axis=1).max())
+    step = max(1, _BLOCK_CELLS // (c.shape[1] * width))
     rng = rng or np.random.default_rng(0)
-    return [_union_block(space, c[i:i + step], h, rng)
+    return [_union_block(space, c[i:i + step], cuts[i:i + step], width, h,
+                         rng)
             for i in range(0, len(c), step)]
+
+
+def distinct_rows(space: ActionSpace, centers: np.ndarray):
+    """(first, inverse): one row index per distinct row of ``centers``, and
+    each row's place among them, so centers[first][inverse] == centers.
+    Rows are compared byte for byte.  On the cube in d >= 2 every row is its
+    own, as its geometry draws its own Monte Carlo points."""
+    c = np.ascontiguousarray(centers)
+    if space.d > 1:
+        return np.arange(len(c)), np.arange(len(c))
+    keys = c.view(np.dtype((np.void, c.itemsize * c.shape[1])))[:, 0]
+    return np.unique(keys, return_index=True, return_inverse=True)[1:]
 
 
 def segment_cuts(space: ActionSpace, centers: np.ndarray,
@@ -198,8 +221,8 @@ def segment_cuts(space: ActionSpace, centers: np.ndarray,
         [np.zeros((len(c), 1)), ends, np.ones((len(c), 1))], axis=1), axis=1)
 
 
-def _union_block(space: ActionSpace, c: np.ndarray, h: float,
-                 rng: np.random.Generator):
+def _union_block(space: ActionSpace, c: np.ndarray, cuts: np.ndarray,
+                 width: int, h: float, rng: np.random.Generator):
     n = len(c)
     if space.kind == GRID or space.d > 1:
         mids = (np.broadcast_to(space.grid_points(), (n, space.M))
@@ -207,11 +230,9 @@ def _union_block(space: ActionSpace, c: np.ndarray, h: float,
                 else rng.uniform(0.0, 1.0, size=(n, N_MC, space.d)))
         meas = np.full(mids.shape[:2], 1.0 / mids.shape[1])
     else:
-        cuts = segment_cuts(space, c, h)
         keep = np.diff(cuts, axis=1) > 1e-15
         # the kept segments first, in order, then the padding
-        order = np.argsort(~keep, axis=1, kind="stable")
-        order = order[:, :keep.sum(axis=1).max()]
+        order = np.argsort(~keep, axis=1, kind="stable")[:, :width]
         lo, hi, keep = (np.take_along_axis(x, order, axis=1)
                         for x in (cuts[:, :-1], cuts[:, 1:], keep))
         meas = np.where(keep, hi - lo, 0.0)

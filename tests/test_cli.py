@@ -230,6 +230,28 @@ class TestBadRunConfig:
                                     "--policies", "8", "--eps-grid", "0.1,0.2"],
                            "h must lie in (0, 1]")
 
+    @pytest.mark.parametrize("argv,contexts", [
+        (["run", "--alg", "exp4", "--env", "discontinuous", "--T", "64"],
+         "[None]"),
+        (["diagnose", "--env", "absolute"], "[None]"),
+        (["run", "--alg", "pe-s", "--env", "linear_sphere", "--T", "64"],
+         "sampled vectors"),
+    ])
+    def test_policy_csv_without_integer_contexts(self, tmp_path, capsys,
+                                                 argv, contexts):
+        # no named instance has integer contexts for a table's rows
+        table = tmp_path / "t.csv"
+        table.write_text("0.1,0.5\n0.3,0.7\n")
+        self._check_exit_2(capsys, argv + ["--h", "0.1", "--policy-csv",
+                                           str(table)],
+                           f"contexts are {contexts}")
+
+    def test_empty_policy_csv(self, tmp_path, capsys):
+        table = tmp_path / "t.csv"
+        table.write_text("")
+        self._check_exit_2(capsys, self.BASE + ["--policy-csv", str(table)],
+                           "tabular class needs")
+
     def test_huge_integer_bandwidth(self, capsys):
         self._check_exit_2(capsys, self._with("--h", "1" + "0" * 400),
                            "h must lie in (0, 1]")

@@ -13,7 +13,7 @@ from bandwidth_grid import space_contains
 from by_context import ByContext
 from scipy import stats
 
-from smoothcb import elimination
+from smoothcb import elimination, policies
 from smoothcb.elimination import (SOLVER_TOL, ElimConfig, EpochState,
                                   SmoothPolicyElimination, SolverFailure,
                                   solve_variance_program)
@@ -24,7 +24,7 @@ from smoothcb.harness import RunConfig, default_policy_class, run_experiment
 from smoothcb.kernels import RectKernel
 from smoothcb.losses import PiecewiseConstantLoss, PiecewiseLinearLoss
 from smoothcb.policies import (PolicyClass, VersionSpace, segment_cuts,
-                               union_ball_volume)
+                               union_ball_volume, union_geometry)
 from smoothcb.spaces import ActionSpace
 
 
@@ -135,6 +135,119 @@ class TestVarianceProgram:
         with pytest.raises(ValueError):
             solve_variance_program(pc, VersionSpace(pc), h=0.1, mu=0.7,
                                    panel=_panel())
+
+
+def _solve_per_context(pc, vs, h, mu, panel, rng, monkeypatch):
+    """The reference: the same solver with every panel row its own group,
+    so union_geometry builds one geometry per context."""
+    with monkeypatch.context() as m:
+        m.setattr(elimination, "distinct_rows",
+                  lambda space, c: (np.arange(len(c)),) * 2)
+        return solve_variance_program(pc, vs, h, mu, panel, rng=rng)
+
+
+def _tabular_mixed_widths():
+    # row 1 has two pairs of equal actions, so its cuts hold zero-length
+    # segments that union_geometry drops; the contexts of row 0 fill the
+    # first blocks only, so padding each block to its own widest row would
+    # pad row 1 differently in a per-context build and a per-row one, which
+    # moves the objective's last bits once Q is not uniform (mu = 0.02)
+    rng = np.random.default_rng(0)
+    table = rng.random((2, 16))
+    table[1, 1], table[1, 5] = table[1, 0], table[1, 4]
+    pc = PolicyClass.tabular(ActionSpace.ring(), table)
+    ws = rng.random(2000)
+    return pc, (np.repeat([0, 1], [100, 1900]), ws / ws.sum()), 0.1
+
+
+def _sampled_panel(pc, n=500):
+    env = make_named_instance("linear_sphere")
+    xs, ws = env.context_panel(n, np.random.default_rng(1))
+    return pc, (xs, ws)
+
+
+def _sphere_class():
+    w = np.random.default_rng(2).normal(size=(12, 2))
+    return PolicyClass.linear_sphere(ActionSpace.cube(1),
+                                     w / np.linalg.norm(w, axis=1)[:, None])
+
+
+_GROUPED_CASES = {
+    "ring-wraparound": lambda: (_ring_pc([0.02, 0.5, 0.97, 0.9, 0.93]),
+                                _panel(), 0.1),
+    "ring-2h-ge-1": lambda: (_ring_pc([0.1, 0.6, 0.65]), _panel(), 0.6),
+    "ring-tiny-segment": lambda: (_ring_pc([0.2, 0.2 + 4e-16, 0.5, 0.7]),
+                                  _panel(), 0.1),
+    "cube1": lambda: (PolicyClass.constant(ActionSpace.cube(1),
+                                           [0.0, 0.05, 0.93, 1.0, 0.5]),
+                      _panel(), 0.1),
+    "grid": lambda: (PolicyClass.constant(ActionSpace.grid(10),
+                                          [0.1, 0.5, 0.7, 0.75]),
+                     _panel(), 0.2),
+    "constant-sampled-panel": lambda: (*_sampled_panel(
+        PolicyClass.constant(ActionSpace.cube(1), (np.arange(16) + 0.5) / 16)),
+        0.1),
+    "tabular-repeated-contexts": lambda: (
+        PolicyClass.tabular(ActionSpace.ring(),
+                            np.random.default_rng(4).random((5, 6))),
+        (np.random.default_rng(5).integers(0, 5, 300), np.full(300, 1 / 300)),
+        0.07),
+    "tabular-mixed-widths": _tabular_mixed_widths,
+    "sphere-distinct-rows": lambda: (*_sampled_panel(_sphere_class()), 0.1),
+}
+
+
+class TestGroupedSolver:
+    """One geometry per distinct row of survivor actions gives the solver's
+    per-context result bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(_GROUPED_CASES))
+    @pytest.mark.parametrize("mu", [0.5, 0.02])
+    def test_equals_per_context_geometry(self, name, mu, monkeypatch):
+        pc, panel, h = _GROUPED_CASES[name]()
+        vs = VersionSpace(pc)
+        Q, value, iters, V = solve_variance_program(pc, vs, h, mu, panel)
+        Q_ref, value_ref, iters_ref, V_ref = _solve_per_context(
+            pc, vs, h, mu, panel, None, monkeypatch)
+        assert np.array_equal(Q, Q_ref)
+        assert (value, iters, V) == (value_ref, iters_ref, V_ref)
+
+    @pytest.mark.parametrize("cells", [1, 2 ** 12])
+    def test_padding_does_not_depend_on_blocks(self, cells, monkeypatch):
+        pc, (xs, _), h = _tabular_mixed_widths()
+        c = pc.actions_many(xs)
+        whole = union_geometry(pc.space, c, h)
+        monkeypatch.setattr(policies, "_BLOCK_CELLS", cells)
+        split = union_geometry(pc.space, c, h)
+        assert len(split) > len(whole)
+        for i in range(3):
+            assert np.array_equal(np.concatenate([b[i] for b in whole]),
+                                  np.concatenate([b[i] for b in split]))
+
+    def test_cube2_draws_as_per_context(self, monkeypatch):
+        space = ActionSpace.cube(2)
+        pc = PolicyClass.constant(space, [[0.1, 0.2], [0.15, 0.3],
+                                          [0.9, 0.9]])
+        panel = ([None] * 3, np.array([0.2, 0.3, 0.5]))
+        rng, rng_ref = np.random.default_rng(7), np.random.default_rng(7)
+        got = solve_variance_program(pc, VersionSpace(pc), 0.2, 0.1, panel,
+                                     rng=rng)
+        ref = _solve_per_context(pc, VersionSpace(pc), 0.2, 0.1, panel,
+                                 rng_ref, monkeypatch)
+        assert np.array_equal(got[0], ref[0]) and got[1:] == ref[1:]
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+    def test_one_geometry_per_distinct_row(self, monkeypatch):
+        pc, panel, h = _GROUPED_CASES["constant-sampled-panel"]()
+        calls = []
+
+        def counting(space, centers, *args):
+            calls.append(len(centers))
+            return union_geometry(space, centers, *args)
+
+        monkeypatch.setattr(elimination, "union_geometry", counting)
+        solve_variance_program(pc, VersionSpace(pc), h, 0.5, panel)
+        assert calls == [1]
 
 
 def _make_alg(actions, h=0.1, T=1024, variant="s", L=None, env=None):
@@ -448,26 +561,31 @@ class TestOneEpochPath:
 
 
 class TestSeededTrajectories:
-    # sha256 of actions, losses and epoch rows of seeded runs on absolute;
-    # the pe-l run finishes and scores epoch 1, then plays into epoch 2
+    # sha256 of actions, losses and epoch rows of seeded runs; the pe-l run
+    # on absolute finishes and scores epoch 1, then plays into epoch 2; the
+    # linear_sphere run solves its exploration program over a panel of 2,000
+    # sampled contexts (digest recorded before the solver grouped the panel
+    # by distinct action rows)
     DIGESTS = {
-        ("pe-s", 4096): "c49797c1f64c562d7a9c1d9b0b1a1b9a"
-                        "b2a74e93095fb9af3e9061ffbd26b247",
-        ("pe-l", 2 ** 17): "e758023f66ac24df6d3bb9df6a8ecd33"
-                           "b6d6864fd498597c628d858a9af9d087",
+        ("pe-s", "absolute", 4096): "c49797c1f64c562d7a9c1d9b0b1a1b9a"
+                                    "b2a74e93095fb9af3e9061ffbd26b247",
+        ("pe-l", "absolute", 2 ** 17): "e758023f66ac24df6d3bb9df6a8ecd33"
+                                       "b6d6864fd498597c628d858a9af9d087",
+        ("pe-s", "linear_sphere", 4096): "01d775a8f5d2aec943a3833c11fdd493"
+                                         "f67e37ddb632b6a1c3089e91b4305448",
     }
 
-    @pytest.mark.parametrize("alg,T", sorted(DIGESTS))
-    def test_absolute_trajectory_digest(self, alg, T):
+    @pytest.mark.parametrize("alg,env,T", sorted(DIGESTS))
+    def test_trajectory_digest(self, alg, env, T):
         extra = {"h": 0.1} if alg == "pe-s" else {"L": 1.0}
-        cfg = RunConfig(alg=alg, env_name="absolute", T=T, seeds=[0, 1],
+        cfg = RunConfig(alg=alg, env_name=env, T=T, seeds=[0, 1],
                         n_policies=8, **extra)
         digest = hashlib.sha256()
         for tr in run_experiment(cfg):
             digest.update(np.asarray(tr.actions, dtype=np.float64).tobytes())
             digest.update(np.asarray(tr.losses, dtype=np.float64).tobytes())
             digest.update(json.dumps(tr.epochs, sort_keys=True).encode())
-        assert digest.hexdigest() == self.DIGESTS[(alg, T)]
+        assert digest.hexdigest() == self.DIGESTS[(alg, env, T)]
 
 
 class TestFullRun:

@@ -51,6 +51,31 @@ class TestRunConfig:
             RunConfig(**kwargs)
 
 
+class TestPolicyCsv:
+    """A CSV table is a tabular class: its rows are the env's integer
+    contexts, and any other context set is refused when the class is
+    built."""
+
+    def _table(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("0.1,0.5\n0.3,0.7\n")
+        return str(path)
+
+    def test_integer_contexts(self, tmp_path):
+        env = StochasticEnv(ActionSpace.ring(), FiniteContexts([1, 0]),
+                            lambda xs: PiecewiseConstantLoss.constant(0.3))
+        pc = default_policy_class(env, 4, self._table(tmp_path))
+        assert np.array_equal(pc.actions_many(env.contexts.values),
+                              [[0.3, 0.7], [0.1, 0.5]])
+
+    @pytest.mark.parametrize("values", [[None], [0, 2], [0.0, 1.0]])
+    def test_contexts_that_index_no_row(self, tmp_path, values):
+        env = StochasticEnv(ActionSpace.ring(), FiniteContexts(values),
+                            lambda xs: PiecewiseConstantLoss.constant(0.3))
+        with pytest.raises(ValueError, match="contexts are"):
+            default_policy_class(env, 4, self._table(tmp_path))
+
+
 class TestBenchmarkOncePerExperiment:
     def test_one_benchmark_for_all_seeds(self, monkeypatch):
         calls = []
