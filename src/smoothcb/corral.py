@@ -116,7 +116,7 @@ class CorralMaster:
             b_t = min(int(q.cumsum().searchsorted(rng.random())), B - 1)
         q_bt = float(q[b_t])
         played = self.subs[b_t]
-        a, _ = played.step(x, rng)
+        a = played.step(x, rng)
         loss = float(loss_eval(a))
         tilde = np.zeros(B)
         tilde[b_t] = loss / q_bt

@@ -55,11 +55,12 @@ class FiniteContexts:
         _check(abs(self.weights.sum() - 1.0) <= 1e-9
                and np.all(self.weights >= 0),
                "weights must form a probability vector")
+        self._cum = np.cumsum(self.weights)
 
     def sample(self, rng: np.random.Generator):
         if len(self.values) == 1:
             return self.values[0]
-        i = min(int(np.searchsorted(np.cumsum(self.weights), rng.random())),
+        i = min(int(np.searchsorted(self._cum, rng.random())),
                 len(self.values) - 1)
         return self.values[i]
 

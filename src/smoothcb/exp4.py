@@ -60,6 +60,16 @@ class Exp4State:
     # -- weights --------------------------------------------------------
 
     @property
+    def logw(self) -> np.ndarray:
+        return self._logw
+
+    @logw.setter
+    def logw(self, value: np.ndarray) -> None:
+        # any write (``s.logw -= ...`` too) drops step's cached weights
+        self._logw = value
+        self._cum = None
+
+    @property
     def P(self) -> np.ndarray:
         w = np.exp(self.logw - self.logw.max())
         return w / w.sum()
@@ -73,36 +83,53 @@ class Exp4State:
     # -- protocol ---------------------------------------------------------
 
     def step(self, x, rng: np.random.Generator):
-        """Sample xi ~ P_t then a ~ xi(.|x); return (a, mixture propensity)."""
+        """Sample xi ~ P_t then a ~ xi(.|x); return a."""
         if self.t >= self.T:
             raise RuntimeError("horizon exhausted")
-        # update leaves max(logw) == 0, so these are the weights P gives
-        w = np.exp(self.logw)
-        P = w / w.sum()
-        j = min(int(P.cumsum().searchsorted(rng.random())), self.n - 1)
+        if self._cum is None:
+            # update leaves max(logw) == 0, so these are the weights P gives
+            w = np.exp(self.logw)
+            self._P = w / w.sum()
+            self._cum = self._P.cumsum()
+        j = min(int(self._cum.searchsorted(rng.random())), self.n - 1)
         i, pol = divmod(j, self.pc.size)
         acts = self.pc.actions_at(x)
         a = self.kernels[i].sample(acts[pol], rng)
-        dens = self.density_vector(x, a, acts)
-        p = float(P @ dens)
-        self._pending = (a, p, dens)
-        return a, p
+        self._pending = (a, acts)
+        return a
+
+    def propensity(self, x) -> float:
+        """The pending action's mixture propensity P_t . xi(a|x) under the
+        weights its step drew from (a restart since does not move them),
+        computed on the first call and kept with the densities."""
+        if self._pending is None:
+            raise RuntimeError("propensity must follow a step")
+        if len(self._pending) == 2:
+            a, acts = self._pending
+            dens = self.density_vector(x, a, acts)
+            self._pending = (a, acts, float(self._P @ dens), dens)
+        p = self._pending[2]
+        if p <= 0:
+            raise ValueError("propensity must be positive")
+        return p
 
     def update(self, x, a, observed_loss: float) -> np.ndarray:
         """Multiplicative update with the IW estimates; returns them.
 
         The action must come from the immediately preceding step (double
-        updates rejected), whose propensity and densities it reuses.
+        updates rejected).  Zero estimates (a +-0.0 loss) leave logw, whose
+        entries are +0.0 or negative, as it is: only the counter moves.
         """
         if self._pending is None or (self._pending[0] is not a and
                                      not np.array_equal(self._pending[0], a)):
             raise RuntimeError("update must follow its matching step")
-        _, p, dens = self._pending
-        if p <= 0:
-            raise ValueError("propensity must be positive")
-        est = dens * (observed_loss / p)
-        self.logw = self.logw - self.eta * est
-        self.logw -= self.logw.max()
+        if observed_loss == 0.0:
+            est = np.zeros(self.n)
+        else:
+            p = self.propensity(x)
+            est = self._pending[3] * (observed_loss / p)
+            self.logw = self.logw - self.eta * est
+            self.logw -= self.logw.max()
         self.t += 1
         self._pending = None
         return est
@@ -110,10 +137,10 @@ class Exp4State:
     def round(self, x, loss_eval: Callable[[object], float],
               rng: np.random.Generator):
         """One interaction, in the corralling master's protocol: step, feed
-        back ``loss_eval`` at the played action; return (a, propensity)."""
-        a, p = self.step(x, rng)
+        back ``loss_eval`` at the played action; return (a, None)."""
+        a = self.step(x, rng)
         self.update(x, a, loss_eval(a))
-        return a, p
+        return a, None
 
 
 class StableExp4(Exp4State):

@@ -35,7 +35,8 @@ class PolicyClass:
         self.space = space
         self.representation = representation
         if representation == CONSTANT:
-            self.actions = np.asarray(actions, dtype=float)
+            self.actions = np.array(actions, dtype=float)
+            self.actions.flags.writeable = False
             self.size = self.actions.shape[0]
         elif representation == TABULAR:
             self.table = np.asarray(table, dtype=float)
@@ -86,7 +87,10 @@ class PolicyClass:
         return float(a) if np.ndim(a) == 0 else np.asarray(a, dtype=float)
 
     def actions_at(self, x=None) -> np.ndarray:
-        """All policies' actions at context x, shape (|Pi|,) or (|Pi|, d)."""
+        """All policies' actions at context x, shape (|Pi|,) or (|Pi|, d);
+        a constant class's own read-only row."""
+        if self.representation == CONSTANT:
+            return self.actions
         return self.actions_many([x])[0]
 
     def actions_many(self, values) -> np.ndarray:
@@ -200,6 +204,8 @@ def distinct_rows(space: ActionSpace, centers: np.ndarray):
     if space.d > 1:
         return np.arange(len(c)), np.arange(len(c))
     keys = c.view(np.dtype((np.void, c.itemsize * c.shape[1])))[:, 0]
+    if len(keys) and (keys == keys[0]).all():  # np.unique's answer, no sort
+        return np.zeros(1, dtype=np.intp), np.zeros(len(keys), dtype=np.intp)
     return np.unique(keys, return_index=True, return_inverse=True)[1:]
 
 

@@ -232,7 +232,7 @@ def test_08_hedge_inequality_exact():
         totals = np.zeros(s.n)
         for _ in range(200):
             x = env.contexts.sample(rng)
-            a, _ = s.step(x, rng)
+            a = s.step(x, rng)
             loss, _ = env.realize_at(x, a, rng)
             P = s.P.copy()
             est = s.update(x, a, loss)

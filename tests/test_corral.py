@@ -96,7 +96,7 @@ class TestSingleSubDegeneracy:
         for _ in range(T):
             a_m, rec = master.round(
                 None, lambda a: env.realize_at(None, a, env_m)[0], rng_m)
-            a_s, _ = standalone.step(None, rng_s)
+            a_s = standalone.step(None, rng_s)
             loss_s, _ = env.realize_at(None, a_s, env_s)
             standalone.stable_update(None, a_s, loss_s, 1.0)
             assert a_m == a_s
@@ -156,7 +156,7 @@ def reference_round(master, x, loss_eval, rng):
         b_t = int(np.searchsorted(np.cumsum(master.q), rng.random()))
         b_t = min(b_t, B - 1)
     q_bt = float(master.q[b_t])
-    a, _ = master.subs[b_t].step(x, rng)
+    a = master.subs[b_t].step(x, rng)
     loss = float(loss_eval(a))
     tilde = np.zeros(B)
     tilde[b_t] = loss / q_bt

@@ -63,6 +63,18 @@ class TestBatchedRounds:
                     for i, v in zip(index, a)]
         assert np.array_equal(mean, expected) and np.array_equal(loss, mean)
 
+    def test_finite_sample_matches_per_call_cumsum(self):
+        # the cumsum kept from __init__ against one taken every call: the
+        # same contexts from the same draws
+        ctx = FiniteContexts(["a", "b", "c", "d", "e"],
+                             [0.1, 0.25, 0.05, 0.3, 0.3])
+        rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+        for _ in range(2000):
+            i = min(int(np.searchsorted(np.cumsum(ctx.weights),
+                                        ref.random())), 4)
+            assert ctx.sample(rng) == ctx.values[i]
+        assert rng.bit_generator.state == ref.bit_generator.state
+
     def test_sampler_gives_each_round_its_context(self):
         env = make_named_instance("linear_sphere")
         values, index = env.contexts.sample_many(np.random.default_rng(0), 7)

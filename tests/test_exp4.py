@@ -3,10 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from exp4_reference import EagerExp4, EagerStableExp4, eager
 
-from smoothcb.environments import make_named_instance
+from smoothcb import corral
+from smoothcb.environments import (FiniteContexts, StochasticEnv,
+                                   make_named_instance)
 from smoothcb.exp4 import Exp4State, StableExp4
+from smoothcb.harness import default_policy_class
 from smoothcb.kernels import RectKernel
+from smoothcb.losses import PiecewiseConstantLoss
 from smoothcb.policies import PolicyClass
 from smoothcb.spaces import ActionSpace
 
@@ -20,7 +25,7 @@ def _state(actions, h=0.1, T=100, eta=None):
 def _replay(state, x, a, observed_loss, propensity):
     """Absorb a logged action with a given propensity against the current
     weights: update's estimate with that propensity and the densities at a."""
-    state._pending = (a, propensity, state.density_vector(x, a))
+    state._pending = (a, None, propensity, state.density_vector(x, a))
     return state.update(x, a, observed_loss)
 
 
@@ -50,13 +55,15 @@ class TestPropensity:
     def test_singleton_equals_kernel_density(self):
         s = _state([0.5])
         rng = np.random.default_rng(0)
-        a, p = s.step(None, rng)
+        a = s.step(None, rng)
+        p = s.propensity(None)
         assert p == pytest.approx(RectKernel(s.pc.space, 0.1).density(0.5, a))
 
     def test_duplicate_members_match_single(self):
         s2 = _state([0.5, 0.5])
         rng = np.random.default_rng(1)
-        a, p = s2.step(None, rng)
+        a = s2.step(None, rng)
+        p = s2.propensity(None)
         assert p == pytest.approx(
             RectKernel(s2.pc.space, 0.1).density(0.5, a))
 
@@ -114,7 +121,8 @@ class TestPropensityEverySpace:
         for _ in range(40):
             x = draw(rng)
             P = s.P.copy()
-            a, p = s.step(x, rng)
+            a = s.step(x, rng)
+            p = s.propensity(x)
             want = sum(P[j] * k.density(pc.act(int(i), x), a)
                        for j, (k, i) in enumerate(zip(kernels, idxs)))
             assert p > 0.0
@@ -126,7 +134,7 @@ class TestUpdate:
     def test_zero_loss_no_change(self):
         s = _state([0.2, 0.6])
         rng = np.random.default_rng(2)
-        a, _ = s.step(None, rng)
+        a = s.step(None, rng)
         before = s.P.copy()
         s.update(None, a, 0.0)
         assert np.allclose(s.P, before)
@@ -143,7 +151,7 @@ class TestUpdate:
     def test_double_update_rejected(self):
         s = _state([0.2, 0.6])
         rng = np.random.default_rng(4)
-        a, _ = s.step(None, rng)
+        a = s.step(None, rng)
         s.update(None, a, 0.5)
         with pytest.raises(RuntimeError):
             s.update(None, a, 0.5)
@@ -151,7 +159,7 @@ class TestUpdate:
     def test_horizon_enforced(self):
         s = _state([0.2, 0.6], T=1)
         rng = np.random.default_rng(5)
-        a, _ = s.step(None, rng)
+        a = s.step(None, rng)
         s.update(None, a, 0.5)
         with pytest.raises(RuntimeError):
             s.step(None, rng)
@@ -161,7 +169,7 @@ class TestUpdate:
         s = _state(np.linspace(0, 0.9, 10))
         rng = np.random.default_rng(6)
         for _ in range(50):
-            a, _ = s.step(None, rng)
+            a = s.step(None, rng)
             P = s.P.copy()
             loss = float(rng.random())
             est = s.update(None, a, loss)
@@ -188,13 +196,14 @@ class TestStepInvariants:
     def _step_checked(learner, rng):
         P = learner.P
         u = copy.deepcopy(rng).random()
-        a, p = learner.step(None, rng)
+        a = learner.step(None, rng)
+        p = learner.propensity(None)
         # well separated balls, so the action names the member drawn; it
         # is P's draw, and the mixture propensity is P's too
         centers = learner.pc.actions_at(None)
         j = int(np.argmin(learner.pc.space.distances(centers, a)))
         assert j == min(int(np.searchsorted(np.cumsum(P), u)), learner.n - 1)
-        assert p == float(P @ learner._pending[2])
+        assert p == float(P @ learner._pending[3])
         return a
 
     def test_plain_learner(self):
@@ -231,7 +240,7 @@ class TestHedgeInequality:
             totals = np.zeros(s.n)
             for _ in range(200):
                 x = env.contexts.sample(rng)
-                a, _ = s.step(x, rng)
+                a = s.step(x, rng)
                 loss, _ = env.realize_at(x, a, rng)
                 P = s.P.copy()
                 est = s.update(x, a, loss)
@@ -254,8 +263,8 @@ class TestStableVariant:
         plain = _state([0.2, 0.6], eta=st.eta)
         rng1, rng2 = (np.random.default_rng(7) for _ in range(2))
         for _ in range(50):
-            a1, p1 = st.step(None, rng1)
-            a2, _ = plain.step(None, rng2)
+            a1 = st.step(None, rng1)
+            a2 = plain.step(None, rng2)
             assert a1 == a2
             loss = 0.3
             st.stable_update(None, a1, loss, 1.0)
@@ -266,7 +275,7 @@ class TestStableVariant:
     def test_doubling_to_power_of_two(self):
         st = self._stable(rho=1.0)
         rng = np.random.default_rng(8)
-        a, _ = st.step(None, rng)
+        a = st.step(None, rng)
         st.stable_update(None, a, 0.5, 0.1)
         assert st.rho_hat == 16.0
         assert st.restart_count == 1
@@ -275,7 +284,7 @@ class TestStableVariant:
         st = self._stable(rho=1.0, T=100)
         eta0 = st.eta
         rng = np.random.default_rng(9)
-        a, _ = st.step(None, rng)
+        a = st.step(None, rng)
         st.stable_update(None, a, 0.5, 0.1)
         assert st.eta == pytest.approx(eta0 / 4.0)
 
@@ -317,8 +326,10 @@ class TestRestartInPlace:
             play = t.bit_length() % 2 == 0
             restart = 1.0 / p_t > rho
             if play:
-                a, p = st.step(None, rng_s)
-                a_r, p_r = ref.step(None, rng_r)
+                a = st.step(None, rng_s)
+                p = st.propensity(None)
+                a_r = ref.step(None, rng_r)
+                p_r = ref.propensity(None)
                 assert a == a_r and p == p_r
                 st.stable_update(None, a, a / p_t, p_t)
             else:
@@ -345,3 +356,228 @@ class TestRestartInPlace:
 
 def _bits(v):
     return np.asarray(v, dtype=float).tobytes()
+
+
+def _grid_env(noise):
+    # zero mean loss on the grid points below 0.3: exact zeros without noise
+    mean = PiecewiseConstantLoss([0.0, 0.3, 0.6, 1.0], [0.0, 0.4, 0.9])
+    return StochasticEnv(ActionSpace.grid(16), FiniteContexts([None]),
+                         lambda xs: mean, noise=noise)
+
+
+def _sphere_case():
+    env = make_named_instance("linear_sphere")
+    w = np.random.default_rng(3).normal(size=(12, 2))
+    return env, PolicyClass.linear_sphere(
+        env.space, w / np.linalg.norm(w, axis=1)[:, None])
+
+
+# (env, policy class) per space and noise model; Gaussian noise is clipped
+# to [0, 1], which gives exact zeros
+_EAGER_CASES = {
+    "ring-bernoulli": lambda: make_named_instance("discontinuous"),
+    "ring-gaussian": lambda: make_named_instance("absolute", noise="gaussian"),
+    "ring-deterministic": lambda: make_named_instance(
+        "absolute", noise="deterministic"),
+    "cube1-contextual": _sphere_case,
+    "cube1-deterministic": lambda: make_named_instance(
+        "needle_L", noise="deterministic"),
+    "cube2-bernoulli": lambda: make_named_instance("needle_h", d=2),
+    "grid-deterministic": lambda: _grid_env("deterministic"),
+    "grid-bernoulli": lambda: _grid_env("bernoulli"),
+}
+
+
+def _eager_case(kind):
+    made = _EAGER_CASES[kind]()
+    if isinstance(made, tuple):
+        return made
+    return made, default_policy_class(made, 16)
+
+
+class TestAgainstEagerReference:
+    """The learner that caches its weights and skips zero-loss rounds plays
+    the eager learner's actions and holds its logw bytes after every round."""
+
+    T = 300
+
+    @pytest.mark.parametrize("hs", [(0.1,), (0.05, 0.2, 0.5)])
+    @pytest.mark.parametrize("kind", sorted(_EAGER_CASES))
+    def test_plain_learner(self, kind, hs):
+        env, pc = _eager_case(kind)
+        new, ref = Exp4State(pc, hs, self.T), EagerExp4(pc, hs, self.T)
+        rngs = [(np.random.default_rng(5), np.random.default_rng(6))
+                for _ in range(2)]
+        zeros = 0
+        for _ in range(self.T):
+            out = []
+            for s, (env_rng, alg_rng) in zip((new, ref), rngs):
+                x = env.contexts.sample(env_rng)
+                a = s.step(x, alg_rng)
+                loss = env.realize_at(x, a, env_rng)[0]
+                out.append((a, loss, s.update(x, a, loss)))
+            (a_n, loss_n, est_n), (a_r, loss_r, est_r) = out
+            assert _bits(a_n) == _bits(a_r)
+            assert _bits(loss_n) == _bits(loss_r)
+            assert np.array_equal(est_n, est_r)
+            assert _bits(new.logw) == _bits(ref.logw)
+            zeros += loss_n == 0.0
+        # not vacuous: both kinds of round are played, except that the
+        # deterministic ring and 1-d cube fields have no zero
+        assert zeros < self.T
+        assert zeros > 0 or kind in ("ring-deterministic",
+                                     "cube1-deterministic")
+
+    def test_round_matches(self):
+        env, pc = _eager_case("ring-bernoulli")
+        out = []
+        for s in (Exp4State(pc, [0.1], self.T), EagerExp4(pc, [0.1], self.T)):
+            env_rng, alg_rng = (np.random.default_rng(i) for i in (1, 2))
+            acts = []
+            for _ in range(self.T):
+                x = env.contexts.sample(env_rng)
+                a, rec = s.round(
+                    x, lambda a: env.realize_at(x, a, env_rng)[0], alg_rng)
+                assert rec is None
+                acts.append(a)
+            out.append((_bits(acts), _bits(s.logw)))
+        assert out[0] == out[1]
+
+    def test_stable_learner_across_restarts(self):
+        env, pc = _eager_case("ring-bernoulli")
+        T = 600
+        new = StableExp4(pc, [0.1], T)
+        ref = EagerStableExp4(pc, [0.1], T)
+        rngs = [(np.random.default_rng(8), np.random.default_rng(9))
+                for _ in range(2)]
+        for t in range(T):
+            # revealing probabilities that fall, on played and idle rounds
+            p_t = 1.0 / (1 + t // 3)
+            play = t % 3 != 2
+            acts = []
+            for s, (env_rng, alg_rng) in zip((new, ref), rngs):
+                if play:
+                    a = s.step(None, alg_rng)
+                    loss = env.realize_at(None, a, env_rng)[0]
+                    s.stable_update(None, a, loss / p_t, p_t)
+                    acts.append(a)
+                else:
+                    s.stable_update(None, None, 0.0, p_t)
+            if play:
+                assert _bits(acts[0]) == _bits(acts[1])
+            assert _bits(new.logw) == _bits(ref.logw)
+            assert (new.eta, new.rho_hat, new.t) == (ref.eta, ref.rho_hat,
+                                                     ref.t)
+        assert new.restart_count == ref.restart_count >= 5
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_multi_bucket_corral(self, seed):
+        env = make_named_instance("needle_h", h=1 / 32, index=1)
+        pc = default_policy_class(env, 16)
+        T = 1000
+        new, ref = (corral.build(pc, T, mode=corral.UNIFORM_H)
+                    for _ in range(2))
+        for s in ref.subs:
+            eager(s)
+        assert len(new.subs) > 2
+        rngs = [(np.random.default_rng(seed), np.random.default_rng(seed + 50))
+                for _ in range(2)]
+        for _ in range(T):
+            out = []
+            for m, (env_rng, alg_rng) in zip((new, ref), rngs):
+                out.append(m.round(
+                    None, lambda a: env.realize_at(None, a, env_rng)[0],
+                    alg_rng))
+            (a_n, rec_n), (a_r, rec_r) = out
+            assert _bits(a_n) == _bits(a_r)
+            assert rec_n == rec_r
+            assert _bits(new.q) == _bits(ref.q)
+            for s_n, s_r in zip(new.subs, ref.subs):
+                assert _bits(s_n.logw) == _bits(s_r.logw)
+        assert sum(rec_n["restarts"]) > 0
+
+
+class TestZeroLossRound:
+    """Every entry of logw is +0.0 or negative, so a +-0.0 loss leaves it,
+    and the weights step caches, as they are."""
+
+    @staticmethod
+    def _signs_hold(logw):
+        # +0.0 or negative: no -0.0, and the maximum is +0.0
+        m = logw.max()
+        return (m == 0.0 and not np.signbit(m)
+                and not np.any((logw == 0.0) & np.signbit(logw)))
+
+    def test_sign_invariant(self):
+        env, pc = _eager_case("ring-gaussian")
+        for s in (Exp4State(pc, [0.05, 0.2], 500),
+                  StableExp4(pc, [0.05, 0.2], 500)):
+            rng = np.random.default_rng(4)
+            assert self._signs_hold(s.logw)
+            for t in range(500):
+                x = env.contexts.sample(rng)
+                a = s.step(x, rng)
+                loss = env.realize_at(x, a, rng)[0]
+                if isinstance(s, StableExp4):
+                    s.stable_update(x, a, loss * (t + 1), 1.0 / (t + 1))
+                else:
+                    s.update(x, a, loss)
+                assert self._signs_hold(s.logw)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_zero_loss_touches_nothing(self, zero):
+        s = _state([0.2, 0.4, 0.6], eta=0.3)
+        rng = np.random.default_rng(1)
+        a = s.step(None, rng)
+        s.update(None, a, 0.7)  # logw is no longer uniform
+        a = s.step(None, rng)
+        logw, cum, P = s.logw, s._cum, s._P
+        saved = _bits(logw), _bits(cum)
+        est = s.update(None, a, zero)
+        assert np.array_equal(est, np.zeros(3))
+        assert s.logw is logw and s._cum is cum
+        s.step(None, rng)
+        assert s.logw is logw and s._cum is cum and s._P is P
+        assert (_bits(logw), _bits(cum)) == saved
+        assert s.t == 2
+
+    def _refreshed(self, s, rng):
+        # the next step draws from weights computed again from logw
+        assert s._cum is None
+        s.step(None, rng)
+        w = np.exp(s.logw)
+        assert _bits(s._cum) == _bits((w / w.sum()).cumsum())
+
+    def test_writes_refresh_the_weights(self):
+        rng = np.random.default_rng(2)
+        s = _state([0.2, 0.4, 0.6], eta=0.3)
+        a = s.step(None, rng)
+        s.update(None, a, 0.7)
+        self._refreshed(s, rng)
+        s.logw = np.array([-1.0, 0.0, -2.0])
+        self._refreshed(s, rng)
+        s.logw -= np.array([0.0, 0.5, 0.0])
+        self._refreshed(s, rng)
+
+    def test_restart_refreshes_the_weights(self):
+        space = ActionSpace.ring()
+        st = StableExp4(PolicyClass.constant(space, [0.2, 0.6]), [0.1], 100)
+        rng = np.random.default_rng(3)
+        a = st.step(None, rng)
+        st.update(None, a, 0.7)
+        st.step(None, rng)
+        st.stable_update(None, None, 0.0, 0.1)
+        assert st.restart_count == 1
+        self._refreshed(st, rng)
+        assert _bits(st._cum) == _bits([0.5, 1.0])
+
+    def test_propensity_computed_once(self):
+        s = _state([0.2, 0.25, 0.6])
+        rng = np.random.default_rng(4)
+        with pytest.raises(RuntimeError):
+            s.propensity(None)
+        a = s.step(None, rng)
+        p = s.propensity(None)
+        dens = s._pending[3]
+        assert s.propensity(None) == p and s._pending[3] is dens
+        assert p == float(s.P @ s.density_vector(None, a))

@@ -8,6 +8,7 @@ from by_context import ByContext
 from packing_reference import expected_packing
 
 from smoothcb import harness
+from smoothcb.cli import parse_env_spec
 from smoothcb.environments import (FiniteContexts, StochasticEnv,
                                    make_named_instance)
 from smoothcb.harness import (RegretTrace, RunConfig, default_policy_class,
@@ -118,26 +119,34 @@ class TestDeterminism:
 class TestSeededLearnerTrajectories:
     # sha256 of actions and losses of seeded exp4 and corral runs; the
     # uniform-h master's kappa = 1 bucket holds h = 1/2 and h = 1, and the
-    # Lipschitz master's buckets hold two bandwidths each
+    # Lipschitz master's buckets hold two bandwidths each.  Clipped Gaussian
+    # noise gives exact zero losses, as Bernoulli noise does.
     DIGESTS = {
         ("exp4", "discontinuous"): "117ac57f78b96c879c6c009016e73828"
                                    "66a5dbd43f39c265c6d2f13478013af6",
+        ("exp4", "absolute:noise=gaussian"):
+            "3aec59cf17a4da8839ab0ea5450888ee7f5bc7e87a5b866f2a39253e654eab63",
+        ("exp4", "needle_h:d=2"):
+            "3742ff9af2d582968f58ff01618cbb9f9cb0dc90ee1c72146348b32fdf62b724",
         ("corral-uniform-h", "absolute"): "7c526661e3353551116b2da511274574"
                                           "82b2a7bb4f2dc8ca10872dac16236d0a",
+        ("corral-uniform-h", "needle_h"):
+            "87ad26781ea87cdea17276fb4c7752921a389d20f9eebff01d1710a55c75830c",
         ("corral-lipschitz", "absolute"): "34c42fbe0305cce940edd28326e6b0ff"
                                           "3659c95b95c6d25ffebd5741358f47a7",
     }
 
-    @pytest.mark.parametrize("alg,env_name", sorted(DIGESTS))
-    def test_trajectory_digest(self, alg, env_name):
+    @pytest.mark.parametrize("alg,env_spec", sorted(DIGESTS))
+    def test_trajectory_digest(self, alg, env_spec):
         extra = {"h": 0.1} if alg == "exp4" else {}
-        cfg = RunConfig(alg=alg, env_name=env_name, T=2048, seeds=[0, 1],
-                        n_policies=16, **extra)
+        env_name, params = parse_env_spec(env_spec)
+        cfg = RunConfig(alg=alg, env_name=env_name, env_params=params,
+                        T=2048, seeds=[0, 1], n_policies=16, **extra)
         digest = hashlib.sha256()
         for tr in run_experiment(cfg):
             digest.update(np.asarray(tr.actions, dtype=np.float64).tobytes())
             digest.update(np.asarray(tr.losses, dtype=np.float64).tobytes())
-        assert digest.hexdigest() == self.DIGESTS[(alg, env_name)]
+        assert digest.hexdigest() == self.DIGESTS[(alg, env_spec)]
 
 
 class TestRegretAccounting:

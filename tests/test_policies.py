@@ -49,6 +49,16 @@ class TestPolicyClass:
         assert all(np.array_equal(pc.act(i, x), many[n, i])
                    for n, x in enumerate(xs) for i in range(pc.size))
 
+    def test_constant_actions_at_is_the_stored_row(self):
+        given = np.array([0.1, 0.2, 0.3])
+        pc = PolicyClass.constant(ActionSpace.ring(), given)
+        row = pc.actions_at(None)
+        assert row is pc.actions and pc.actions_at(0) is row
+        assert not row.flags.writeable
+        assert np.array_equal(row, pc.actions_many([None])[0])
+        # the class keeps a copy; the caller's array stays writeable
+        assert row is not given and given.flags.writeable
+
     def test_linear_sphere_requires_unit_norm(self):
         with pytest.raises(ValueError):
             PolicyClass.linear_sphere(ActionSpace.cube(1), [[2.0, 0.0]])
@@ -260,6 +270,58 @@ class TestUnionGeometry:
             0.0, 1.0, size=(2, policies.N_MC, 2))
         self._check(pc, ([None, None], np.array([0.5, 0.5])), 0.2, mu=0.3,
                     points=points)
+
+
+def _unique_rows(c):
+    """np.unique's (first, inverse) over the rows' bytes."""
+    c = np.ascontiguousarray(c)
+    keys = c.view(np.dtype((np.void, c.itemsize * c.shape[1])))[:, 0]
+    return np.unique(keys, return_index=True, return_inverse=True)[1:]
+
+
+class TestDistinctRows:
+    def _check(self, c, n_distinct):
+        want = _unique_rows(c)
+        got = policies.distinct_rows(_RING, c)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert len(got[0]) == n_distinct
+        assert c[got[0]][got[1]].tobytes() == c.tobytes()
+
+    def test_identical_rows_skip_the_sort(self, monkeypatch):
+        c = np.tile(np.random.default_rng(0).random(16), (2000, 1))
+        want = _unique_rows(c)
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("identical rows need no np.unique")
+        with monkeypatch.context() as m:
+            m.setattr(policies.np, "unique", no_sort)
+            got = policies.distinct_rows(_RING, c)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        self._check(c[:1], 1)
+
+    def test_mixed_rows(self):
+        rng = np.random.default_rng(1)
+        rows = rng.random((3, 5))
+        self._check(rows[rng.integers(3, size=200)], 3)
+        # the first row repeated but once
+        c = np.tile(rows[0], (50, 1))
+        c[37] = rows[1]
+        self._check(c, 2)
+
+    def test_signed_zeros_stay_distinct(self):
+        # equal as floats, not as bytes
+        c = np.tile([0.0, 0.5], (6, 1))
+        c[4, 0] = -0.0
+        self._check(c, 2)
+        self._check(c[::-1].copy(), 2)
+
+    def test_cube2_rows_are_their_own(self):
+        c = np.tile([[0.2, 0.3], [0.6, 0.7]], (40, 1, 1))
+        first, inverse = policies.distinct_rows(ActionSpace.cube(2), c)
+        assert np.array_equal(first, np.arange(40))
+        assert np.array_equal(inverse, np.arange(40))
 
 
 class TestUnionBallVolume:
