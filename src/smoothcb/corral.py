@@ -92,8 +92,9 @@ class CorralMaster:
                 lo = lam
             nxt = lam - val / float(etas @ (r * r))
             lam = nxt if lo < nxt < hi else 0.5 * (lo + hi)
-        q = 1.0 / (inv - etas * lam)
-        self.q = q / q.sum()
+        else:  # out of iterations: r is still at the previous lam
+            r = 1.0 / (inv - etas * lam)
+        self.q = r / r.sum()
 
     # -- protocol ----------------------------------------------------------
 

@@ -27,7 +27,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .environments import FiniteContexts, StochasticEnv
+from .environments import FiniteContexts, StochasticEnv, draw_indices
 from .estimators import median_of_means
 from .kernels import RectKernel
 from .policies import (PolicyClass, VersionSpace, distinct_rows, segment_cuts,
@@ -249,10 +249,12 @@ class SmoothPolicyElimination:
 
         ``picked_centers(pick)`` gives each round's centre of survivor
         pick[i], so callers need not hold every survivor's centre at once.
+        Survivors are picked by ``draw_indices``: ``rng.choice``'s picks
+        from the same draws.
         """
         space = self.pc.space
         explore = rng.random(n) < state.mu_m
-        pick = rng.choice(len(state.Q), size=n, p=state.Q)
+        pick = draw_indices(state.Q, n, rng)
         uniform = space.sample_uniform(rng, size=n)
         ball = space.sample_ball(picked_centers(pick), state.h_m, rng)
         if ball.ndim > 1:

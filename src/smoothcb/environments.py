@@ -40,6 +40,43 @@ def _whole(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
+def draw_indices(p, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``rng.choice(len(p), size=n, p=p)`` for a float p: the same picks,
+    checks and draws from rng, through a guide table (Chen and Asau).
+
+    Like choice, round i picks the number of cdf entries <= u_i.  With m a
+    power of two, u * m and c * m are exact, so a u in [j/m, (j+1)/m) picks
+    between lo[j] = #{c <= j/m} and hi[j] = #{c < (j+1)/m}; only rounds
+    whose bucket holds a cdf entry (at most len(p)/m of them) search it.
+    Its only n-length arrays are choice's two: the draws and the picks.
+    """
+    p = np.asarray(p, dtype=float)
+    _check(p.ndim == 1, "p must be 1-dimensional")
+    total = p.sum()
+    _check(not np.isnan(total), "Probabilities contain NaN")
+    _check(not np.any(p < 0), "Probabilities are not non-negative")
+    _check(abs(total - 1.0) <= math.sqrt(np.finfo(float).eps),
+           "Probabilities do not sum to 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(n)
+    m = 16 << (len(p) - 1).bit_length()
+    cm = cdf * m
+    # c <= j/m iff ceil(c * m) <= j, and c < (j+1)/m iff floor(c * m) <= j
+    lo = np.bincount(np.ceil(cm).astype(np.intp), minlength=m + 1)
+    hi = np.bincount(cm.astype(np.intp), minlength=m + 1)
+    lo.cumsum(out=lo)
+    hi.cumsum(out=hi)
+    lo[lo != hi] = -1  # the guide table: the pick, or -1 to search
+    pick = np.empty(n, dtype=np.intp)
+    np.multiply(u, m, out=pick, casting="unsafe")  # floor, with no float copy
+    # in place: mode "raise" would buffer a copy, and every bucket is < m
+    lo.take(pick, out=pick, mode="clip")
+    miss = np.flatnonzero(pick < 0)
+    pick[miss] = cdf.searchsorted(u[miss], "right")
+    return pick
+
+
 class FiniteContexts:
     """Enumerated context set with known weights (exact expectations)."""
 
@@ -72,8 +109,7 @@ class FiniteContexts:
         """
         if len(self.values) == 1:
             return np.asarray(self.values), np.zeros(n, dtype=int)
-        return np.asarray(self.values), rng.choice(len(self.values), size=n,
-                                                   p=self.weights)
+        return np.asarray(self.values), draw_indices(self.weights, n, rng)
 
     def panel(self, n_ctx: int, rng: np.random.Generator):
         return self.values, self.weights

@@ -272,6 +272,47 @@ class TestOmdStep:
         assert np.max(np.abs((inv - eta * lam) * new - 1.0)) <= 1e-9
 
 
+    @pytest.mark.parametrize("max_iter", [None, 1],
+                             ids=["converged", "out-of-iterations"])
+    @settings(max_examples=200, deadline=None)
+    @given(inputs=omd_inputs())
+    def test_equals_the_reference_step(self, max_iter, inputs):
+        # bit for bit, when the loop breaks at its tolerance and when it
+        # runs out of iterations
+        q, eta, losses = inputs
+        B = len(q)
+        master = corral.CorralMaster(_pc(), [0.5 / 2 ** b for b in range(B)],
+                                     T=64, eta=1.0)
+        master.q, master.etas = q.copy(), np.full(B, eta)
+        with pytest.MonkeyPatch.context() as mp:
+            if max_iter is not None:
+                mp.setattr(corral, "OMD_MAX_ITER", max_iter)
+            expected = omd_step_reference(master.q, master.etas, losses)
+            master._omd_step(losses)
+        assert np.array_equal(master.q, expected)
+
+
+def omd_step_reference(q, etas, losses):
+    """The master's normaliser step written with the iterate recomputed
+    after the loop at the final lam, whichever way the loop ended."""
+    inv = 1.0 / q + etas * losses
+    lo, hi = 0.0, float((inv / etas).min())
+    lam = 0.0
+    for _ in range(corral.OMD_MAX_ITER):
+        r = 1.0 / (inv - etas * lam)
+        val = float(r.sum()) - 1.0
+        if abs(val) < corral.OMD_TOL:
+            break
+        if val > 0.0:
+            hi = lam
+        else:
+            lo = lam
+        nxt = lam - val / float(etas @ (r * r))
+        lam = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+    q = 1.0 / (inv - etas * lam)
+    return q / q.sum()
+
+
 def uniform_h_regret_suite(losses, env, pc, T, h_eval_list, grid=None,
                            beta=1.0):
     """Per-requested-h regret rows against snapped smoothed benchmarks.

@@ -10,7 +10,8 @@ from by_context import ByContext
 from callable_loss import CallableLoss
 
 from smoothcb.environments import (FiniteContexts, StochasticEnv,
-                                   _closed_pocket, make_named_instance)
+                                   _closed_pocket, draw_indices,
+                                   make_named_instance)
 from smoothcb.harness import RunConfig, default_policy_class, run_experiment
 from smoothcb.kernels import RectKernel
 from smoothcb.losses import PiecewiseConstantLoss, PiecewiseLinearLoss
@@ -75,11 +76,122 @@ class TestBatchedRounds:
             assert ctx.sample(rng) == ctx.values[i]
         assert rng.bit_generator.state == ref.bit_generator.state
 
+    def test_finite_sample_many_equals_choice(self):
+        # weighted contexts, two of them never drawn, one of those last
+        ctx = FiniteContexts(["a", "b", "c", "d", "e"],
+                             [0.1, 0.0, 0.6, 0.3, 0.0])
+        for n in (0, 1, 7, 5000):
+            rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+            values, index = ctx.sample_many(rng, n)
+            expected = ref.choice(5, size=n, p=ctx.weights)
+            assert list(values) == ctx.values
+            assert index.dtype == expected.dtype
+            assert np.array_equal(index, expected)
+            assert rng.bit_generator.state == ref.bit_generator.state
+
     def test_sampler_gives_each_round_its_context(self):
         env = make_named_instance("linear_sphere")
         values, index = env.contexts.sample_many(np.random.default_rng(0), 7)
         assert len(values) == 7 and list(index) == list(range(7))
         assert all(np.isclose(np.linalg.norm(v), 1.0) for v in values)
+
+
+def _skewed(k, seed=0):
+    p = np.exp(-30.0 * np.random.default_rng(seed).random(k))
+    return p / p.sum()
+
+
+def _with_zeros(k, seed=0):
+    # exact zeros in front, inside and at the end of the vector
+    p = np.random.default_rng(seed).random(k)
+    p[[0, k // 2, k - 2, k - 1]] = 0.0
+    return p / p.sum()
+
+
+class TestDrawIndices:
+    """draw_indices against rng.choice, the reference it stands in for:
+    equal picks and an equal generator state afterwards."""
+
+    @staticmethod
+    def _same_as_choice(p, n, seed=0):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = draw_indices(p, n, rng)
+        expected = ref.choice(len(p), size=n, p=p)
+        assert got.dtype == expected.dtype and got.shape == (n,)
+        assert np.array_equal(got, expected)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    # k = 16 and k = 100 are pe-sphere's and pe-absolute's policy counts
+    @pytest.mark.parametrize("n", [0, 1, 1000, 50_000, 2 ** 17])
+    @pytest.mark.parametrize("shape,k", [
+        *[("uniform", k) for k in (1, 2, 3, 16, 100, 300)],
+        *[(shape, k) for shape in ("skewed", "zeros") for k in (16, 100, 300)],
+    ])
+    def test_equals_choice(self, shape, k, n):
+        # uniform at k = 16: every cdf entry lies on a bucket edge j / m
+        p = (np.full(k, 1.0 / k) if shape == "uniform"
+             else _skewed(k) if shape == "skewed" else _with_zeros(k))
+        self._same_as_choice(p, n, seed=k * 1000 + n)
+
+    def test_random_vectors_equal_choice(self):
+        rng = np.random.default_rng(19)
+        for trial in range(300):
+            k = int(rng.integers(1, 301))
+            p = rng.random(k) ** int(rng.integers(1, 9))
+            p[rng.random(k) < 0.2] = 0.0
+            if p.sum() == 0.0:
+                p[-1] = 1.0
+            n = int(2.0 ** rng.uniform(0.0, 16.0))
+            self._same_as_choice(p / p.sum(), n, seed=trial)
+
+    def test_one_value_takes_the_whole_mass(self):
+        p = np.zeros(100)
+        p[37] = 1.0
+        pick = draw_indices(p, 2 ** 14, np.random.default_rng(0))
+        assert np.all(pick == 37)
+        self._same_as_choice(p, 2 ** 14)
+
+    @pytest.mark.parametrize("n", [1, 2 ** 14])
+    def test_draw_on_a_cdf_entry(self, n):
+        # the first draw lands exactly on the first cdf entry; choice's
+        # search counts the entries <= u, so it picks 1
+        u = np.random.default_rng(5).random()
+        p = np.array([u, 1.0 - u])
+        assert p.cumsum()[-1] == 1.0
+        assert draw_indices(p, n, np.random.default_rng(5))[0] == 1
+        self._same_as_choice(p, n, seed=5)
+
+    @pytest.mark.parametrize("n", [1, 2 ** 14])
+    def test_draw_between_raw_and_normalised_cdf(self, n):
+        # the mass sums to 1 - 1e-9: the first draw lies above the raw
+        # first cdf entry and below the normalised one, so choice picks 0
+        u = np.random.default_rng(5).random()
+        p = np.array([u * (1.0 - 1e-9) * (1.0 + 1e-12), 0.0])
+        p[1] = (1.0 - 1e-9) - p[0]
+        cdf = p.cumsum()
+        assert cdf[0] < u < cdf[0] / cdf[-1]
+        assert draw_indices(p, n, np.random.default_rng(5))[0] == 0
+        self._same_as_choice(p, n, seed=5)
+
+    @pytest.mark.parametrize("p", [
+        [0.5, np.nan, 0.5],
+        [0.75, -0.25, 0.5],
+        [0.5, 0.5 + 1e-6],
+        [0.5, 0.5 - 1e-6],
+        [[0.5, 0.5]],
+    ], ids=["nan", "negative", "sum-above", "sum-below", "two-dims"])
+    def test_bad_probabilities_raise_as_choice_does(self, p):
+        p = np.array(p)
+        rng, ref = np.random.default_rng(0), np.random.default_rng(0)
+        with pytest.raises(ValueError) as expected:
+            ref.choice(p.shape[-1], size=5, p=p)
+        with pytest.raises(ValueError) as got:
+            draw_indices(p, 5, rng)
+        assert str(expected.value).startswith(str(got.value))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_sum_within_tolerance_is_accepted(self):
+        self._same_as_choice(np.array([0.5, 0.5 + 1e-9]), 10_000)
 
 
 class TestBenchmarks:
