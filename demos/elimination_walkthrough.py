@@ -22,7 +22,7 @@ env = StochasticEnv(space, FiniteContexts([None]), lambda xs: valley,
                     noise="bernoulli")
 pc = PolicyClass.constant(space, [0.1, 0.3, 0.5, 0.7, 0.9])
 
-cfg = ElimConfig(variant="s", T=2 ** 22, h=0.1, n_ctx=10)
+cfg = ElimConfig(variant="s", T=2 ** 22, h=0.1)
 alg = SmoothPolicyElimination(env, pc, cfg)
 out = alg.run(np.random.default_rng(0), rng_env=np.random.default_rng(1))
 

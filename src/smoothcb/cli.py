@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from typing import Dict, List, Optional
@@ -45,7 +46,7 @@ def _parse_value(text):
         try:
             num, den = text.split("/")
             return float(num) / float(den)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             pass
     return text
 
@@ -75,32 +76,47 @@ def _parse_seeds(value):
     return list(range(value)) if isinstance(value, int) else value
 
 
-def _floats(text: str) -> List[float]:
-    return [float(_parse_value(s)) for s in text.split(",")]
+def _floats(text) -> List[float]:
+    # str(): a --config file may give a comma list as a JSON number or list
+    return [float(_parse_value(s)) for s in str(text).split(",")]
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    # not enforced by argparse so a --config file may supply it
-    p.add_argument("--env", default=None,
-                   help="instance spec, e.g. absolute:astar=0.3")
-    p.add_argument("--T", type=int, default=1024)
+def _add_common(p: argparse.ArgumentParser, env: bool = True,
+                play: bool = True) -> None:
+    """The flags every subcommand shares; ``env`` adds --env (lowerbound
+    builds its own) and ``play`` the flags only a run of rounds reads."""
+    if env:
+        # not enforced by argparse so a --config file may supply it
+        p.add_argument("--env", default=None,
+                       help="instance spec, e.g. absolute:astar=0.3")
     p.add_argument("--h", type=str, default=None,
                    help="bandwidth (float or fraction like 1/32)")
     p.add_argument("--L", type=float, default=None)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--seeds", type=str, default="1",
-                   help="seed count, or explicit comma list")
+    if play:
+        p.add_argument("--T", type=int, default=1024)
+        p.add_argument("--beta", type=float, default=1.0)
+        p.add_argument("--seeds", type=str, default="1",
+                       help="seed count, or explicit comma list")
     p.add_argument("--policies", type=int, default=64,
                    help="grid size of the default constant policy class")
-    p.add_argument("--policy-csv", type=str, default=None,
-                   help="tabular policy class CSV (rows=contexts)")
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--config", type=str, default=None,
                    help="JSON file of flag values; explicit flags win")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses abbreviated flags, so the --config merge sees each flag given,
+    and ends a usage error in one line; subcommand parsers share it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="smoothcb")
+    ap = _Parser(prog="smoothcb")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one algorithm configuration")
@@ -114,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_sweep)
 
     p_diag = sub.add_parser("diagnose", help="structure diagnostics")
-    _add_common(p_diag)
+    _add_common(p_diag, play=False)
     p_diag.add_argument("--eps-grid", type=str, default=None)
 
     p_lb = sub.add_parser("lowerbound",
@@ -124,9 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lb.add_argument("--index", type=int, default=1,
                       help="hidden cell index for the loaded instance")
     p_lb.add_argument("--R", type=float, default=10.0)
-    _add_common(p_lb)
-
-
+    _add_common(p_lb, env=False)
     return ap
 
 
@@ -137,7 +151,7 @@ def _config_from(args, env_name, env_params, T=None, h=None) -> RunConfig:
         h=h if h is not None else
         (_parse_value(args.h) if args.h else None),
         L=args.L, beta=args.beta, seeds=_parse_seeds(args.seeds),
-        n_policies=args.policies, policy_csv=args.policy_csv)
+        n_policies=args.policies)
 
 
 def _cmd_run(args) -> int:
@@ -154,7 +168,9 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     env_name, env_params = parse_env_spec(args.env)
     hs = _floats(args.h_list) if args.h_list else [None]
-    Ts = [int(t) for t in _floats(args.T_list)] if args.T_list else [None]
+    # a non-finite T is passed on for RunConfig to reject
+    Ts = ([int(t) if math.isfinite(t) else t for t in _floats(args.T_list)]
+          if args.T_list else [None])
     rows = []
     for T in Ts:
         for h in hs:
@@ -174,9 +190,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     env_name, env_params = parse_env_spec(args.env)
-    check_policy_spec(args.policies, args.policy_csv)
+    check_policy_spec(args.policies)
     env = make_named_instance(env_name, **env_params)
-    pc = default_policy_class(env, args.policies, args.policy_csv)
+    pc = default_policy_class(env, args.policies)
     h = _parse_value(args.h) if args.h else None
     L = args.L if args.L is not None else env.lipschitz_constant
     eps = _floats(args.eps_grid) if args.eps_grid else None
@@ -244,6 +260,8 @@ def _apply_config_file(args, argv) -> None:
     """Fill in values from the JSON config; explicit flags take precedence."""
     with open(args.config) as f:
         loaded = json.load(f)
+    if not isinstance(loaded, dict):
+        raise ValueError(f"--config {args.config!r} is not a JSON object")
     given = {a.lstrip("-").split("=")[0].replace("-", "_")
              for a in (argv if argv is not None else sys.argv[1:])
              if a.startswith("--")}
@@ -262,7 +280,7 @@ def main(argv=None) -> int:
     if getattr(args, "config", None):
         try:
             _apply_config_file(args, argv)
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, ValueError) as e:
             print(f"configuration error: {e}", file=sys.stderr)
             return EXIT_CONFIG
     try:
@@ -278,10 +296,11 @@ def main(argv=None) -> int:
         print(f"solver failure: {e}", file=sys.stderr)
         return EXIT_SOLVER
     except MemoryError:
-        T = getattr(args, "T_list", None) or args.T
-        print(f"configuration error: out of memory at T = {T} with "
-              f"{args.policies} policies; a run holds its actions and losses "
-              "for all T rounds", file=sys.stderr)
+        T = getattr(args, "T_list", None) or getattr(args, "T", None)
+        where = (f"at T = {T} with {args.policies} policies; a run holds its "
+                 "actions and losses for all T rounds" if T else
+                 f"with {args.policies} policies")
+        print(f"configuration error: out of memory {where}", file=sys.stderr)
         return EXIT_CONFIG
     except (ValueError, KeyError, FileNotFoundError) as e:
         print(f"configuration error: {e}", file=sys.stderr)

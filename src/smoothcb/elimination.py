@@ -65,7 +65,6 @@ class ElimConfig:
     T: int
     h: Optional[float] = None
     L: Optional[float] = None
-    n_ctx: int = 2000
 
     def __post_init__(self):
         if self.variant not in (VARIANT_S, VARIANT_L):
@@ -110,8 +109,7 @@ class EpochState:
 
 def solve_variance_program(
         pc: PolicyClass, vs: VersionSpace, h: float, mu: float,
-        panel, iter_cap: int = SOLVER_ITER_CAP,
-        rng: Optional[np.random.Generator] = None,
+        panel, rng: Optional[np.random.Generator] = None,
 ) -> Tuple[np.ndarray, float, int, float]:
     """Minimize max_pi E_x E_{a~K_h(pi(x))}[1/q(a|x)] over simplex weights Q.
 
@@ -157,7 +155,7 @@ def solve_variance_program(
     Q_sum = np.zeros(k)
     best_Q, best_val = Q.copy(), math.inf
     iters = 0
-    for iters in range(1, iter_cap + 1):
+    for iters in range(1, SOLVER_ITER_CAP + 1):
         terms = terms_at(Q)
         value = float(terms.max())
         if value < best_val:
@@ -413,7 +411,7 @@ class SmoothPolicyElimination:
         cfg = self.config
         T = cfg.T
         rng_env = rng_env or rng
-        panel = self.env.context_panel(cfg.n_ctx, rng)
+        panel = self.env.context_panel(rng=rng)
         vs = VersionSpace(self.pc)
         actions: List[np.ndarray] = []
         losses: List[np.ndarray] = []

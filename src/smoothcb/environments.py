@@ -18,6 +18,9 @@ from .spaces import ActionSpace
 BERNOULLI = "bernoulli"
 DETERMINISTIC = "deterministic"
 GAUSSIAN = "gaussian"
+# contexts in the Monte Carlo panel over which a sampled context set's
+# expectations are taken; context_panel reads it at call time
+N_CTX = 2000
 
 
 def _check(ok: bool, message: str) -> None:
@@ -205,10 +208,12 @@ class StochasticEnv:
 
     # -- benchmarks -------------------------------------------------------
 
-    def context_panel(self, n_ctx: int = 2000,
+    def context_panel(self, n_ctx: Optional[int] = None,
                       rng: Optional[np.random.Generator] = None):
+        """(contexts, weights): the finite set itself, or ``n_ctx``
+        (default N_CTX) contexts sampled from ``rng`` (default seed 0)."""
         rng = rng or np.random.default_rng(0)
-        return self.contexts.panel(n_ctx, rng)
+        return self.contexts.panel(N_CTX if n_ctx is None else n_ctx, rng)
 
     def smoothed_policy_losses(self, pc: PolicyClass, h: float,
                                panel=None) -> np.ndarray:
@@ -413,15 +418,14 @@ def _needle_h(h: float = 0.125, R: float = 10.0, d: int = 1, index: int = 0,
                   "index": index, "c0": np.full(d, 0.75) if d > 1 else 0.75})
 
 
-def _needle_L(L: float = 4.0, R: float = 10.0, d: int = 1, index: int = 0,
+def _needle_L(L: float = 4.0, R: float = 10.0, index: int = 0,
               noise: str = BERNOULLI) -> StochasticEnv:
     """Hidden-tent field for stress-testing Lipschitz-adaptive learners.
 
     A shallow 1-Lipschitz tent of depth Delta/2 at 3/4 is always present;
     policy index >= 1 adds an L-Lipschitz tent of depth Delta at one of N
-    pockets in [0, 1/2].  Delta = min((L^d / (40 R 8^d))^(1/(d+1)), 1/8).
+    pockets in [0, 1/2].  Delta = min((L / (40 R 8))^(1/2), 1/8).
     """
-    _check(d == 1, "needle_L is built for d = 1")
     _check(_real(L) and L >= 1, "needle_L needs a finite L >= 1")
     _check(_real(R) and R > 0, "needle_L needs a finite R > 0")
     delta = min((L / (40.0 * R * 8.0)) ** 0.5, 0.125)

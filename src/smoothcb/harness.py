@@ -17,8 +17,7 @@ import numpy as np
 
 from . import corral as corral_mod
 from .elimination import ElimConfig, SmoothPolicyElimination
-from .environments import (FiniteContexts, StochasticEnv, _real, _whole,
-                           make_named_instance)
+from .environments import StochasticEnv, _real, _whole, make_named_instance
 from .exp4 import Exp4State
 from .kernels import BandwidthGrid
 from .policies import PolicyClass, packing_number
@@ -26,14 +25,12 @@ from .policies import PolicyClass, packing_number
 ALGORITHMS = ("exp4", "pe-s", "pe-l", "corral-uniform-h", "corral-lipschitz")
 
 
-def check_policy_spec(n_policies, policy_csv) -> None:
-    """Reject a policy-class spec that is not a count >= 1 plus an optional
-    CSV path; run (through RunConfig) and diagnose both check with this."""
+def check_policy_spec(n_policies) -> None:
+    """Reject a policy count that is not an integer >= 1; run (through
+    RunConfig) and diagnose both check with this."""
     if not _whole(n_policies) or n_policies < 1:
         raise ValueError(
             f"n_policies must be an integer >= 1, got {n_policies!r}")
-    if not isinstance(policy_csv, (str, type(None))):
-        raise ValueError(f"policy_csv must be a path, got {policy_csv!r}")
 
 
 def check_bandwidth(h) -> float:
@@ -55,18 +52,13 @@ class RunConfig:
     beta: float = 1.0
     seeds: Sequence[int] = (0,)
     n_policies: int = 64
-    n_ctx: int = 2000
-    policy_csv: Optional[str] = None
 
     def __post_init__(self):
         if self.alg not in ALGORITHMS:
             raise ValueError(f"unknown algorithm: {self.alg!r}")
         if not _whole(self.T) or self.T < 2:
             raise ValueError(f"T must be an integer >= 2, got {self.T!r}")
-        check_policy_spec(self.n_policies, self.policy_csv)
-        if not _whole(self.n_ctx) or self.n_ctx < 1:
-            raise ValueError(
-                f"n_ctx must be an integer >= 1, got {self.n_ctx!r}")
+        check_policy_spec(self.n_policies)
         if (not isinstance(self.seeds, (list, tuple, range))
                 or not self.seeds or not all(map(_whole, self.seeds))):
             raise ValueError(
@@ -109,21 +101,9 @@ def _rngs(seed: int):
     return np.random.default_rng(env_ss), np.random.default_rng(alg_ss)
 
 
-def default_policy_class(env: StochasticEnv, n: int,
-                         csv_path: Optional[str] = None) -> PolicyClass:
-    """Constant class on an n-point grid of the env's space (or CSV table,
-    whose rows the env's contexts must index as integers)."""
-    if csv_path:
-        pc = PolicyClass.from_csv(env.space, csv_path)
-        rows = len(pc.table)
-        finite = isinstance(env.contexts, FiniteContexts)
-        if not (finite and all(_whole(x) and 0 <= x < rows
-                               for x in env.contexts.values)):
-            raise ValueError(
-                f"--policy-csv {csv_path!r} has rows for the integer contexts "
-                f"0..{rows - 1}, but this env's contexts are "
-                f"{env.contexts.values if finite else 'sampled vectors'}")
-        return pc
+def default_policy_class(env: StochasticEnv, n: int) -> PolicyClass:
+    """Constant class on an n-point grid of the env's space.  Another class,
+    such as a ``PolicyClass.from_csv`` table, is passed to ``run_one``."""
     space = env.space
     if space.kind == "grid":
         return PolicyClass.constant(space, space.grid_points())
@@ -163,8 +143,7 @@ def _loop_rounds(env: StochasticEnv, learner, env_rng, alg_rng):
 
 def _loop_elim(env: StochasticEnv, pc: PolicyClass, cfg: RunConfig,
                variant: str, env_rng, alg_rng):
-    econf = ElimConfig(variant=variant, T=cfg.T, h=cfg.h, L=cfg.L,
-                       n_ctx=cfg.n_ctx)
+    econf = ElimConfig(variant=variant, T=cfg.T, h=cfg.h, L=cfg.L)
     alg = SmoothPolicyElimination(env, pc, econf)
     out = alg.run(alg_rng, rng_env=env_rng)
     return out["actions"], out["losses"], out["mean_losses"], out["epochs"]
@@ -188,8 +167,7 @@ def _benchmark(config: RunConfig, env: StochasticEnv, pc: PolicyClass):
         return None, float("nan")
     if bench_h == 0.0 and env.lipschitz_constant is None:
         raise ValueError("Lipschitz regret needs an env with L metadata")
-    panel = env.context_panel(config.n_ctx, np.random.default_rng(0))
-    return bench_h, env.smoothed_benchmark(pc, bench_h, panel=panel)[0]
+    return bench_h, env.smoothed_benchmark(pc, bench_h)[0]
 
 
 def run_one(config: RunConfig, seed: int, env: Optional[StochasticEnv] = None,
@@ -197,7 +175,7 @@ def run_one(config: RunConfig, seed: int, env: Optional[StochasticEnv] = None,
             benchmark: Optional[tuple] = None) -> RegretTrace:
     """One seed; ``benchmark`` is ``_benchmark``'s result when known."""
     env = env or make_named_instance(config.env_name, **config.env_params)
-    pc = pc or default_policy_class(env, config.n_policies, config.policy_csv)
+    pc = pc or default_policy_class(env, config.n_policies)
     bench_h, bench = benchmark or _benchmark(config, env, pc)
     env_rng, alg_rng = _rngs(seed)
     t0 = time.time()
@@ -227,7 +205,7 @@ def run_experiment(config: RunConfig,
                    out_dir: Optional[str] = None) -> List[RegretTrace]:
     """One trace per seed; optionally writes CSVs plus summary.json."""
     env = make_named_instance(config.env_name, **config.env_params)
-    pc = default_policy_class(env, config.n_policies, config.policy_csv)
+    pc = default_policy_class(env, config.n_policies)
     bench = _benchmark(config, env, pc)
     traces = [run_one(config, s, env=env, pc=pc, benchmark=bench)
               for s in config.seeds]
@@ -335,8 +313,8 @@ def _expected_packing(pc: PolicyClass, panel, level_vals: np.ndarray,
 
 def diagnose(env: StochasticEnv, pc: PolicyClass, h: Optional[float] = None,
              L: Optional[float] = None,
-             epsilon_grid: Optional[Sequence[float]] = None,
-             n_ctx: int = 2000) -> DiagnosticsReport:
+             epsilon_grid: Optional[Sequence[float]] = None
+             ) -> DiagnosticsReport:
     """Packing-number table and smoothing/zooming coefficients.
 
     For each epsilon: M_h(12 eps, h) over the 12*eps-optimal set under the
@@ -356,7 +334,7 @@ def diagnose(env: StochasticEnv, pc: PolicyClass, h: Optional[float] = None,
     if L is not None and len(np.unique(eps_arr)) < 2:
         raise ValueError(f"--eps-grid needs two distinct values for the "
                          f"zooming fit, got {eps_arr.tolist()}")
-    panel = env.context_panel(n_ctx, np.random.default_rng(0))
+    panel = env.context_panel()
     vals_h = (env.smoothed_policy_losses(pc, h, panel=panel)
               if h is not None else None)
     vals_0 = (env.smoothed_policy_losses(pc, 0.0, panel=panel)

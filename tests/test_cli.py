@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -73,6 +74,15 @@ class TestRunCommand:
                      "--T", "30"])
         assert code == 0
         assert "T=30" in capsys.readouterr().out
+
+    def test_seeds_flag_overrides_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"env": "absolute", "T": 30, "h": 0.1,
+                                   "seeds": 2, "policies": 4}))
+        code = main(["run", "--alg", "exp4", "--config", str(cfg),
+                     "--seeds", "1"])
+        assert code == 0
+        assert "seeds=1" in capsys.readouterr().out
 
 
 class TestExitCodes:
@@ -193,15 +203,12 @@ class TestBadRunConfig:
     def test_string_policy_count_in_diagnose_config(self, tmp_path, capsys):
         self._diagnose_with(tmp_path, capsys, "policies", "8", "n_policies")
 
-    def test_number_as_policy_csv_in_diagnose_config(self, tmp_path, capsys):
-        self._diagnose_with(tmp_path, capsys, "policy_csv", 7, "policy_csv")
-
     @pytest.mark.parametrize("env", [
         "linear_sphere:d_ctx=0", "linear_sphere:d_ctx=1.5",
         "linear_sphere:wstar=3", "needle_L:L=inf", "needle_h:d=0",
         "needle_h:R=0", "needle_L:R=0", "needle_h:index=1.5",
         "linear_sphere:L=nan", "needle_h:R=-1", "discontinuous:ap=2",
-        "needle_L:L=1e308",
+        "needle_L:L=1e308", "needle_L:d=1", "needle_h:h=1/0",
         pytest.param("needle_L:L=1" + "0" * 400, id="needle_L:L=huge-int"),
         pytest.param("needle_h:R=1" + "0" * 400, id="needle_h:R=huge-int")])
     def test_bad_instance_parameter(self, capsys, env):
@@ -230,27 +237,53 @@ class TestBadRunConfig:
                                     "--policies", "8", "--eps-grid", "0.1,0.2"],
                            "h must lie in (0, 1]")
 
-    @pytest.mark.parametrize("argv,contexts", [
-        (["run", "--alg", "exp4", "--env", "discontinuous", "--T", "64"],
-         "[None]"),
-        (["diagnose", "--env", "absolute"], "[None]"),
-        (["run", "--alg", "pe-s", "--env", "linear_sphere", "--T", "64"],
-         "sampled vectors"),
-    ])
-    def test_policy_csv_without_integer_contexts(self, tmp_path, capsys,
-                                                 argv, contexts):
-        # no named instance has integer contexts for a table's rows
-        table = tmp_path / "t.csv"
-        table.write_text("0.1,0.5\n0.3,0.7\n")
-        self._check_exit_2(capsys, argv + ["--h", "0.1", "--policy-csv",
-                                           str(table)],
-                           f"contexts are {contexts}")
+    def test_fraction_over_zero(self, capsys):
+        self._check_exit_2(capsys, self._with("--h", "1/0"),
+                           "h must lie in (0, 1], got '1/0'")
 
-    def test_empty_policy_csv(self, tmp_path, capsys):
-        table = tmp_path / "t.csv"
-        table.write_text("")
-        self._check_exit_2(capsys, self.BASE + ["--policy-csv", str(table)],
-                           "tabular class needs")
+    def test_overflowing_horizon_list(self, capsys):
+        self._check_exit_2(capsys, ["sweep", "--alg", "exp4", "--env",
+                                    "absolute", "--h", "0.1", "--T-list",
+                                    "1e400"], "T must be an integer >= 2")
+
+    def test_config_that_is_not_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        self._check_exit_2(capsys, ["run", "--alg", "exp4", "--config",
+                                    str(cfg)], "JSON object")
+
+    def test_json_list_for_a_comma_list_in_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"env": "absolute", "h": 0.1,
+                                   "eps_grid": [0.1, 0.2]}))
+        self._check_exit_2(capsys, ["diagnose", "--config", str(cfg)],
+                           "could not convert")
+
+    def test_abbreviated_flag(self, capsys):
+        # --se would be read as --seeds while the --config merge missed it
+        self._check_exit_2(capsys, self.BASE + ["--se", "1"],
+                           "unrecognized arguments: --se")
+
+    @pytest.mark.parametrize("argv", [
+        ["diagnose", "--env", "absolute", "--T", "5"],
+        ["diagnose", "--env", "absolute", "--seeds", "2"],
+        ["diagnose", "--env", "absolute", "--beta", "0.5"],
+        ["lowerbound", "--alg", "exp4", "--h", "1/8", "--env", "absolute"],
+        ["lowerbound", "--alg", "exp4", "--h", "1/8", "--env",
+         "needle_L:d=1"],
+        BASE + ["--policy-csv", "t.csv"]],
+        ids=["diagnose-T", "diagnose-seeds", "diagnose-beta",
+             "lowerbound-env", "lowerbound-env-needle_L", "policy-csv"])
+    def test_flag_no_command_reads(self, capsys, argv):
+        self._check_exit_2(capsys, argv, "unrecognized arguments")
+
+    def test_out_of_memory_in_diagnose(self, capsys, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "diagnose", no_memory)
+        self._check_exit_2(capsys, ["diagnose", "--env", "absolute", "--h",
+                                    "0.1"], "out of memory with 64 policies")
 
     def test_huge_integer_bandwidth(self, capsys):
         self._check_exit_2(capsys, self._with("--h", "1" + "0" * 400),
@@ -288,6 +321,13 @@ class TestSweepCommand:
         with open(out / "sweep.json") as f:
             rows = json.load(f)
         assert [r["h"] for r in rows] == [0.1, 0.25]
+
+    def test_number_for_h_list_in_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"env": "absolute", "h_list": 0.1, "T": 20,
+                                   "policies": 4}))
+        assert main(["sweep", "--alg", "exp4", "--config", str(cfg)]) == 0
+        assert "h=0.1 " in capsys.readouterr().out
 
     def test_std_matches_the_run_summary(self, tmp_path, capsys):
         # a sweep row and its run's summary.json report one regret std
@@ -350,11 +390,23 @@ class TestLowerboundCommand:
             res = json.load(f)
         assert set(res) == {"plain", "hidden"}
 
-    def test_missing_policy_csv(self, tmp_path, capsys):
-        # lowerbound reads --policy-csv as run does
-        code = main(["lowerbound", "--alg", "exp4", "--kind", "h",
-                     "--h", "0.125", "--T", "64",
-                     "--policy-csv", str(tmp_path / "missing.csv")])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "missing.csv" in err and "Traceback" not in err
+
+class TestParser:
+    # every option a subcommand takes is read by its handler
+    DESTS = {
+        "run": {"alg", "env", "T", "h", "L", "beta", "seeds", "policies",
+                "out", "config"},
+        "sweep": {"alg", "h_list", "T_list", "env", "T", "h", "L", "beta",
+                  "seeds", "policies", "out", "config"},
+        "diagnose": {"env", "h", "L", "policies", "out", "config",
+                     "eps_grid"},
+        "lowerbound": {"alg", "kind", "index", "R", "T", "h", "L", "beta",
+                       "seeds", "policies", "out", "config"},
+    }
+
+    def test_option_dests(self):
+        sub, = [a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)]
+        got = {name: {a.dest for a in p._actions if a.dest != "help"}
+               for name, p in sub.choices.items()}
+        assert got == self.DESTS

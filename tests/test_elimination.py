@@ -13,7 +13,7 @@ from bandwidth_grid import space_contains
 from by_context import ByContext
 from scipy import stats
 
-from smoothcb import elimination, policies
+from smoothcb import elimination, environments, policies
 from smoothcb.elimination import (SOLVER_TOL, ElimConfig, EpochState,
                                   SmoothPolicyElimination, SolverFailure,
                                   solve_variance_program)
@@ -124,11 +124,12 @@ class TestVarianceProgram:
             rng=np.random.default_rng(100 + s))
         assert value <= V / (1 - mu) * (1 + SOLVER_TOL)
 
-    def test_failure_when_iterations_exhausted(self):
+    def test_failure_when_iterations_exhausted(self, monkeypatch):
+        monkeypatch.setattr(elimination, "SOLVER_ITER_CAP", 1)
         pc = _ring_pc(np.concatenate([np.full(29, 0.2), [0.7]]))
         with pytest.raises(SolverFailure):
             solve_variance_program(pc, VersionSpace(pc), h=0.05, mu=0.01,
-                                   panel=_panel(), iter_cap=1)
+                                   panel=_panel())
 
     def test_mu_range_enforced(self):
         pc = _ring_pc([0.5])
@@ -444,10 +445,14 @@ _INSTANCES = {
 class TestOneEpochPath:
     """The batched epoch on every space kind and both context classes."""
 
+    @pytest.fixture(autouse=True)
+    def _small_panel(self, monkeypatch):
+        monkeypatch.setattr(environments, "N_CTX", 50)
+
     def _alg(self, name, T=4096):
         env, pc, h = _INSTANCES[name]()
         return env, pc, SmoothPolicyElimination(
-            env, pc, ElimConfig(variant="s", T=T, h=h, n_ctx=50))
+            env, pc, ElimConfig(variant="s", T=T, h=h))
 
     def _epoch(self, name):
         env, pc, alg = self._alg(name)
@@ -586,6 +591,21 @@ class TestSeededTrajectories:
             digest.update(np.asarray(tr.losses, dtype=np.float64).tobytes())
             digest.update(json.dumps(tr.epochs, sort_keys=True).encode())
         assert digest.hexdigest() == self.DIGESTS[(alg, env, T)]
+
+    def test_benchmark_sphere_configuration(self):
+        # perfbench's pe-sphere run (16 policies) over seeds 0..49: its
+        # trajectories, and every seed's pseudo-regret per round inside the
+        # benchmark's band [0.028, 0.068]
+        cfg = RunConfig(alg="pe-s", env_name="linear_sphere", T=4096, h=0.1,
+                        seeds=list(range(50)), n_policies=16)
+        digest = hashlib.sha256()
+        for tr in run_experiment(cfg):
+            digest.update(np.asarray(tr.actions, dtype=np.float64).tobytes())
+            digest.update(np.asarray(tr.losses, dtype=np.float64).tobytes())
+            digest.update(json.dumps(tr.epochs, sort_keys=True).encode())
+            assert 0.028 <= tr.pseudo_regret / cfg.T <= 0.068, tr.seed
+        assert digest.hexdigest() == ("d898f0ab4df3ab9385929981510cadad"
+                                      "c2946ff8e81ec2c12a02843799362533")
 
 
 class TestFullRun:

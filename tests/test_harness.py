@@ -7,7 +7,7 @@ import pytest
 from by_context import ByContext
 from packing_reference import expected_packing
 
-from smoothcb import harness
+from smoothcb import environments, harness
 from smoothcb.cli import parse_env_spec
 from smoothcb.environments import (FiniteContexts, StochasticEnv,
                                    make_named_instance)
@@ -42,8 +42,8 @@ class TestRunConfig:
     @pytest.mark.parametrize("field,value", [
         ("T", 1), ("T", "100"), ("T", 100.0), ("h", 0.0), ("h", 1.5),
         ("h", float("nan")), ("h", "0.1"), ("n_policies", 0),
-        ("seeds", []), ("seeds", 3), ("seeds", [0.5]), ("n_ctx", 0),
-        ("L", float("inf")), ("beta", 2.0), ("policy_csv", 7),
+        ("seeds", []), ("seeds", 3), ("seeds", [0.5]), ("n_policies", 2.5),
+        ("L", float("inf")), ("beta", 2.0), ("L", "1"),
         ("seeds", [0, 0])])
     def test_rejects_bad_values(self, field, value):
         kwargs = {"alg": "exp4", "env_name": "absolute", "T": 10, "h": 0.1}
@@ -53,28 +53,21 @@ class TestRunConfig:
 
 
 class TestPolicyCsv:
-    """A CSV table is a tabular class: its rows are the env's integer
-    contexts, and any other context set is refused when the class is
-    built."""
-
-    def _table(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("0.1,0.5\n0.3,0.7\n")
-        return str(path)
+    """A CSV table is a tabular class whose rows are the env's integer
+    contexts; a run plays it when it is passed to run_one."""
 
     def test_integer_contexts(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("0.1,0.5\n0.3,0.7\n")
         env = StochasticEnv(ActionSpace.ring(), FiniteContexts([1, 0]),
                             lambda xs: PiecewiseConstantLoss.constant(0.3))
-        pc = default_policy_class(env, 4, self._table(tmp_path))
+        pc = PolicyClass.from_csv(env.space, str(path))
         assert np.array_equal(pc.actions_many(env.contexts.values),
                               [[0.3, 0.7], [0.1, 0.5]])
-
-    @pytest.mark.parametrize("values", [[None], [0, 2], [0.0, 1.0]])
-    def test_contexts_that_index_no_row(self, tmp_path, values):
-        env = StochasticEnv(ActionSpace.ring(), FiniteContexts(values),
-                            lambda xs: PiecewiseConstantLoss.constant(0.3))
-        with pytest.raises(ValueError, match="contexts are"):
-            default_policy_class(env, 4, self._table(tmp_path))
+        cfg = RunConfig(alg="exp4", env_name="custom", T=50, h=0.1)
+        tr = run_one(cfg, 0, env=env, pc=pc)
+        assert len(tr.losses) == 50 and np.all(tr.losses == 0.3)
+        assert tr.benchmark == 0.3
 
 
 class TestBenchmarkOncePerExperiment:
@@ -242,7 +235,7 @@ class TestOutputs:
 
     def test_epoch_log_written(self, tmp_path):
         cfg = RunConfig(alg="pe-s", env_name="absolute", T=64, h=0.2,
-                        seeds=[0], n_policies=4, n_ctx=20)
+                        seeds=[0], n_policies=4)
         run_experiment(cfg, out_dir=str(tmp_path))
         path = tmp_path / "epochs_seed0.csv"
         assert path.exists()
@@ -290,12 +283,14 @@ class TestDiagnostics:
 
 
 def _diagnose_both(monkeypatch, env, pc, n_ctx=2000):
-    """diagnose's report, then the same report with every packing number
-    taken one context at a time by the reference."""
+    """diagnose's report over an n_ctx-context panel, then the same report
+    with every packing number taken one context at a time by the
+    reference."""
     L = env.lipschitz_constant or 1.0
-    got = diagnose(env, pc, h=0.1, L=L, n_ctx=n_ctx)
+    monkeypatch.setattr(environments, "N_CTX", n_ctx)
+    got = diagnose(env, pc, h=0.1, L=L)
     monkeypatch.setattr(harness, "_expected_packing", expected_packing)
-    return got, diagnose(env, pc, h=0.1, L=L, n_ctx=n_ctx)
+    return got, diagnose(env, pc, h=0.1, L=L)
 
 
 class TestDiagnosticsReference:

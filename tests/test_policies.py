@@ -70,6 +70,12 @@ class TestPolicyClass:
         assert pc.size == 2
         assert pc.act(1, 0) == 0.2
 
+    def test_from_empty_csv(self, tmp_path):
+        p = tmp_path / "pc.csv"
+        p.write_text("")
+        with pytest.raises(ValueError, match="tabular class needs"):
+            PolicyClass.from_csv(ActionSpace.cube(1), str(p))
+
 
 class TestProjection:
     def test_full_class(self):
