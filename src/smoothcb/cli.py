@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 from typing import Dict, List, Optional
@@ -32,6 +31,8 @@ from .harness import (ALGORITHMS, RunConfig, check_policy_spec,
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
+# lowerbound's needle fields: "h" is needle_h and "L" is needle_L
+KINDS = ("h", "L")
 
 
 def _parse_value(text):
@@ -136,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lb = sub.add_parser("lowerbound",
                           help="paired needle-field stress runs")
     p_lb.add_argument("--alg", required=True, choices=ALGORITHMS)
-    p_lb.add_argument("--kind", choices=("h", "L"), default="h")
+    p_lb.add_argument("--kind", choices=KINDS, default="h")
     p_lb.add_argument("--index", type=int, default=1,
                       help="hidden cell index for the loaded instance")
     p_lb.add_argument("--R", type=float, default=10.0)
@@ -168,20 +169,21 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     env_name, env_params = parse_env_spec(args.env)
     hs = _floats(args.h_list) if args.h_list else [None]
-    # a non-finite T is passed on for RunConfig to reject
-    Ts = ([int(t) if math.isfinite(t) else t for t in _floats(args.T_list)]
+    # a T that is not a whole number is passed on for RunConfig to reject
+    Ts = ([int(t) if t.is_integer() else t for t in _floats(args.T_list)]
           if args.T_list else [None])
+    # every configuration is checked before any of them plays a round
+    configs = [_config_from(args, env_name, env_params, T=T, h=h)
+               for T in Ts for h in hs]
     rows = []
-    for T in Ts:
-        for h in hs:
-            config = _config_from(args, env_name, env_params, T=T, h=h)
-            sub_out = (os.path.join(args.out, f"T{config.T}_h{config.h}")
-                       if args.out else None)
-            stats = regret_summary(run_experiment(config, out_dir=sub_out))
-            rows.append({"T": config.T, "h": config.h, **stats})
-            print(f"T={config.T} h={config.h} "
-                  f"regret mean={stats['regret_mean']:.6g} "
-                  f"std={stats['regret_std']:.6g}")
+    for config in configs:
+        sub_out = (os.path.join(args.out, f"T{config.T}_h{config.h}")
+                   if args.out else None)
+        stats = regret_summary(run_experiment(config, out_dir=sub_out))
+        rows.append({"T": config.T, "h": config.h, **stats})
+        print(f"T={config.T} h={config.h} "
+              f"regret mean={stats['regret_mean']:.6g} "
+              f"std={stats['regret_std']:.6g}")
     if args.out:
         with open(os.path.join(args.out, "sweep.json"), "w") as f:
             json.dump(rows, f, indent=2)
@@ -214,6 +216,9 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_lowerbound(args) -> int:
+    if args.kind not in KINDS:  # a --config file skips argparse's choices
+        raise ValueError(f"lowerbound --kind must be h or L, got "
+                         f"{args.kind!r}")
     env_name = "needle_h" if args.kind == "h" else "needle_L"
     base: Dict = {"R": args.R}
     if args.kind == "h":

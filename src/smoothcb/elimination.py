@@ -7,12 +7,12 @@ weighting with median-of-means aggregation across batches, and prunes
 policies that fall behind the empirical best by more than the epoch radius
 allows.  An epoch is played the same way on every space kind and context
 class: its contexts, mixed draws and realized losses are drawn whole, as
-vectors over its rounds.  Its scores come from per-cell loss sums: with
-finite contexts on a 1-d space or the grid, every action in a cell (a
-context value and a segment of the survivors' balls) has the same survivor
-densities and propensity, so one (cells x survivors) table turns each
-batch's per-cell loss sums into its estimates; other rounds add their own
-density rows.  An epoch that is not scored forms nothing per survivor.
+vectors over its rounds.  With one finite context on the ring or the 1-d
+cube its scores come from per-cell loss sums: every action in a cell (a
+segment of the survivors' balls) has the same survivor densities and
+propensity, so one (cells x survivors) table turns each batch's per-cell
+loss sums into its estimates.  Every other round adds its own density row.
+An epoch that is not scored forms nothing per survivor.
 
 Two schedules: the fixed-bandwidth variant keeps h_m = h and halves the
 radius r_m = 2^-m; the Lipschitz variant halves the bandwidth h_m = 2^-m
@@ -94,7 +94,6 @@ class EpochState:
     r_m: float
     mu_m: float
     V_m: float
-    kappa: float
     tilde_n_m: int
     n_m: int
     Q: np.ndarray  # over the survivors, in support order
@@ -212,8 +211,7 @@ class SmoothPolicyElimination:
             self.pc, vs, h_m, mu_m, panel, rng=rng)
         tilde_n = math.ceil(320.0 * kappa * V_m / (r_m * r_m))
         return EpochState(m=m, vs=vs, h_m=h_m, r_m=r_m, mu_m=mu_m, V_m=V_m,
-                          kappa=kappa, tilde_n_m=tilde_n,
-                          n_m=tilde_n * self.delta_T, Q=Q,
+                          tilde_n_m=tilde_n, n_m=tilde_n * self.delta_T, Q=Q,
                           solver_value=value, solver_iters=iters)
 
     def _actions(self, values, index):
@@ -279,47 +277,34 @@ class SmoothPolicyElimination:
         return dens
 
     def _cells(self, state: EpochState, values):
-        """(locate, W) for the cells of an epoch whose contexts are values.
+        """(locate, W) for the cells of an epoch with one finite context.
 
-        A cell is a pair (context value, segment).  On 1-d spaces the
-        segments lie between consecutive ``segment_cuts`` of the survivors'
-        h_m-balls, on the grid they are the grid points; every action in a
-        cell has the same survivor densities and propensity, so W[cell] is
-        formed at one point of it.  ``locate(index, a)`` gives each round's
-        cell, or -1 for a round that takes its own row: one within EDGE of
-        a cut, and every round where no cells are formed (sampled contexts,
-        the cube in d >= 2, or more than CHUNK cells).
+        On the ring or the 1-d cube a cell is a segment between consecutive
+        ``segment_cuts`` of the survivors' h_m-balls; every action in a cell
+        has the same survivor densities and propensity, so W[cell] is formed
+        at one point of it.  ``locate(a)`` gives each round's cell, or -1
+        for a round that takes its own row: one within EDGE of a cut, and
+        every round where no cells are formed (sampled or several contexts,
+        the grid, the cube in d >= 2, or more than CHUNK cells).
         """
         space, k = self.pc.space, len(state.vs)
-        no_cells = (lambda index, a: np.full(len(index), -1),
-                    np.zeros((0, k)))
-        if not isinstance(self.env.contexts, FiniteContexts) or space.d > 1:
+        no_cells = (lambda a: np.full(len(a), -1), np.zeros((0, k)))
+        if (not isinstance(self.env.contexts, FiniteContexts)
+                or len(values) != 1 or space.kind == GRID or space.d > 1):
             return no_cells
         centers = self.pc.actions_many(values)[:, state.vs.indices]
-        if space.kind == GRID:
-            pts, M = space.grid_points(), space.M
-            points = np.broadcast_to(pts, (len(values), M))
-
-            def locate(index, a):  # every grid action is a grid point
-                return index * M + pts.searchsorted(a)
-        else:
-            cuts = segment_cuts(space, centers, state.h_m)
-            points = (cuts[:, :-1] + cuts[:, 1:]) / 2.0
-            # complex keys order by real part, the context, then by action
-            width, flat = cuts.shape[1], cuts.ravel()
-            keys = (np.arange(len(values))[:, None] + 1j * cuts).ravel()
-
-            def locate(index, a):
-                pos = np.minimum(
-                    keys.searchsorted(index + 1j * a, side="right") - 1,
-                    (index + 1) * width - 2)
-                inside = (a - flat[pos] > EDGE) & (flat[pos + 1] - a > EDGE)
-                return np.where(inside, pos - index, -1)
-        if points.size > CHUNK:
+        cuts = segment_cuts(space, centers, state.h_m)[0]
+        if len(cuts) - 1 > CHUNK:
             return no_cells
+
+        def locate(a):
+            pos = np.minimum(cuts.searchsorted(a, side="right") - 1,
+                             len(cuts) - 2)
+            inside = (a - cuts[pos] > EDGE) & (cuts[pos + 1] - a > EDGE)
+            return np.where(inside, pos, -1)
         return locate, self._weights(
-            state, np.repeat(centers, points.shape[1], axis=0),
-            points.ravel())
+            state, np.repeat(centers, len(cuts) - 1, axis=0),
+            (cuts[:-1] + cuts[1:]) / 2.0)
 
     def _score(self, state: EpochState, values, index, a,
                loss: np.ndarray) -> np.ndarray:
@@ -338,7 +323,7 @@ class SmoothPolicyElimination:
         for start in range(0, len(a), CHUNK):
             b = slice(start, min(start + CHUNK, len(a)))
             batch = np.arange(b.start, b.stop) // tilde_n
-            cell = locate(index[b], a[b])
+            cell = locate(a[b])
             first, n_b = batch[0], batch[-1] - batch[0] + 1
             at = cell >= 0
             S[first:first + n_b] += np.bincount(

@@ -159,7 +159,7 @@ class StochasticEnv:
                  mean_losses: Callable[[Sequence], LossFunction],
                  noise: str = DETERMINISTIC, sigma: float = 0.1,
                  lipschitz_constant: Optional[float] = None,
-                 name: str = "custom", metadata: Optional[Dict] = None):
+                 metadata: Optional[Dict] = None):
         if noise not in (BERNOULLI, DETERMINISTIC, GAUSSIAN):
             raise ValueError(f"unknown noise model: {noise!r}")
         _check(_real(sigma) and sigma >= 0.0,
@@ -170,7 +170,6 @@ class StochasticEnv:
         self.noise = noise
         self.sigma = sigma
         self.lipschitz_constant = lipschitz_constant
-        self.name = name
         self.metadata = metadata or {}
 
     def mean_loss_of(self, x) -> LossFunction:
@@ -255,7 +254,6 @@ def _discontinuous(ap: float = 0.7, noise: str = BERNOULLI) -> StochasticEnv:
                                special_points={ap: 0.1})
     return StochasticEnv(
         space, _single_context(space), lambda xs: mean, noise=noise,
-        name="discontinuous",
         metadata={"ap": ap, "astar_h": 0.5,
                   "benchmark_of_h": lambda h: 0.25 + 0.75 * h})
 
@@ -267,8 +265,7 @@ def _absolute(astar: float = 0.5, noise: str = BERNOULLI) -> StochasticEnv:
     mean = PiecewiseLinearLoss([0.0, astar, 1.0], [astar, 0.0, 1.0 - astar])
     return StochasticEnv(
         space, _single_context(space), lambda xs: mean, noise=noise,
-        lipschitz_constant=1.0, name="absolute",
-        metadata={"astar": astar})
+        lipschitz_constant=1.0, metadata={"astar": astar})
 
 
 def _linear_sphere(d_ctx: int = 2, wstar: Optional[Sequence[float]] = None,
@@ -317,7 +314,7 @@ def _linear_sphere(d_ctx: int = 2, wstar: Optional[Sequence[float]] = None,
 
     return StochasticEnv(
         space, SamplerContexts(draw_ctx), mean_losses, noise=noise,
-        lipschitz_constant=2.0 * L, name="linear_sphere",
+        lipschitz_constant=2.0 * L,
         metadata={"wstar": wstar, "L": L, "L0": L0, "d_ctx": d_ctx})
 
 
@@ -413,7 +410,6 @@ def _needle_h(h: float = 0.125, R: float = 10.0, d: int = 1, index: int = 0,
         mean = PiecewiseConstantLoss(breaks, mean(breaks[:-1]))
     return StochasticEnv(
         space, _single_context(space), lambda xs: mean, noise=noise,
-        name="needle_h",
         metadata={"h": h, "R": R, "delta": delta, "N": N, "center": c,
                   "index": index, "c0": np.full(d, 0.75) if d > 1 else 0.75})
 
@@ -451,7 +447,7 @@ def _needle_L(L: float = 4.0, R: float = 10.0, index: int = 0,
     mean = PiecewiseLinearLoss(bs, [phi(b) for b in bs])
     return StochasticEnv(
         space, _single_context(space), lambda xs: mean, noise=noise,
-        lipschitz_constant=L if index >= 1 else 1.0, name="needle_L",
+        lipschitz_constant=L if index >= 1 else 1.0,
         metadata={"L": L, "R": R, "delta": delta, "N": N, "center": ci,
                   "index": index, "c0": c0})
 

@@ -32,8 +32,7 @@ class Exp4State:
     pc.act(p, x).
     """
 
-    def __init__(self, pc: PolicyClass, hs: Sequence[float], T: int,
-                 eta: Optional[float] = None):
+    def __init__(self, pc: PolicyClass, hs: Sequence[float], T: int):
         if T < 1:
             raise ValueError("horizon must be >= 1")
         if len(hs) == 0:
@@ -45,7 +44,7 @@ class Exp4State:
         self.T = T
         self.n = len(self.kernels) * pc.size
         self.kappa = max(k.kappa() for k in self.kernels)
-        self.eta = self.tuned_eta() if eta is None else eta
+        self.eta = self.tuned_eta()
         self.logw = np.zeros(self.n)
         self.t = 0
         self._pending: Optional[Tuple] = None

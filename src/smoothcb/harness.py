@@ -178,7 +178,7 @@ def run_one(config: RunConfig, seed: int, env: Optional[StochasticEnv] = None,
     pc = pc or default_policy_class(env, config.n_policies)
     bench_h, bench = benchmark or _benchmark(config, env, pc)
     env_rng, alg_rng = _rngs(seed)
-    t0 = time.time()
+    t0 = time.perf_counter()
     epochs = None
     if config.alg in ("pe-s", "pe-l"):
         variant = "s" if config.alg == "pe-s" else "l"
@@ -198,7 +198,7 @@ def run_one(config: RunConfig, seed: int, env: Optional[StochasticEnv] = None,
     return RegretTrace(
         seed=seed, actions=actions, losses=losses, benchmark=bench,
         benchmark_h=bench_h, regret=regret, pseudo_regret=pseudo,
-        walltime=time.time() - t0, epochs=epochs)
+        walltime=time.perf_counter() - t0, epochs=epochs)
 
 
 def run_experiment(config: RunConfig,

@@ -47,13 +47,6 @@ class RectKernel:
         """
         if self.h == 0.0:
             raise ValueError("Dirac kernel has no density")
-        if self.space.kind == RING and 2.0 * self.h >= 1.0:
-            # the ball is the whole circle: every ring distance is at most
-            # 1/2 <= h, so every density is 1 (result shape as in distances)
-            c, x = np.shape(centers), np.shape(a)
-            if x and len(c) > len(x):
-                x = x + (1,) * (len(c) - len(x))
-            return np.ones(np.broadcast_shapes(c, x))
         dist = self.space.distances(centers, a)
         if self.space.kind == RING:
             return np.where(dist <= self.h, 1.0 / min(1.0, 2.0 * self.h), 0.0)

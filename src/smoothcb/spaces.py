@@ -61,14 +61,6 @@ class ActionSpace:
             return f"ActionSpace(cube, d={self.d})"
         return f"ActionSpace(grid, M={self.M})"
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ActionSpace)
-            and self.kind == other.kind
-            and self.d == other.d
-            and self.M == other.M
-        )
-
     # -- geometry ------------------------------------------------------
 
     def grid_points(self) -> np.ndarray:

@@ -246,6 +246,30 @@ class TestBadRunConfig:
                                     "absolute", "--h", "0.1", "--T-list",
                                     "1e400"], "T must be an integer >= 2")
 
+    @pytest.mark.parametrize("T_list", ["20.9", "64,20.9"])
+    def test_fractional_horizon_list(self, capsys, monkeypatch, T_list):
+        # refused before any value of the list plays a round
+        def no_play(*args, **kwargs):
+            raise AssertionError("rounds were played")
+
+        monkeypatch.setattr(cli, "run_experiment", no_play)
+        self._check_exit_2(capsys, ["sweep", "--alg", "exp4", "--env",
+                                    "absolute", "--h", "0.1", "--T-list",
+                                    T_list], "T must be an integer >= 2")
+
+    def test_lowerbound_kind_outside_choices_in_config(self, tmp_path,
+                                                        capsys, monkeypatch):
+        def no_play(*args, **kwargs):
+            raise AssertionError("rounds were played")
+
+        monkeypatch.setattr(cli, "run_experiment", no_play)
+        cfg = tmp_path / "k.json"
+        cfg.write_text(json.dumps({"kind": "x", "L": 4, "T": 64}))
+        self._check_exit_2(capsys, ["lowerbound", "--alg", "exp4", "--h",
+                                    "0.1", "--seeds", "1", "--policies", "4",
+                                    "--config", str(cfg)],
+                           "--kind must be h or L, got 'x'")
+
     def test_config_that_is_not_an_object(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1, 2]")

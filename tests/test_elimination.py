@@ -274,6 +274,20 @@ def _reference_means(alg, state, values, index, a, loss):
     return est.T.reshape(len(state.vs), alg.delta_T, -1).mean(axis=-1)
 
 
+def _complex_key_locate(cuts, index, a):
+    """Each round's cell over several contexts' rows of cuts, found on
+    complex keys that order by context, then by action; context c's cells
+    follow the (width - 1) cells of each earlier context.  -1 marks a round
+    within EDGE of a cut.  The reference for the one-context locate."""
+    width, flat = cuts.shape[1], cuts.ravel()
+    keys = (np.arange(len(cuts))[:, None] + 1j * cuts).ravel()
+    pos = np.minimum(keys.searchsorted(index + 1j * a, side="right") - 1,
+                     (index + 1) * width - 2)
+    inside = ((a - flat[pos] > elimination.EDGE)
+              & (flat[pos + 1] - a > elimination.EDGE))
+    return np.where(inside, pos - index, -1)
+
+
 def _rows(alg, state, n):
     """Survivor centres for n rounds of the single context."""
     return alg._centers(state.vs, [None], np.zeros(n, dtype=int))
@@ -344,11 +358,10 @@ class TestPruning:
         vs = VersionSpace(pc)
         h = alg.config.h
         V = union_ball_volume(vs, None, h)
-        kappa = RectKernel(pc.space, h).kappa()
         tilde_n = 2
         return EpochState(
             m=1, vs=vs, h_m=h, r_m=r_m, mu_m=min(0.5, r_m), V_m=V,
-            kappa=kappa, tilde_n_m=tilde_n, n_m=tilde_n * alg.delta_T,
+            tilde_n_m=tilde_n, n_m=tilde_n * alg.delta_T,
             Q=np.full(pc.size, 1.0 / pc.size), solver_value=0.0,
             solver_iters=0)
 
@@ -502,8 +515,9 @@ class TestOneEpochPath:
                                         np.random.default_rng(1),
                                         score=False)
         values, index = env.contexts.sample_many(np.random.default_rng(1), n)
-        cells = isinstance(env.contexts, FiniteContexts) and pc.space.d == 1
-        segments = cells and pc.space.kind != "grid"
+        segments = (isinstance(env.contexts, FiniteContexts)
+                    and pc.space.d == 1 and pc.space.kind != "grid")
+        cells = segments and len(values) == 1
         if segments:
             # every ball end and its neighbouring doubles, and 0 and 1 where
             # the space holds them, in place of the first drawn actions
@@ -515,9 +529,9 @@ class TestOneEpochPath:
             a = a.copy()
             a[:len(edges)] = edges
         # rounds in cells, and rounds that take their own rows
-        cell = alg._cells(state, values)[0](index, a)
+        cell = alg._cells(state, values)[0](a)
         assert np.any(cell >= 0) == cells
-        assert np.any(cell < 0) == (segments or not cells)
+        assert np.any(cell < 0)
         means = alg._score(state, values, index, a, loss)
         ref = _reference_means(alg, state, values, index, a, loss)
         assert np.any(ref > 0)
@@ -526,6 +540,26 @@ class TestOneEpochPath:
             at = dataclasses.replace(state, r_m=r_m)
             assert np.array_equal(alg.end_epoch(at, means).mask,
                                   alg.end_epoch(at, ref).mask)
+
+    @pytest.mark.parametrize("name", ["ring", "ring_whole", "cube1"])
+    def test_locate_matches_the_complex_key_search(self, name):
+        # every cut, both its neighbouring doubles, 0 and 1, and random
+        # actions, against the search over one context's complex keys
+        env, pc, alg, state = self._epoch(name)
+        values = np.asarray(env.contexts.values)
+        cuts = segment_cuts(pc.space, pc.actions_many(values)[
+            :, state.vs.indices], state.h_m)
+        if name == "ring_whole":
+            assert np.array_equal(cuts, [[0.0, 1.0]])
+        a = np.concatenate([cuts.ravel(), np.nextafter(cuts, 0.0).ravel(),
+                            np.nextafter(cuts, 1.0).ravel(), [0.0, 1.0],
+                            np.random.default_rng(5).random(1000)])
+        locate, W = alg._cells(state, values)
+        assert len(W) == cuts.shape[1] - 1
+        cell = locate(a)
+        assert np.any(cell >= 0) and np.any(cell < 0)
+        assert np.array_equal(
+            cell, _complex_key_locate(cuts, np.zeros(len(a), dtype=int), a))
 
     @pytest.mark.parametrize("name", ["ring", "sphere"])
     def test_chunking_changes_nothing_drawn(self, name, monkeypatch):

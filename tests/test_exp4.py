@@ -19,7 +19,10 @@ from smoothcb.spaces import ActionSpace
 def _state(actions, h=0.1, T=100, eta=None):
     space = ActionSpace.ring()
     pc = PolicyClass.constant(space, actions)
-    return Exp4State(pc, [h], T, eta=eta)
+    s = Exp4State(pc, [h], T)
+    if eta is not None:
+        s.eta = eta
+    return s
 
 
 def _replay(state, x, a, observed_loss, propensity):
@@ -116,7 +119,8 @@ class TestPropensityEverySpace:
         hs = (0.15, 0.4) if mixed else (0.15,)
         kernels = [RectKernel(pc.space, h) for h in hs for _ in range(pc.size)]
         idxs = np.tile(np.arange(pc.size), len(hs))
-        s = Exp4State(pc, hs, T=40, eta=0.5)
+        s = Exp4State(pc, hs, T=40)
+        s.eta = 0.5
         rng = np.random.default_rng(12)
         for _ in range(40):
             x = draw(rng)
@@ -311,7 +315,8 @@ class TestRestartInPlace:
 
         def fresh(t):
             eta = math.sqrt(2.0 * math.log(5) / (T * kappa * rho))
-            ref = Exp4State(pc, [0.05], T, eta=eta)
+            ref = Exp4State(pc, [0.05], T)
+            ref.eta = eta
             ref.t = t
             return ref
 

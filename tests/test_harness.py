@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -161,6 +162,19 @@ class TestRegretAccounting:
         tr = run_one(cfg, 0)
         assert np.allclose(tr.cumloss, np.cumsum(tr.losses))
         assert tr.cumloss[-1] == pytest.approx(tr.losses.sum())
+
+    def test_walltime_ignores_a_clock_step(self, monkeypatch):
+        # the wall clock steps back an hour once the run has started
+        real, calls = time.time, []
+
+        def stepping():
+            calls.append(None)
+            return real() - (3600.0 if len(calls) > 1 else 0.0)
+
+        monkeypatch.setattr(time, "time", stepping)
+        cfg = RunConfig(alg="exp4", env_name="absolute", T=50, h=0.1,
+                        seeds=[0], n_policies=8)
+        assert run_one(cfg, 0).walltime >= 0.0
 
     def test_benchmark_smoothing_cost(self):
         # on an L-Lipschitz instance the smoothed optimum exceeds the

@@ -71,8 +71,9 @@ def _bits(v):
 class TestWholeRingDensities:
     @pytest.mark.parametrize("h", [0.5, 0.75, 1.0])
     def test_equal_to_distance_formula(self, h):
-        # a ball at least as wide as the circle: the densities are the
-        # distance-based formula's, bit for bit, without the distance block
+        # a ball at least as wide as the circle: every ring distance is at
+        # most 1/2 <= h, so the distance formula gives 1 everywhere, bit for
+        # bit and in its shape
         space = ActionSpace.ring()
         k = RectKernel(space, h)
         rng = np.random.default_rng(3)

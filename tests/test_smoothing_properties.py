@@ -223,7 +223,7 @@ def _expected_estimates(pc, centers, loss, h, mu, Q):
     env = make_named_instance("absolute")
     alg = SmoothPolicyElimination(env, pc, ElimConfig(variant="s", T=64, h=h))
     state = EpochState(m=1, vs=VersionSpace(pc), h_m=h, r_m=mu, mu_m=mu,
-                       V_m=1.0, kappa=1.0, tilde_n_m=1, n_m=1, Q=Q,
+                       V_m=1.0, tilde_n_m=1, n_m=1, Q=Q,
                        solver_value=0.0, solver_iters=0)
     lo, hi = _ball_end_segments(pc.space, centers, h)
     n, S = lo.shape
