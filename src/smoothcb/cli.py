@@ -10,6 +10,11 @@ Subcommands:
 * lowerbound: paired runs on a needle field with and without the hidden
   cell, reporting both regrets.
 
+A ``--config`` JSON object's key names a flag (``_`` read as ``-``), and its
+value is read as that flag's text on the command line: a list is a comma
+list, and true, null and objects are refused.  Explicit flags win, a key
+that names no flag is ignored, and ``--alg`` and ``--env`` may come from it.
+
 Exit codes: 0 success, 2 configuration error, 3 exploration solver failure.
 """
 
@@ -26,18 +31,14 @@ from .elimination import SolverFailure
 from .environments import make_named_instance
 from .harness import (ALGORITHMS, RunConfig, check_policy_spec,
                       default_policy_class, diagnose, regret_summary,
-                      run_experiment)
+                      run_experiment, run_inputs)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
-# lowerbound's needle fields: "h" is needle_h and "L" is needle_L
-KINDS = ("h", "L")
 
 
-def _parse_value(text):
-    if not isinstance(text, str):
-        return text
+def _parse_value(text: str):
     for cast in (int, float):
         try:
             return cast(text)
@@ -52,11 +53,8 @@ def _parse_value(text):
     return text
 
 
-def parse_env_spec(spec: Optional[str]):
+def parse_env_spec(spec: str):
     """'name:key=val,key=val' -> (name, params dict)."""
-    if not spec or not isinstance(spec, str):
-        raise ValueError(
-            f"an environment spec string is required (--env), got {spec!r}")
     name, _, rest = spec.partition(":")
     params: Dict = {}
     if rest:
@@ -68,18 +66,14 @@ def parse_env_spec(spec: Optional[str]):
     return name.strip(), params
 
 
-def _parse_seeds(value):
-    """A seed count or a comma list; a --config file may give either as
-    JSON.  Anything else is passed on for RunConfig to reject."""
-    if isinstance(value, str):
-        value = ([int(s) for s in value.split(",")] if "," in value
-                 else int(value))
-    return list(range(value)) if isinstance(value, int) else value
+def seed_list(text: str) -> List[int]:
+    """A seed count n (seeds 0 to n - 1) or an explicit comma list."""
+    return ([int(s) for s in text.split(",")] if "," in text
+            else list(range(int(text))))
 
 
-def _floats(text) -> List[float]:
-    # str(): a --config file may give a comma list as a JSON number or list
-    return [float(_parse_value(s)) for s in str(text).split(",")]
+def float_list(text: str) -> List[float]:
+    return [float(_parse_value(s)) for s in text.split(",")]
 
 
 def _add_common(p: argparse.ArgumentParser, env: bool = True,
@@ -87,27 +81,27 @@ def _add_common(p: argparse.ArgumentParser, env: bool = True,
     """The flags every subcommand shares; ``env`` adds --env (lowerbound
     builds its own) and ``play`` the flags only a run of rounds reads."""
     if env:
-        # not enforced by argparse so a --config file may supply it
-        p.add_argument("--env", default=None,
+        p.add_argument("--env", required=True,
                        help="instance spec, e.g. absolute:astar=0.3")
-    p.add_argument("--h", type=str, default=None,
+    p.add_argument("--h", type=_parse_value, default=None,
                    help="bandwidth (float or fraction like 1/32)")
     p.add_argument("--L", type=float, default=None)
     if play:
         p.add_argument("--T", type=int, default=1024)
         p.add_argument("--beta", type=float, default=1.0)
-        p.add_argument("--seeds", type=str, default="1",
+        p.add_argument("--seeds", type=seed_list, default="1",
                        help="seed count, or explicit comma list")
     p.add_argument("--policies", type=int, default=64,
                    help="grid size of the default constant policy class")
-    p.add_argument("--out", type=str, default=None)
-    p.add_argument("--config", type=str, default=None,
-                   help="JSON file of flag values; explicit flags win")
+    p.add_argument("--out", default=None)
+    p.add_argument("--config", default=None,
+                   help="JSON object of flag values; explicit flags win")
 
 
 class _Parser(argparse.ArgumentParser):
-    """Refuses abbreviated flags, so the --config merge sees each flag given,
-    and ends a usage error in one line; subcommand parsers share it."""
+    """Ends a usage error in one line and refuses abbreviated flags: a flag
+    is named in full, so ``--se`` is not read as ``--seeds`` and a config
+    key that is only the start of a flag's name names no flag."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
@@ -126,18 +120,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="repeat a run over h or T values")
     p_sweep.add_argument("--alg", required=True, choices=ALGORITHMS)
-    p_sweep.add_argument("--h-list", type=str, default=None)
-    p_sweep.add_argument("--T-list", type=str, default=None)
+    p_sweep.add_argument("--h-list", type=float_list, default=None)
+    p_sweep.add_argument("--T-list", type=float_list, default=None)
     _add_common(p_sweep)
 
     p_diag = sub.add_parser("diagnose", help="structure diagnostics")
     _add_common(p_diag, play=False)
-    p_diag.add_argument("--eps-grid", type=str, default=None)
+    p_diag.add_argument("--eps-grid", type=float_list, default=None)
 
     p_lb = sub.add_parser("lowerbound",
                           help="paired needle-field stress runs")
     p_lb.add_argument("--alg", required=True, choices=ALGORITHMS)
-    p_lb.add_argument("--kind", choices=KINDS, default="h")
+    # the needle field: "h" is needle_h and "L" is needle_L
+    p_lb.add_argument("--kind", choices=("h", "L"), default="h")
     p_lb.add_argument("--index", type=int, default=1,
                       help="hidden cell index for the loaded instance")
     p_lb.add_argument("--R", type=float, default=10.0)
@@ -149,10 +144,8 @@ def _config_from(args, env_name, env_params, T=None, h=None) -> RunConfig:
     return RunConfig(
         alg=args.alg, env_name=env_name, env_params=env_params,
         T=T if T is not None else args.T,
-        h=h if h is not None else
-        (_parse_value(args.h) if args.h else None),
-        L=args.L, beta=args.beta, seeds=_parse_seeds(args.seeds),
-        n_policies=args.policies)
+        h=h if h is not None else args.h,
+        L=args.L, beta=args.beta, seeds=args.seeds, n_policies=args.policies)
 
 
 def _cmd_run(args) -> int:
@@ -166,20 +159,25 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _play(runs, out: Optional[str]):
+    """(label, config, regret stats) for each (label, config) in turn; every
+    instance, policy class and benchmark is built before the first round."""
+    built = [(label, config, run_inputs(config)) for label, config in runs]
+    for label, config, inputs in built:
+        yield label, config, regret_summary(run_experiment(
+            config, out_dir=out and os.path.join(out, label), inputs=inputs))
+
+
 def _cmd_sweep(args) -> int:
     env_name, env_params = parse_env_spec(args.env)
-    hs = _floats(args.h_list) if args.h_list else [None]
     # a T that is not a whole number is passed on for RunConfig to reject
-    Ts = ([int(t) if t.is_integer() else t for t in _floats(args.T_list)]
+    Ts = ([int(t) if t.is_integer() else t for t in args.T_list]
           if args.T_list else [None])
-    # every configuration is checked before any of them plays a round
     configs = [_config_from(args, env_name, env_params, T=T, h=h)
-               for T in Ts for h in hs]
+               for T in Ts for h in args.h_list or [None]]
     rows = []
-    for config in configs:
-        sub_out = (os.path.join(args.out, f"T{config.T}_h{config.h}")
-                   if args.out else None)
-        stats = regret_summary(run_experiment(config, out_dir=sub_out))
+    for _, config, stats in _play(
+            [(f"T{c.T}_h{c.h}", c) for c in configs], args.out):
         rows.append({"T": config.T, "h": config.h, **stats})
         print(f"T={config.T} h={config.h} "
               f"regret mean={stats['regret_mean']:.6g} "
@@ -195,17 +193,10 @@ def _cmd_diagnose(args) -> int:
     check_policy_spec(args.policies)
     env = make_named_instance(env_name, **env_params)
     pc = default_policy_class(env, args.policies)
-    h = _parse_value(args.h) if args.h else None
     L = args.L if args.L is not None else env.lipschitz_constant
-    eps = _floats(args.eps_grid) if args.eps_grid else None
-    report = diagnose(env, pc, h=h, L=L, epsilon_grid=eps)
+    report = diagnose(env, pc, h=args.h, L=L, epsilon_grid=args.eps_grid)
     for row in report.table:
-        parts = [f"eps={row['eps']:.6g}"]
-        if "M_h" in row:
-            parts.append(f"M_h={row['M_h']:.6g}")
-        if "M_0" in row:
-            parts.append(f"M_0={row['M_0']:.6g}")
-        print(" ".join(parts))
+        print(" ".join(f"{k}={v:.6g}" for k, v in row.items()))
     print(f"theta_h={report.theta_h} psi_L={report.psi_L} "
           f"z_hat={report.z_hat} fit_residual={report.fit_residual} "
           f"alpha_unif={report.alpha_unif:.6g}")
@@ -216,24 +207,16 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_lowerbound(args) -> int:
-    if args.kind not in KINDS:  # a --config file skips argparse's choices
-        raise ValueError(f"lowerbound --kind must be h or L, got "
-                         f"{args.kind!r}")
-    env_name = "needle_h" if args.kind == "h" else "needle_L"
-    base: Dict = {"R": args.R}
-    if args.kind == "h":
-        if not args.h:
-            raise ValueError("lowerbound --kind h needs --h")
-        base["h"] = _parse_value(args.h)
-    else:
-        if not args.L:
-            raise ValueError("lowerbound --kind L needs --L")
-        base["L"] = args.L
+    # --kind names both the needle field and the parameter that sizes it
+    value = args.h if args.kind == "h" else args.L
+    if value is None:
+        raise ValueError(f"lowerbound --kind {args.kind} needs --{args.kind}")
     results = {}
-    for label, index in (("plain", 0), ("hidden", args.index)):
-        config = _config_from(args, env_name, {**base, "index": index})
-        sub_out = os.path.join(args.out, label) if args.out else None
-        stats = regret_summary(run_experiment(config, out_dir=sub_out))
+    for label, config, stats in _play(
+            [(label, _config_from(args, "needle_" + args.kind, {
+                "R": args.R, args.kind: value, "index": index}))
+             for label, index in (("plain", 0), ("hidden", args.index))],
+            args.out):
         results[label] = {k: stats[k] for k in
                           ("regret_mean", "regret_std", "benchmark")}
         print(f"{label}: regret mean={stats['regret_mean']:.6g} "
@@ -250,8 +233,6 @@ def _make_out_dir(path: Optional[str]) -> None:
     that cannot hold output fails at once and not after the whole run."""
     if not path:
         return
-    if not isinstance(path, str):
-        raise ValueError(f"--out must be a directory path, got {path!r}")
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as e:
@@ -261,42 +242,49 @@ def _make_out_dir(path: Optional[str]) -> None:
         raise ValueError(f"cannot write to --out {path!r}")
 
 
-def _apply_config_file(args, argv) -> None:
-    """Fill in values from the JSON config; explicit flags take precedence."""
-    with open(args.config) as f:
+def _file_flags(path: str) -> List[str]:
+    """The --config file's keys as ``--key=value`` tokens; the ``=`` keeps
+    a value that starts with ``-`` from being read as a flag."""
+    with open(path) as f:
         loaded = json.load(f)
     if not isinstance(loaded, dict):
-        raise ValueError(f"--config {args.config!r} is not a JSON object")
-    given = {a.lstrip("-").split("=")[0].replace("-", "_")
-             for a in (argv if argv is not None else sys.argv[1:])
-             if a.startswith("--")}
-    for key, val in loaded.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr) and attr not in given:
-            setattr(args, attr, val)
+        raise ValueError(f"--config {path!r} is not a JSON object")
+    tokens = []
+    for key, value in loaded.items():
+        items = value if isinstance(value, list) else [value]
+        if any(v is None or isinstance(v, (bool, dict, list)) for v in items):
+            raise ValueError(f"--config key {key!r}: {json.dumps(value)} "
+                             "is not the text of a flag")
+        tokens.append(f"--{key.replace('_', '-')}="
+                      + ",".join(map(str, items)))
+    return tokens
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    pre = _Parser(prog="smoothcb", add_help=False)
+    pre.add_argument("--config")
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        path = pre.parse_known_args(argv)[0].config
+        tokens = _file_flags(path) if path else []
+        # one parse; the command line comes last, so its flags win
+        args, extras = parser.parse_known_args(argv[:1] + tokens + argv[1:])
+        for token in tokens:  # a file key that names no flag is ignored
+            if token in extras:
+                extras.remove(token)
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as e:
         return EXIT_CONFIG if e.code not in (0, None) else EXIT_OK
-    if getattr(args, "config", None):
-        try:
-            _apply_config_file(args, argv)
-        except (OSError, ValueError) as e:
-            print(f"configuration error: {e}", file=sys.stderr)
-            return EXIT_CONFIG
+    except (OSError, ValueError) as e:
+        print(f"configuration error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    commands = {"run": _cmd_run, "sweep": _cmd_sweep,
+                "diagnose": _cmd_diagnose, "lowerbound": _cmd_lowerbound}
     try:
         _make_out_dir(args.out)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "diagnose":
-            return _cmd_diagnose(args)
-        return _cmd_lowerbound(args)
+        return commands[args.command](args)
     except SolverFailure as e:
         print(f"solver failure: {e}", file=sys.stderr)
         return EXIT_SOLVER

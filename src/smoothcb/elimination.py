@@ -210,6 +210,9 @@ class SmoothPolicyElimination:
         Q, value, iters, V_m = solve_variance_program(
             self.pc, vs, h_m, mu_m, panel, rng=rng)
         tilde_n = math.ceil(320.0 * kappa * V_m / (r_m * r_m))
+        if tilde_n == 0:
+            raise ValueError(f"epoch {m} has a budget of 0 rounds: "
+                             f"V_m = {V_m:g} at h_m = {h_m:g}")
         return EpochState(m=m, vs=vs, h_m=h_m, r_m=r_m, mu_m=mu_m, V_m=V_m,
                           tilde_n_m=tilde_n, n_m=tilde_n * self.delta_T, Q=Q,
                           solver_value=value, solver_iters=iters)

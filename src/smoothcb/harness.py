@@ -201,14 +201,19 @@ def run_one(config: RunConfig, seed: int, env: Optional[StochasticEnv] = None,
         walltime=time.perf_counter() - t0, epochs=epochs)
 
 
-def run_experiment(config: RunConfig,
-                   out_dir: Optional[str] = None) -> List[RegretTrace]:
-    """One trace per seed; optionally writes CSVs plus summary.json."""
+def run_inputs(config: RunConfig) -> dict:
+    """The env, pc and benchmark ``run_one`` takes, built before any round."""
     env = make_named_instance(config.env_name, **config.env_params)
     pc = default_policy_class(env, config.n_policies)
-    bench = _benchmark(config, env, pc)
-    traces = [run_one(config, s, env=env, pc=pc, benchmark=bench)
-              for s in config.seeds]
+    return {"env": env, "pc": pc, "benchmark": _benchmark(config, env, pc)}
+
+
+def run_experiment(config: RunConfig, out_dir: Optional[str] = None,
+                   inputs: Optional[dict] = None) -> List[RegretTrace]:
+    """One trace per seed; optionally writes CSVs plus summary.json.
+    ``inputs`` is ``run_inputs(config)``, built here when not given."""
+    inputs = inputs or run_inputs(config)
+    traces = [run_one(config, s, **inputs) for s in config.seeds]
     if out_dir:
         write_outputs(config, traces, out_dir)
     return traces

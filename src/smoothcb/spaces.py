@@ -192,9 +192,13 @@ class ActionSpace:
             u = rng.uniform(-r, r, size=c.shape)
             if 2.0 * r >= 1.0:
                 return rng.uniform(0.0, 1.0, size=c.shape)
-            return np.mod(c + u, 1.0)
+            u += c  # x - floor(x) is np.mod(x, 1.0) bit for bit, and faster
+            return np.subtract(u, np.floor(u), out=u)
         if self.kind == CUBE:
-            return rng.uniform(np.maximum(0.0, c - r), np.minimum(1.0, c + r))
+            lo = np.maximum(0.0, c - r)  # as rng.uniform(lo, hi), faster
+            u = rng.random(c.shape)
+            u *= np.minimum(1.0, c + r) - lo
+            return np.add(u, lo, out=u)
         first, count = self._grid_balls(c, r)
         return self.grid_points()[first + rng.integers(0, count)]
 

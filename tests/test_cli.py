@@ -1,14 +1,24 @@
 import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
 
 import pytest
 
-from smoothcb import cli, harness
+from smoothcb import cli, environments, harness
 from smoothcb.cli import main, parse_env_spec
+
+
+def _no_play(*args, **kwargs):
+    raise AssertionError("rounds were played")
+
+
+def _write_config(tmp_path, **values):
+    """tmp_path / "c.json" holding ``values`` as one JSON object."""
+    (tmp_path / "c.json").write_text(json.dumps(values))
 
 
 def test_import_loads_no_scipy():
@@ -30,10 +40,6 @@ class TestEnvSpecParsing:
         name, params = parse_env_spec("needle_h:h=1/8,R=10,index=2")
         assert name == "needle_h"
         assert params == {"h": 0.125, "R": 10, "index": 2}
-
-    def test_missing(self):
-        with pytest.raises(ValueError):
-            parse_env_spec(None)
 
     def test_bad_param(self):
         with pytest.raises(ValueError):
@@ -181,27 +187,30 @@ class TestBadRunConfig:
                            "cannot create --out")
 
     def test_string_horizon_in_config(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"env": "absolute", "T": "100", "h": 0.1,
-                                   "seeds": 1, "policies": 4}))
-        self._check_exit_2(capsys, ["run", "--alg", "exp4", "--config",
-                                 str(cfg)], "T must be")
+        # a config value is read as the flag's text: "100" as --T 100 does
+        argv = ["run", "--alg", "exp4", "--config", str(tmp_path / "c.json")]
+        _write_config(tmp_path, env="absolute", T="100", h=0.1, seeds=1,
+                      policies=4)
+        assert main(argv) == 0
+        assert "T=100" in capsys.readouterr().out
+        _write_config(tmp_path, env="absolute", T="20.9", h=0.1)
+        self._check_exit_2(capsys, argv,
+                           "argument --T: invalid int value: '20.9'")
 
     def test_number_as_env_in_config(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"env": 5, "T": 20, "h": 0.1,
-                                   "seeds": 1, "policies": 4}))
+        _write_config(tmp_path, env=5, T=20, h=0.1, seeds=1, policies=4)
         self._check_exit_2(capsys, ["run", "--alg", "exp4", "--config",
-                                 str(cfg)], "environment spec")
-
-    def _diagnose_with(self, tmp_path, capsys, key, value, message):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"env": "absolute", key: value}))
-        self._check_exit_2(capsys, ["diagnose", "--config", str(cfg),
-                                    "--h", "0.1"], message)
+                                    str(tmp_path / "c.json")],
+                           "unknown instance name: '5'")
 
     def test_string_policy_count_in_diagnose_config(self, tmp_path, capsys):
-        self._diagnose_with(tmp_path, capsys, "policies", "8", "n_policies")
+        argv = ["diagnose", "--config", str(tmp_path / "c.json"), "--h",
+                "0.1", "--eps-grid", "0.1,0.2"]
+        _write_config(tmp_path, env="absolute", policies="8")
+        assert main(argv) == 0
+        assert capsys.readouterr().out.count("M_h=") == 2
+        _write_config(tmp_path, env="absolute", policies="0")
+        self._check_exit_2(capsys, argv, "n_policies")
 
     @pytest.mark.parametrize("env", [
         "linear_sphere:d_ctx=0", "linear_sphere:d_ctx=1.5",
@@ -257,18 +266,60 @@ class TestBadRunConfig:
                                     "absolute", "--h", "0.1", "--T-list",
                                     T_list], "T must be an integer >= 2")
 
-    def test_lowerbound_kind_outside_choices_in_config(self, tmp_path,
-                                                        capsys, monkeypatch):
-        def no_play(*args, **kwargs):
-            raise AssertionError("rounds were played")
-
-        monkeypatch.setattr(cli, "run_experiment", no_play)
-        cfg = tmp_path / "k.json"
-        cfg.write_text(json.dumps({"kind": "x", "L": 4, "T": 64}))
+    def test_lowerbound_index_checked_before_play(self, capsys, monkeypatch):
+        # the hidden instance's index is refused before the plain run plays
+        monkeypatch.setattr(cli, "run_experiment", _no_play)
         self._check_exit_2(capsys, ["lowerbound", "--alg", "exp4", "--h",
                                     "0.1", "--seeds", "1", "--policies", "4",
-                                    "--config", str(cfg)],
-                           "--kind must be h or L, got 'x'")
+                                    "--T", "32", "--index", "7"],
+                           "needle index must be an integer in [0, 2]")
+        assert capsys.readouterr().out == ""
+
+    def test_sweep_benchmark_checked_before_play(self, capsys, monkeypatch):
+        # h = 0.0005 is below corral's grid at T = 1024, so it has no
+        # snapped benchmark; h = 0.5 must not play first
+        monkeypatch.setattr(cli, "run_experiment", _no_play)
+        self._check_exit_2(capsys, ["sweep", "--alg", "corral-uniform-h",
+                                    "--env", "absolute", "--h-list",
+                                    "0.5,0.0005", "--T", "1024",
+                                    "--policies", "4"],
+                           "bandwidth below T^(-1/d)")
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--alg", "exp4", "--env", "absolute", "--h-list",
+         "0.1,0.2"],
+        ["lowerbound", "--alg", "exp4", "--h", "1/8"]],
+        ids=["sweep", "lowerbound"])
+    def test_one_benchmark_per_configuration(self, monkeypatch, argv):
+        calls = []
+        original = environments.StochasticEnv.smoothed_benchmark
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(environments.StochasticEnv, "smoothed_benchmark",
+                            counted)
+        assert main(argv + ["--T", "20", "--seeds", "2",
+                            "--policies", "4"]) == 0
+        assert len(calls) == 2
+
+    def test_elimination_epoch_without_budget(self, capsys):
+        # the Monte Carlo V_m of one tiny ball on the square is 0
+        self._check_exit_2(capsys, ["run", "--alg", "pe-s", "--env",
+                                    "needle_h:d=2", "--h", "0.0005",
+                                    "--policies", "1", "--T", "100"],
+                           "epoch 1 has a budget of 0 rounds: V_m = 0 at "
+                           "h_m = 0.0005")
+
+    def test_lowerbound_kind_outside_choices_in_config(self, tmp_path,
+                                                        capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_experiment", _no_play)
+        _write_config(tmp_path, kind="x", L=4, T=64)
+        self._check_exit_2(capsys, ["lowerbound", "--alg", "exp4", "--h",
+                                    "0.1", "--seeds", "1", "--policies", "4",
+                                    "--config", str(tmp_path / "c.json")],
+                           "argument --kind: invalid choice: 'x'")
 
     def test_config_that_is_not_an_object(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -277,14 +328,13 @@ class TestBadRunConfig:
                                     str(cfg)], "JSON object")
 
     def test_json_list_for_a_comma_list_in_config(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"env": "absolute", "h": 0.1,
-                                   "eps_grid": [0.1, 0.2]}))
-        self._check_exit_2(capsys, ["diagnose", "--config", str(cfg)],
-                           "could not convert")
+        # a list is read as a comma list, as --eps-grid 0.1,0.2 is
+        _write_config(tmp_path, env="absolute", h=0.1, eps_grid=[0.1, 0.2])
+        assert main(["diagnose", "--config", str(tmp_path / "c.json")]) == 0
+        assert capsys.readouterr().out.count("M_h=") == 2
 
     def test_abbreviated_flag(self, capsys):
-        # --se would be read as --seeds while the --config merge missed it
+        # a flag is named in full: --se is not read as --seeds
         self._check_exit_2(capsys, self.BASE + ["--se", "1"],
                            "unrecognized arguments: --se")
 
@@ -434,3 +484,148 @@ class TestParser:
         got = {name: {a.dest for a in p._actions if a.dest != "help"}
                for name, p in sub.choices.items()}
         assert got == self.DESTS
+
+
+class TestOneParse:
+    """A --config key is read as the text of the flag it names, in the one
+    parse that reads the command line after it."""
+
+    RUN = ["run", "--alg", "exp4", "--env", "absolute", "--T", "20", "--h",
+           "0.1", "--seeds", "1", "--policies", "4"]
+
+    def _run(self, tmp_path, argv, **values):
+        _write_config(tmp_path, **values)
+        return main(argv + ["--config", str(tmp_path / "c.json")])
+
+    def test_command_key_names_no_flag(self, tmp_path, capsys, monkeypatch):
+        # "command" is ignored: a run stays a run, and one without --env
+        # is refused before any round
+        assert self._run(tmp_path, self.RUN, command="diagnose") == 0
+        assert capsys.readouterr().out.startswith("alg=exp4 env=absolute")
+        monkeypatch.setattr(cli, "run_experiment", _no_play)
+        assert self._run(tmp_path, ["run", "--alg", "exp4"],
+                         command="diagnose") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "the following arguments are required: --env" in err
+
+    def test_alg_and_env_from_the_file(self, tmp_path, capsys):
+        assert self._run(tmp_path, ["run", "--h", "0.1", "--T", "64"],
+                         alg="exp4", env="absolute") == 0
+        assert capsys.readouterr().out.startswith("alg=exp4 env=absolute")
+        # --alg on the command line beats the file's
+        assert self._run(tmp_path, ["run", "--alg", "pe-s", "--h", "0.1",
+                                    "--T", "64"],
+                         alg="exp4", env="absolute") == 0
+        assert capsys.readouterr().out.startswith("alg=pe-s env=absolute")
+
+    @pytest.mark.parametrize("value", [True, False, None, {"n": 2}, [1, None],
+                                       [[1, 2]]],
+                             ids=["true", "false", "null", "object",
+                                  "null-in-list", "nested-list"])
+    def test_value_without_flag_text(self, tmp_path, capsys, monkeypatch,
+                                     value):
+        monkeypatch.setattr(cli, "run_experiment", _no_play)
+        assert self._run(tmp_path, self.RUN, seeds=value) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "--config key 'seeds'" in err
+
+    def test_key_that_names_no_flag_of_the_subcommand(self, tmp_path, capsys):
+        assert self._run(tmp_path, ["diagnose", "--h", "0.1", "--eps-grid",
+                                    "0.1,0.2"], env="absolute", T=5,
+                         seeds=2, no_such_flag="x") == 0
+        assert "theta_h=" in capsys.readouterr().out
+
+    def test_unknown_command_line_flag_beside_config(self, tmp_path,
+                                                     capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_experiment", _no_play)
+        # the same token from the file alone is ignored; the command line's
+        # copy is still refused
+        assert self._run(tmp_path, self.RUN + ["--bogus=1"], bogus=1) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "unrecognized arguments: --bogus=1" in err
+
+    def test_value_starting_with_a_dash(self, tmp_path, capsys):
+        # read as --h=-1, not as a flag named -1
+        assert self._run(tmp_path, ["run", "--alg", "exp4", "--env",
+                                    "absolute"], h="-1") == 2
+        assert "h must lie in (0, 1], got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key, file_value, flag, text, want", [
+        ("run", "env", "needle_h", "--env", "absolute", "absolute"),
+        ("run", "alg", "pe-l", "--alg", "exp4", "exp4"),
+        ("run", "h", 0.5, "--h", "1/8", 0.125),
+        ("run", "T", 100, "--T", "30", 30),
+        ("run", "L", 2, "--L", "4", 4.0),
+        ("run", "seeds", [5, 6], "--seeds", "2", [0, 1]),
+        ("run", "out", "a", "--out", "", ""),
+        ("sweep", "h_list", [0.1, 0.2], "--h-list", "0.3", [0.3]),
+        ("diagnose", "eps_grid", "0.1,0.2", "--eps-grid", "1/4", [0.25]),
+        ("lowerbound", "kind", "L", "--kind", "h", "h"),
+        ("lowerbound", "index", 2, "--index", "0", 0)])
+    def test_command_line_beats_the_file(self, tmp_path, monkeypatch,
+                                         command, key, file_value, flag,
+                                         text, want):
+        seen = []
+        monkeypatch.setattr(cli, f"_cmd_{command}",
+                            lambda args: seen.append(args) or 0)
+        base = [command] + (["--alg", "exp4"] if command != "diagnose"
+                            else []) + (["--env", "absolute"]
+                                        if command != "lowerbound" else [])
+        assert self._run(tmp_path, base + [flag, text],
+                         **{key: file_value}) == 0
+        assert getattr(seen[0], key) == want
+
+
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                      "README.md")
+
+
+def _quickstart_commands():
+    """The argv of each ``smoothcb`` line of README's CLI Quickstart."""
+    text = open(README).read().split("## Quickstart (CLI)")[1]
+    block = text.split("```sh")[1].split("```")[0].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("smoothcb ")]
+
+
+class TestReadmeQuickstart:
+    """Each CLI Quickstart line runs as README gives it, at T = 256 with one
+    seed where the subcommand plays rounds (the last flag given wins)."""
+
+    RESULT = {"run": "summary.json", "sweep": "sweep.json",
+              "diagnose": "diagnostics.json", "lowerbound": "lowerbound.json"}
+
+    def _small(self, argv, tmp_path):
+        out = argv.index("--out") + 1
+        argv = argv[:out] + [str(tmp_path / argv[out])] + argv[out + 1:]
+        return argv + (["--T", "256", "--seeds", "1"]
+                       if argv[0] != "diagnose" else [])
+
+    def test_four_commands(self):
+        assert [a[0] for a in _quickstart_commands()] == list(self.RESULT)
+
+    @pytest.mark.parametrize("argv", _quickstart_commands(),
+                             ids=lambda argv: argv[0])
+    def test_runs(self, tmp_path, argv):
+        argv = self._small(argv, tmp_path)
+        assert main(argv) == 0
+        out = argv[argv.index("--out") + 1]
+        assert self.RESULT[argv[0]] in os.listdir(out)
+
+    @pytest.mark.parametrize("argv", _quickstart_commands(),
+                             ids=lambda argv: argv[0])
+    def test_runs_from_a_config_file(self, tmp_path, argv):
+        # the line's flags go into the file, and the sizes and --out stay
+        # on the command line
+        argv = self._small(argv, tmp_path)
+        values = dict(zip(argv[1::2], argv[2::2]))  # the last of a flag wins
+        tail = [x for k in ("--T", "--seeds", "--out") if k in values
+                for x in (k, values.pop(k))]
+        _write_config(tmp_path, **{k[2:]: v for k, v in values.items()})
+        assert main([argv[0], "--config", str(tmp_path / "c.json")]
+                    + tail) == 0
+        out = argv[argv.index("--out") + 1]
+        assert self.RESULT[argv[0]] in os.listdir(out)

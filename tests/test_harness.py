@@ -13,8 +13,8 @@ from smoothcb.cli import parse_env_spec
 from smoothcb.environments import (FiniteContexts, StochasticEnv,
                                    make_named_instance)
 from smoothcb.harness import (RegretTrace, RunConfig, default_policy_class,
-                              diagnose, run_experiment, run_one,
-                              trace_csv_lines, write_outputs)
+                              diagnose, run_experiment, run_inputs,
+                              run_one, trace_csv_lines, write_outputs)
 from smoothcb.losses import PiecewiseConstantLoss, PiecewiseLinearLoss
 from smoothcb.policies import PolicyClass
 from smoothcb.spaces import ActionSpace
@@ -90,6 +90,13 @@ class TestBenchmarkOncePerExperiment:
         assert len(calls) == 2
         assert alone.benchmark == traces[1].benchmark
         assert np.array_equal(alone.losses, traces[1].losses)
+        # inputs built ahead are used as they are
+        inputs = run_inputs(cfg)
+        assert len(calls) == 3
+        again = run_experiment(cfg, inputs=inputs)
+        assert len(calls) == 3
+        assert [tr.losses.tobytes() for tr in again] == [
+            tr.losses.tobytes() for tr in traces]
 
 
 class TestDeterminism:

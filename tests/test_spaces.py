@@ -177,6 +177,39 @@ class TestSampleBall:
         assert a.shape == (200, 2)
         assert np.all(a >= 0.0) and np.all(a <= 0.1 + 1e-12)
 
+    @staticmethod
+    def _same_bits_and_state(space, c, r, reference, seed):
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = space.sample_ball(c, r, rng_a)
+        want = reference(c, r, rng_b)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @pytest.mark.parametrize("r", [1e-12, 0.05, 0.25, 0.5 - 2 ** -40])
+    def test_ring_same_bits_as_np_mod(self, r):
+        # centres at 0 and just below 1 send c + u below 0 and to 1
+        def reference(c, r, rng):
+            return np.mod(c + rng.uniform(-r, r, size=c.shape), 1.0)
+
+        c = np.concatenate([[0.0, -0.0, 1.0 - 2 ** -53, 0.5],
+                            np.full(1000, 0.0), np.full(1000, 1 - 2 ** -53),
+                            np.random.default_rng(1).random(20_000)])
+        self._same_bits_and_state(ActionSpace.ring(), c, r, reference, 3)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("r", [1e-12, 0.1, 0.5, 2.0])
+    def test_cube_same_bits_as_rng_uniform(self, d, r):
+        # centres at the faces clip the ball on one side; r = 2 on both
+        def reference(c, r, rng):
+            return rng.uniform(np.maximum(0.0, c - r), np.minimum(1.0, c + r))
+
+        c = np.random.default_rng(2).random(20_000)
+        c[:3] = 0.0, 1.0, 0.5
+        if d > 1:
+            c = c.reshape(-1, d)
+        self._same_bits_and_state(ActionSpace.cube(d), c, r, reference, 4)
+
 
 def _membership(space, centres, r):
     """The grid ball as an (n, M) membership matrix: its definition."""
