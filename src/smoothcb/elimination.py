@@ -32,7 +32,6 @@ from .estimators import median_of_means
 from .kernels import RectKernel
 from .policies import (PolicyClass, VersionSpace, distinct_rows, segment_cuts,
                        union_geometry)
-from .spaces import GRID
 
 VARIANT_S = "s"
 VARIANT_L = "l"
@@ -73,11 +72,6 @@ class ElimConfig:
             raise ValueError("s-variant needs h in (0,1]")
         if self.variant == VARIANT_L and not (self.L and self.L >= 1):
             raise ValueError("l-variant needs L >= 1")
-        # r_1 = L/2 is squared in the epoch budget 320 kappa V / r_m^2
-        if self.variant == VARIANT_L and math.isinf(
-                (0.5 * self.L) * (0.5 * self.L)):
-            raise ValueError(f"L = {self.L:g} is too large: (L/2)^2 "
-                             "overflows, leaving epochs a budget of 0 rounds")
         if self.T < 2:
             raise ValueError("horizon must be >= 2")
 
@@ -212,7 +206,7 @@ class SmoothPolicyElimination:
         tilde_n = math.ceil(320.0 * kappa * V_m / (r_m * r_m))
         if tilde_n == 0:
             raise ValueError(f"epoch {m} has a budget of 0 rounds: "
-                             f"V_m = {V_m:g} at h_m = {h_m:g}")
+                             f"V_m = {V_m:g} at h_m = {h_m:g}, r_m = {r_m:g}")
         return EpochState(m=m, vs=vs, h_m=h_m, r_m=r_m, mu_m=mu_m, V_m=V_m,
                           tilde_n_m=tilde_n, n_m=tilde_n * self.delta_T, Q=Q,
                           solver_value=value, solver_iters=iters)
@@ -288,12 +282,12 @@ class SmoothPolicyElimination:
         at one point of it.  ``locate(a)`` gives each round's cell, or -1
         for a round that takes its own row: one within EDGE of a cut, and
         every round where no cells are formed (sampled or several contexts,
-        the grid, the cube in d >= 2, or more than CHUNK cells).
+        the cube in d >= 2, or more than CHUNK cells).
         """
         space, k = self.pc.space, len(state.vs)
         no_cells = (lambda a: np.full(len(a), -1), np.zeros((0, k)))
         if (not isinstance(self.env.contexts, FiniteContexts)
-                or len(values) != 1 or space.kind == GRID or space.d > 1):
+                or len(values) != 1 or space.d > 1):
             return no_cells
         centers = self.pc.actions_many(values)[:, state.vs.indices]
         cuts = segment_cuts(space, centers, state.h_m)[0]

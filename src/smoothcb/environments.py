@@ -95,14 +95,17 @@ class FiniteContexts:
         _check(abs(self.weights.sum() - 1.0) <= 1e-9
                and np.all(self.weights >= 0),
                "weights must form a probability vector")
-        self._cum = np.cumsum(self.weights)
+        # choice's cdf, normalised by its last entry, so a draw never lands
+        # past it on a context of weight 0
+        self._cdf = np.cumsum(self.weights)
+        self._cdf /= self._cdf[-1]
 
     def sample(self, rng: np.random.Generator):
+        """One context: ``rng.choice(len(values), p=weights)``'s pick, from
+        the same one draw."""
         if len(self.values) == 1:
             return self.values[0]
-        i = min(int(np.searchsorted(self._cum, rng.random())),
-                len(self.values) - 1)
-        return self.values[i]
+        return self.values[int(self._cdf.searchsorted(rng.random(), "right"))]
 
     def sample_many(self, rng: np.random.Generator, n: int):
         """n i.i.d. contexts as (values, index).
@@ -254,8 +257,7 @@ def _discontinuous(ap: float = 0.7, noise: str = BERNOULLI) -> StochasticEnv:
                                special_points={ap: 0.1})
     return StochasticEnv(
         space, _single_context(space), lambda xs: mean, noise=noise,
-        metadata={"ap": ap, "astar_h": 0.5,
-                  "benchmark_of_h": lambda h: 0.25 + 0.75 * h})
+        metadata={"ap": ap})
 
 
 def _absolute(astar: float = 0.5, noise: str = BERNOULLI) -> StochasticEnv:

@@ -105,8 +105,6 @@ def default_policy_class(env: StochasticEnv, n: int) -> PolicyClass:
     """Constant class on an n-point grid of the env's space.  Another class,
     such as a ``PolicyClass.from_csv`` table, is passed to ``run_one``."""
     space = env.space
-    if space.kind == "grid":
-        return PolicyClass.constant(space, space.grid_points())
     if space.d > 1:
         side = max(2, int(round(n ** (1.0 / space.d))))
         axis = (np.arange(side) + 0.5) / side
@@ -330,6 +328,8 @@ def diagnose(env: StochasticEnv, pc: PolicyClass, h: Optional[float] = None,
     """
     if h is not None:
         h = check_bandwidth(h)
+    if L is not None and not (_real(L) and L > 0):
+        raise ValueError(f"L must be a finite number > 0, got {L!r}")
     if epsilon_grid is None:
         epsilon_grid = np.geomspace(1e-3, 0.5, 16)
     eps_arr = np.asarray(epsilon_grid, dtype=float)

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .losses import LossFunction
-from .spaces import CUBE, GRID, RING, ActionSpace
+from .spaces import CUBE, RING, ActionSpace
 
 
 class RectKernel:
@@ -51,19 +51,15 @@ class RectKernel:
         if self.space.kind == RING:
             return np.where(dist <= self.h, 1.0 / min(1.0, 2.0 * self.h), 0.0)
         vols = self.space.ball_volumes(centers, self.h)
-        tol = 1e-12 if self.space.kind == GRID else 0.0
-        return np.where(dist <= self.h + tol, 1.0 / vols, 0.0)
+        return np.where(dist <= self.h, 1.0 / vols, 0.0)
 
     def kappa(self) -> float:
         """sup over centers and points of the kernel density."""
         if self.h == 0.0:
             return math.inf
-        sp = self.space
-        if sp.kind == RING:
+        if self.space.kind == RING:
             return 1.0 / min(1.0, 2.0 * self.h)
-        if sp.kind == CUBE:
-            return min(1.0, self.h) ** (-sp.d)
-        return float(sp.M / sp._grid_balls(sp.grid_points(), self.h)[1].min())
+        return min(1.0, self.h) ** (-self.space.d)
 
     def sample(self, center, rng: np.random.Generator):
         """One draw from the kernel centred at ``center``: sample_ball's
@@ -100,17 +96,7 @@ class RectKernel:
         if h == 0.0:
             return np.reshape(loss(c), c.shape[:-1] if sp.d > 1
                               else c.shape).astype(float)
-        if sp.kind == GRID:
-            # each ball is a run of count grid points from first on, so its
-            # mean is a difference of the row's prefix sums over the grid
-            first, count = sp._grid_balls(c, h)
-            rows = c.shape[:-1] + (sp.M,)
-            F = np.cumsum(np.broadcast_to(
-                loss(np.broadcast_to(sp.grid_points(), rows)), rows), axis=-1)
-            F = np.concatenate([np.zeros(rows[:-1] + (1,)), F], axis=-1)
-            val = (np.take_along_axis(F, first + count, axis=-1)
-                   - np.take_along_axis(F, first, axis=-1)) / count
-        elif sp.d > 1:
+        if sp.d > 1:
             val = loss.integrate_box(np.maximum(0.0, c - h),
                                      np.minimum(1.0, c + h))
             val = val / sp.ball_volumes(c, h)

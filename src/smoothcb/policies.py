@@ -8,7 +8,7 @@ from typing import Optional
 import numpy as np
 
 from .kernels import RectKernel
-from .spaces import CUBE, GRID, ActionSpace
+from .spaces import CUBE, ActionSpace
 
 TABULAR = "tabular"
 CONSTANT = "constant"
@@ -175,16 +175,16 @@ def union_geometry(space: ActionSpace, centers: np.ndarray, h: float,
     dropped, and every context is padded with zero-measure segments to the
     most any context keeps, so its arrays, and sums over them, do not depend
     on how the contexts are blocked or grouped; the volume is the lengths of
-    the covered runs, summed left to right.  The grid's segments are its
-    points and the d >= 2 cube's are N_MC draws from ``rng`` per context;
-    the volume is the covered share of those same points.  The exploration
-    program builds it once per distinct row of survivor actions, except on
-    the cube in d >= 2 (``distinct_rows``).
+    the covered runs, summed left to right.  On the cube in d >= 2 the
+    segments are N_MC draws from ``rng`` per context, and the volume is the
+    covered share of those same points.  The exploration program builds it
+    once per distinct row of survivor actions, except on the cube in d >= 2
+    (``distinct_rows``).
     """
     c = np.asarray(centers, dtype=float)
-    if space.kind == GRID or space.d > 1:
+    if space.d > 1:
         cuts = np.empty((len(c), 0))
-        width = space.M if space.kind == GRID else N_MC * space.d
+        width = N_MC * space.d
     else:
         cuts = segment_cuts(space, c, h)
         width = int((np.diff(cuts, axis=1) > 1e-15).sum(axis=1).max())
@@ -230,11 +230,9 @@ def segment_cuts(space: ActionSpace, centers: np.ndarray,
 def _union_block(space: ActionSpace, c: np.ndarray, cuts: np.ndarray,
                  width: int, h: float, rng: np.random.Generator):
     n = len(c)
-    if space.kind == GRID or space.d > 1:
-        mids = (np.broadcast_to(space.grid_points(), (n, space.M))
-                if space.kind == GRID
-                else rng.uniform(0.0, 1.0, size=(n, N_MC, space.d)))
-        meas = np.full(mids.shape[:2], 1.0 / mids.shape[1])
+    if space.d > 1:
+        mids = rng.uniform(0.0, 1.0, size=(n, N_MC, space.d))
+        meas = np.full((n, N_MC), 1.0 / N_MC)
     else:
         keep = np.diff(cuts, axis=1) > 1e-15
         # the kept segments first, in order, then the padding
@@ -245,8 +243,8 @@ def _union_block(space: ActionSpace, c: np.ndarray, cuts: np.ndarray,
         mids = (lo + hi) / 2.0
     dens = RectKernel(space, h).densities(c[:, :, None], mids[:, None])
     covered = dens.any(axis=1)
-    if space.kind == GRID or space.d > 1:
-        return dens, meas, covered.sum(axis=1) / meas.shape[1]
+    if space.d > 1:
+        return dens, meas, covered.sum(axis=1) / N_MC
     # each covered run's right end minus its left end, added left to right
     run = np.diff((covered & keep).astype(int), axis=1, prepend=0, append=0)
     first, after = np.nonzero(run == 1), np.nonzero(run == -1)
@@ -258,8 +256,8 @@ def _union_block(space: ActionSpace, c: np.ndarray, cuts: np.ndarray,
 def union_ball_volume(subset: VersionSpace, x=None, h: float = 0.1,
                       rng: Optional[np.random.Generator] = None) -> float:
     """nu of the union of h-balls at the surviving policies' actions: the
-    one-context case of ``union_geometry``, exact on 1-d spaces and the grid,
-    and the covered share of N_MC draws from ``rng`` (default seed 0) on the
+    one-context case of ``union_geometry``, exact on 1-d spaces, and the
+    covered share of N_MC draws from ``rng`` (default seed 0) on the
     cube in d >= 2."""
     acts = subset.pc.actions_at(x)[subset.mask]
     return float(union_geometry(subset.pc.space, acts[None], h, rng)[0][2][0])

@@ -1,15 +1,13 @@
 """Metric action spaces with uniform base measures.
 
-Three kinds are supported:
+Two kinds are supported:
 
-* ``Ring``: the unit circle represented as [0,1) with wraparound distance
+* ``ring``: the unit circle represented as [0,1) with wraparound distance
   min(|a-b|, 1-|a-b|).  Diameter 1/2.
-* ``Cube``: [0,1]^d with the sup norm.  Diameter 1.
-* ``FiniteGrid``: the M points {i/M : i = 1..M} with |a-b| distance and the
-  uniform counting measure.
+* ``cube``: [0,1]^d with the sup norm.  Diameter 1.
 
-The base measure is always a probability measure, so ball volumes live in
-(0, 1].
+The base measure is the uniform (Lebesgue) probability measure, so ball
+volumes live in (0, 1].
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ import numpy as np
 
 RING = "ring"
 CUBE = "cube"
-GRID = "grid"
 
 
 class ActionSpace:
@@ -29,16 +26,13 @@ class ActionSpace:
     Immutable after construction; safe to share between threads.
     """
 
-    def __init__(self, kind: str, d: int = 1, M: int = 0):
-        if kind not in (RING, CUBE, GRID):
+    def __init__(self, kind: str, d: int = 1):
+        if kind not in (RING, CUBE):
             raise ValueError(f"unknown action space kind: {kind!r}")
         if kind == CUBE and d < 1:
             raise ValueError("cube dimension must be >= 1")
-        if kind == GRID and M < 1:
-            raise ValueError("grid size must be >= 1")
         self.kind = kind
         self.d = d if kind == CUBE else 1
-        self.M = M if kind == GRID else 0
 
     # -- constructors -------------------------------------------------
 
@@ -50,23 +44,12 @@ class ActionSpace:
     def cube(d: int = 1) -> "ActionSpace":
         return ActionSpace(CUBE, d=d)
 
-    @staticmethod
-    def grid(M: int) -> "ActionSpace":
-        return ActionSpace(GRID, M=M)
-
     def __repr__(self) -> str:
         if self.kind == RING:
             return "ActionSpace(ring)"
-        if self.kind == CUBE:
-            return f"ActionSpace(cube, d={self.d})"
-        return f"ActionSpace(grid, M={self.M})"
+        return f"ActionSpace(cube, d={self.d})"
 
     # -- geometry ------------------------------------------------------
-
-    def grid_points(self) -> np.ndarray:
-        if self.kind != GRID:
-            raise ValueError("grid_points only defined for FiniteGrid")
-        return np.arange(1, self.M + 1) / self.M
 
     def _as_array(self, a) -> np.ndarray:
         arr = np.atleast_1d(np.asarray(a, dtype=float))
@@ -83,9 +66,7 @@ class ActionSpace:
         if self.kind == RING:
             dd = abs(float(x[0]) - float(y[0]))
             return min(dd, 1.0 - dd)
-        if self.kind == CUBE:
-            return float(np.max(np.abs(x - y)))
-        return abs(float(x[0]) - float(y[0]))
+        return float(np.max(np.abs(x - y)))
 
     def distances(self, centers: np.ndarray, a) -> np.ndarray:
         """Distance from each round's centres to that round's action.
@@ -122,42 +103,17 @@ class ActionSpace:
         c = np.asarray(centers, dtype=float)
         if self.kind == RING:
             return np.full(c.shape, min(1.0, 2.0 * r))
-        if self.kind == CUBE:
-            side = np.minimum(1.0, c + r) - np.maximum(0.0, c - r)
-            return side if self.d == 1 else np.prod(side, axis=-1)
-        return self._grid_balls(c, r)[1] / self.M
-
-    def _grid_balls(self, c: np.ndarray, r: float):
-        """(first index, point count) of each grid ball B(c, r), shaped like c.
-
-        A ball holds the grid points with |p - c| <= r + 1e-12, a run of
-        consecutive points.  searchsorted finds the run's ends to within one
-        point (its rounding differs from the predicate's by far less than
-        the spacing 1/M), and the predicate itself settles each end.
-        """
-        pts = self.grid_points()
-        R = r + 1e-12
-
-        def member(i):
-            inside = (i >= 0) & (i < self.M)
-            return inside & (np.abs(pts[np.clip(i, 0, self.M - 1)] - c) <= R)
-
-        lo = pts.searchsorted(c - R)
-        hi = pts.searchsorted(c + R, side="right")
-        first = np.where(member(lo - 1), lo - 1,
-                         np.where(member(lo), lo, lo + 1))
-        end = np.where(member(hi), hi + 1,
-                       np.where(member(hi - 1), hi, hi - 1))
-        return first, np.maximum(end - first, 0)
+        side = np.minimum(1.0, c + r) - np.maximum(0.0, c - r)
+        return side if self.d == 1 else np.prod(side, axis=-1)
 
     def ball_intervals(self, a, r: float) -> List[Tuple[float, float]]:
         """The ball B(a, r) as a list of disjoint subintervals of [0, 1].
 
-        Only defined for 1-d continuous kinds (ring and 1-d cube); the ring
-        ball may wrap around 0 and then splits into two pieces.
+        Only defined for 1-d spaces (ring and 1-d cube); the ring ball may
+        wrap around 0 and then splits into two pieces.
         """
-        if self.kind == GRID or (self.kind == CUBE and self.d > 1):
-            raise ValueError("ball_intervals needs a 1-d continuous space")
+        if self.d > 1:
+            raise ValueError("ball_intervals needs a 1-d space")
         c = float(self._as_array(a)[0])
         if self.kind == CUBE:
             return [(max(0.0, c - r), min(1.0, c + r))]
@@ -175,10 +131,8 @@ class ActionSpace:
         (size, d) on the cube."""
         if self.kind == RING:
             return rng.uniform(0.0, 1.0, size=size)
-        if self.kind == CUBE:
-            out = rng.uniform(0.0, 1.0, size=(size, self.d))
-            return out[:, 0] if self.d == 1 else out
-        return rng.integers(1, self.M + 1, size=size) / self.M
+        out = rng.uniform(0.0, 1.0, size=(size, self.d))
+        return out[:, 0] if self.d == 1 else out
 
     def sample_ball(self, centers, r: float, rng: np.random.Generator):
         """One uniform (under nu) draw from each closed ball B(centers[i], r).
@@ -194,21 +148,18 @@ class ActionSpace:
                 return rng.uniform(0.0, 1.0, size=c.shape)
             u += c  # x - floor(x) is np.mod(x, 1.0) bit for bit, and faster
             return np.subtract(u, np.floor(u), out=u)
-        if self.kind == CUBE:
-            lo = np.maximum(0.0, c - r)  # as rng.uniform(lo, hi), faster
-            u = rng.random(c.shape)
-            u *= np.minimum(1.0, c + r) - lo
-            return np.add(u, lo, out=u)
-        first, count = self._grid_balls(c, r)
-        return self.grid_points()[first + rng.integers(0, count)]
+        lo = np.maximum(0.0, c - r)  # as rng.uniform(lo, hi), faster
+        u = rng.random(c.shape)
+        u *= np.minimum(1.0, c + r) - lo
+        return np.add(u, lo, out=u)
 
     # -- diagnostics ---------------------------------------------------
 
     def estimate_uniformity(self, hs: Iterable[float]) -> float:
-        """Grid estimate of sup_{a,a',h} nu(B(a,2h)) / nu(B(a',h)).
+        """Lattice estimate of sup_{a,a',h} nu(B(a,2h)) / nu(B(a',h)).
 
         A lower bound on the true constant (the sup is only taken over a
-        grid of centers: 64 per axis, or the grid's own points).
+        lattice of 64 centers per axis).
         """
         hs = list(hs)
         if not hs:
@@ -216,9 +167,7 @@ class ActionSpace:
         if any(h <= 0 for h in hs):
             raise ValueError("bandwidths must be positive")
         space = self
-        if self.kind == GRID:
-            centers = self.grid_points()
-        elif self.kind == RING:
+        if self.kind == RING:
             centers = np.linspace(0.0, 1.0, 64, endpoint=False)
         else:
             # a cube ball's volume is the product of its per-axis sides, and

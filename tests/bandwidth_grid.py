@@ -4,7 +4,7 @@ enumerate and test their members directly."""
 
 import numpy as np
 
-from smoothcb.spaces import CUBE, RING
+from smoothcb.spaces import RING
 
 
 def grid_members(grid):
@@ -23,16 +23,12 @@ def grid_contains(grid, h: float) -> bool:
 
 
 def space_contains(space, a) -> bool:
-    """Whether the action a is a point of the space: [0, 1) on the ring,
-    [0, 1]^d on the cube, and a grid point i / M on the grid."""
+    """Whether the action a is a point of the space: [0, 1) on the ring and
+    [0, 1]^d on the cube."""
     arr = np.atleast_1d(np.asarray(a, dtype=float))
     if arr.shape[-1] != space.d:
         raise ValueError(
             f"action has dimension {arr.shape[-1]}, space has {space.d}")
     if space.kind == RING:
         return bool(np.all(arr >= 0) and np.all(arr < 1))
-    if space.kind == CUBE:
-        return bool(np.all(arr >= 0) and np.all(arr <= 1))
-    i = np.round(arr * space.M)
-    return bool(np.all(np.abs(arr * space.M - i) < 1e-12)
-                and np.all(i >= 1) and np.all(i <= space.M))
+    return bool(np.all(arr >= 0) and np.all(arr <= 1))

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from smoothcb import cli, environments, harness
+from smoothcb import cli, elimination, environments, harness
 from smoothcb.cli import main, parse_env_spec
 
 
@@ -161,11 +161,18 @@ class TestBadRunConfig:
         self._check_exit_2(capsys, self._with("--seeds", "0,0"),
                            "seeds must not repeat")
 
-    def test_lipschitz_constant_without_epoch_budget(self, capsys):
-        # (L/2)^2 overflows, so the epoch budget 320 kappa V / r_m^2 is 0
-        argv = ["run", "--alg", "pe-l", "--env", "absolute", "--T", "64",
-                "--L", "1e155", "--seeds", "1"]
-        self._check_exit_2(capsys, argv, "L = 1e+155")
+    def test_lipschitz_constant_without_epoch_budget(self, capsys,
+                                                     monkeypatch):
+        # r_1 = L/2 squares to inf, so the epoch budget 320 kappa V / r_1^2
+        # is 0, and the run ends before its first round
+        monkeypatch.setattr(elimination.SmoothPolicyElimination,
+                            "_play_epoch", _no_play)
+        for L, r_1 in (("1e155", "5e+154"), ("1.7e308", "8.5e+307")):
+            argv = ["run", "--alg", "pe-l", "--env", "absolute", "--T", "64",
+                    "--L", L, "--seeds", "1"]
+            self._check_exit_2(capsys, argv,
+                               "epoch 1 has a budget of 0 rounds: V_m = 1 at "
+                               f"h_m = 0.5, r_m = {r_1}")
 
     @pytest.mark.parametrize("argv", [
         BASE, ["sweep", "--alg", "exp4", "--env", "absolute", "--h-list",
@@ -245,6 +252,13 @@ class TestBadRunConfig:
         self._check_exit_2(capsys, ["diagnose", "--env", "absolute", "--h", h,
                                     "--policies", "8", "--eps-grid", "0.1,0.2"],
                            "h must lie in (0, 1]")
+
+    @pytest.mark.parametrize("L", ["nan", "-1", "inf", "0"])
+    def test_bad_diagnose_lipschitz_constant(self, capsys, L):
+        # the eps-optimal set holds the minimiser, so M_0 = 0 is no answer
+        self._check_exit_2(capsys, ["diagnose", "--env", "absolute", "--L", L,
+                                    "--policies", "8", "--eps-grid", "0.1,0.2"],
+                           "L must be a finite number > 0")
 
     def test_fraction_over_zero(self, capsys):
         self._check_exit_2(capsys, self._with("--h", "1/0"),

@@ -28,6 +28,10 @@ from smoothcb.policies import (PolicyClass, VersionSpace, segment_cuts,
 from smoothcb.spaces import ActionSpace
 
 
+def _no_play(*args, **kwargs):
+    raise AssertionError("rounds were played")
+
+
 def _ring_pc(actions):
     return PolicyClass.constant(ActionSpace.ring(), actions)
 
@@ -60,8 +64,15 @@ class TestConfig:
             ElimConfig(variant="l", T=64, L=0.5)
         with pytest.raises(ValueError):
             ElimConfig(variant="x", T=64, h=0.1)
-        with pytest.raises(ValueError, match="L = 1e"):
-            ElimConfig(variant="l", T=64, L=1e155)
+        # an L whose r_1 = L/2 squares to inf leaves epoch 1 no rounds:
+        # start_epoch refuses it before any round is played
+        alg = SmoothPolicyElimination(
+            make_named_instance("absolute"), _ring_pc([0.5]),
+            ElimConfig(variant="l", T=64, L=1e155))
+        alg._play_epoch = _no_play
+        with pytest.raises(ValueError, match=r"epoch 1 has a budget of 0 "
+                           r"rounds: .*, r_m = 5e\+154"):
+            alg.run(np.random.default_rng(0))
 
 
 class TestVarianceProgram:
@@ -182,9 +193,6 @@ _GROUPED_CASES = {
     "cube1": lambda: (PolicyClass.constant(ActionSpace.cube(1),
                                            [0.0, 0.05, 0.93, 1.0, 0.5]),
                       _panel(), 0.1),
-    "grid": lambda: (PolicyClass.constant(ActionSpace.grid(10),
-                                          [0.1, 0.5, 0.7, 0.75]),
-                     _panel(), 0.2),
     "constant-sampled-panel": lambda: (*_sampled_panel(
         PolicyClass.constant(ActionSpace.cube(1), (np.arange(16) + 0.5) / 16)),
         0.1),
@@ -398,10 +406,11 @@ class TestPruning:
             alg.end_epoch(state, [])
 
 
-def _grid_instance():
+def _cube_contexts_instance():
     # two weighted contexts, a tabular class, Gaussian noise; h = 0.2 puts
-    # ball edges exactly on grid points
-    space = ActionSpace.grid(10)
+    # ball ends an ulp apart (0.1 + h, 0.5 - h) or together (0.4 + h,
+    # 0.8 - h), and clips balls at 0 and 1
+    space = ActionSpace.cube(1)
     losses = [PiecewiseLinearLoss([0.0, 0.3, 1.0], [0.8, 0.1, 0.9]),
               PiecewiseLinearLoss([0.0, 0.7, 1.0], [0.9, 0.2, 0.6])]
     env = StochasticEnv(space, FiniteContexts([0, 1], [0.3, 0.7]),
@@ -449,8 +458,8 @@ _INSTANCES = {
     "ring_tiny_segment": _tiny_segment_instance,
     "ring_whole": lambda: _named("absolute", 8, 0.6),
     "cube1": lambda: _named("needle_h", 8, 0.1, h=0.125, index=1),
+    "cube1_contexts": _cube_contexts_instance,
     "cube2": lambda: _named("needle_h", 9, 0.25, h=0.125, d=2, index=1),
-    "grid": _grid_instance,
     "sphere": _sphere_instance,
 }
 
@@ -516,7 +525,7 @@ class TestOneEpochPath:
                                         score=False)
         values, index = env.contexts.sample_many(np.random.default_rng(1), n)
         segments = (isinstance(env.contexts, FiniteContexts)
-                    and pc.space.d == 1 and pc.space.kind != "grid")
+                    and pc.space.d == 1)
         cells = segments and len(values) == 1
         if segments:
             # every ball end and its neighbouring doubles, and 0 and 1 where

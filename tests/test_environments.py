@@ -64,17 +64,33 @@ class TestBatchedRounds:
                     for i, v in zip(index, a)]
         assert np.array_equal(mean, expected) and np.array_equal(loss, mean)
 
-    def test_finite_sample_matches_per_call_cumsum(self):
-        # the cumsum kept from __init__ against one taken every call: the
-        # same contexts from the same draws
-        ctx = FiniteContexts(["a", "b", "c", "d", "e"],
-                             [0.1, 0.25, 0.05, 0.3, 0.3])
-        rng, ref = np.random.default_rng(7), np.random.default_rng(7)
-        for _ in range(2000):
-            i = min(int(np.searchsorted(np.cumsum(ctx.weights),
-                                        ref.random())), 4)
-            assert ctx.sample(rng) == ctx.values[i]
-        assert rng.bit_generator.state == ref.bit_generator.state
+    def test_finite_sample_equals_choice(self):
+        # weight vectors with zeros in random places: the same context as
+        # choice's pick, and the generator left in choice's state
+        gen = np.random.default_rng(7)
+        for trial in range(200):
+            n = int(gen.integers(2, 9))
+            w = gen.random(n) * (gen.random(n) < 0.7)
+            w[int(gen.integers(n))] += 0.1
+            ctx = FiniteContexts(list(range(n)), w / w.sum())
+            rng, ref = (np.random.default_rng(trial) for _ in range(2))
+            for _ in range(300):
+                assert ctx.sample(rng) == ref.choice(n, p=ctx.weights)
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_finite_sample_never_picks_a_zero_weight(self):
+        # the weights sum to 1 - 1e-10, within the check; a draw in
+        # [1 - 1e-10, 1) lies past their running sum, and a pick clamped to
+        # the last index gave "z", of weight 0, where sample_many gives "b"
+        class Stub:
+            def random(self, size=None):
+                u = 1.0 - 5e-11
+                return u if size is None else np.full(size, u)
+
+        ctx = FiniteContexts(["a", "b", "z"], [0.5, 0.5 - 1e-10, 0.0])
+        assert ctx.sample(Stub()) == "b"
+        values, index = ctx.sample_many(Stub(), 3)
+        assert [values[i] for i in index] == ["b"] * 3
 
     def test_finite_sample_many_equals_choice(self):
         # weighted contexts, two of them never drawn, one of those last

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,8 +5,7 @@ from hypothesis import strategies as st
 from bandwidth_grid import grid_contains, grid_members
 
 from smoothcb.kernels import BandwidthGrid, RectKernel
-from smoothcb.losses import (PiecewiseConstantLoss, PiecewiseLinearLoss,
-                             ShiftedLoss)
+from smoothcb.losses import PiecewiseConstantLoss, PiecewiseLinearLoss
 from smoothcb.spaces import ActionSpace
 
 
@@ -31,13 +28,6 @@ class TestDensity:
         k = RectKernel(ActionSpace.cube(1), 0.1)
         assert k.density(0.0, 0.05) == pytest.approx(10.0, abs=1e-12)
 
-    def test_grid_ball_edge_counts(self):
-        # 0.4 is in the ball B(0.3, 0.1) the sampler draws from (3 points),
-        # although 0.4 - 0.3 rounds to just above 0.1
-        k = RectKernel(ActionSpace.grid(10), 0.1)
-        assert k.density(0.3, 0.4) == pytest.approx(10.0 / 3.0)
-        assert k.densities(np.array([0.3]), 0.4) == pytest.approx([10.0 / 3.0])
-
     def test_dirac_density_rejected(self):
         k = RectKernel(ActionSpace.ring(), 0.0)
         with pytest.raises(ValueError):
@@ -54,14 +44,6 @@ class TestDensity:
                 k = RectKernel(space, h)
                 total = flat.integrate_intervals(space.ball_intervals(c, h))
                 assert total * k.density(c, c) == pytest.approx(1.0, abs=1e-9)
-        space = ActionSpace.grid(16)
-        for _ in range(500):
-            h = float(rng.uniform(0.05, 0.6))
-            c = space.sample_uniform(rng, 1)[0]
-            k = RectKernel(space, h)
-            pts = space.grid_points()
-            mass = np.sum(np.abs(pts - c) <= h + 1e-12) / space.M
-            assert mass * k.density(c, c) == pytest.approx(1.0, abs=1e-9)
 
 
 def _bits(v):
@@ -96,7 +78,6 @@ class TestSampleMatchesSampleBall:
         (ActionSpace.ring(), 0.5, [0.0, 0.25, 0.9]),
         (ActionSpace.ring(), 0.8, [0.1, 0.6]),
         (ActionSpace.cube(1), 0.1, [0.0, 0.02, 0.5, 0.98, 1.0]),
-        (ActionSpace.grid(10), 0.2, [0.1, 0.5, 1.0]),
     ])
     def test_draw_for_draw(self, space, h, centers):
         # sample is sample_ball's one-row draw: the same doubles, and the
@@ -121,19 +102,6 @@ class TestKappa:
 
     def test_ring_whole_space(self):
         assert RectKernel(ActionSpace.ring(), 0.5).kappa() == pytest.approx(1.0)
-
-    @pytest.mark.parametrize("M", [1, 2, 3, 10, 64, 100, 257])
-    def test_grid_matches_pairwise_count(self, M):
-        # M over the fewest grid points within h + 1e-12 of a grid point,
-        # counted over all M x M pairs
-        space = ActionSpace.grid(M)
-        pts = space.grid_points()
-        hs = np.concatenate([np.arange(0, M + 1) / M,
-                             np.linspace(0.0, 1.0, 37)[1:]])
-        for h in hs[hs > 0]:
-            counts = np.sum(np.abs(pts[:, None] - pts[None, :])
-                            <= h + 1e-12, axis=1)
-            assert RectKernel(space, h).kappa() == float(M / counts.min())
 
 
 class TestSmoothedLoss:
@@ -205,65 +173,6 @@ class TestSmoothedLoss:
             inter = max(0.0, min(r1, r2) - max(l1, l2))
             sym = v1 + v2 - 2 * inter
             assert abs(m1 - m2) <= 2 * sym / max(v1, v2) + 1e-9
-
-
-def _membership_mean(space, centers, h, loss):
-    """Smoothed losses on a grid from a (centres x points) membership
-    matrix: the summed loss over each ball's points, over its measure."""
-    c = np.asarray(centers, dtype=float)
-    pts = space.grid_points()
-    member = np.abs(c[..., None] - pts) <= h + 1e-12
-    a = np.broadcast_to(pts, c.shape[:-1] + pts.shape)
-    vals = np.broadcast_to(loss(a), a.shape)
-    return (member @ vals[..., None])[..., 0] / space.M \
-        / space.ball_volumes(c, h)
-
-
-class TestGridSmoothedLosses:
-    @pytest.mark.parametrize("M", [1, 2, 3, 10, 64, 100, 257])
-    def test_matches_the_membership_mean(self, M):
-        rng = np.random.default_rng(M)
-        space = ActionSpace.grid(M)
-        base = _random_pw_constant(rng)
-        batch = ShiftedLoss(PiecewiseLinearLoss([0.0, 0.4, 1.0],
-                                                [0.9, 0.1, 0.6]),
-                            0.5, rng.uniform(0.0, 0.5, 30))
-        on_grid = space.grid_points()[rng.integers(0, M, (30, 7))]
-        # off the grid, a ball of radius >= 1/M still holds a point
-        off_grid = rng.uniform(0.0, 1.0, (30, 7))
-        for h in (1.0 / (3 * M), 1.0 / M, 0.05, 0.3, 1.0,
-                  *rng.uniform(1.0 / M, 1.0, 5)):
-            for c in (on_grid, off_grid):
-                if c is off_grid and h < 1.0 / M:
-                    continue
-                for loss in (base, batch):
-                    got = RectKernel(space, h).smoothed_losses(c, loss)
-                    want = _membership_mean(space, c, h, loss)
-                    assert got.shape == c.shape
-                    assert np.max(np.abs(got - want)) <= 1e-12, (h, loss)
-
-    def test_one_centre(self):
-        space = ActionSpace.grid(16)
-        loss = _random_pw_constant(np.random.default_rng(3))
-        k = RectKernel(space, 0.2)
-        assert k.smoothed_loss(0.5, loss) == pytest.approx(
-            float(_membership_mean(space, [0.5], 0.2, loss)[0]), abs=1e-12)
-
-    def test_memory_bounded(self):
-        # a (contexts x k x M) membership mask here peaked at 195 MiB
-        rng = np.random.default_rng(0)
-        space = ActionSpace.grid(100)
-        c = space.grid_points()[rng.integers(0, 100, (2000, 64))]
-        loss = ShiftedLoss(PiecewiseLinearLoss([0.0, 0.4, 1.0],
-                                               [0.9, 0.1, 0.6]),
-                           0.5, rng.uniform(0.0, 0.5, 2000))
-        tracemalloc.start()
-        try:
-            RectKernel(space, 0.05).smoothed_losses(c, loss)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 10 * 2 ** 20
 
 
 class TestBandwidthGrid:

@@ -147,7 +147,7 @@ class TestPacking:
 
 
 _PACKING_SPACES = {"ring": ActionSpace.ring(), "cube1": ActionSpace.cube(1),
-                   "cube2": ActionSpace.cube(2), "grid": ActionSpace.grid(17)}
+                   "cube2": ActionSpace.cube(2)}
 
 
 @st.composite
@@ -157,13 +157,9 @@ def _packing_cases(draw):
     name = draw(st.sampled_from(sorted(_PACKING_SPACES)))
     space = _PACKING_SPACES[name]
     n = draw(st.integers(1, 12))
-    if name == "grid":
-        pts = [i / space.M for i in draw(
-            st.lists(st.integers(1, space.M), min_size=n, max_size=n))]
-    else:
-        unit = st.floats(0.0, 1.0, exclude_max=name == "ring")
-        pts = draw(st.lists(unit if space.d == 1 else st.tuples(unit, unit),
-                            min_size=n, max_size=n))
+    unit = st.floats(0.0, 1.0, exclude_max=name == "ring")
+    pts = draw(st.lists(unit if space.d == 1 else st.tuples(unit, unit),
+                        min_size=n, max_size=n))
     if name == "ring":
         for lo, hi in draw(st.lists(st.tuples(st.floats(0.0, 0.1),
                                               st.floats(1e-6, 0.1)),
@@ -189,9 +185,9 @@ class TestPackingAgainstScalarGreedy:
 def _reference_geometry(space, centers, h, points=None):
     """One context's segments, densities and ball-union volume, built one
     ball at a time: ball_intervals cuts and an interval merge on 1-d spaces,
-    membership counts on the grid and on given points of the 2-d cube."""
-    if space.kind == "grid" or points is not None:
-        mids = space.grid_points() if points is None else points
+    membership counts on given points of the 2-d cube."""
+    if points is not None:
+        mids = points
         meas = np.full(len(mids), 1.0 / len(mids))
     else:
         pieces = [iv for c in centers for iv in space.ball_intervals(c, h)]
@@ -199,11 +195,10 @@ def _reference_geometry(space, centers, h, points=None):
         keep = np.diff(bs) > 1e-15
         meas = np.diff(bs)[keep]
         mids = ((bs[:-1] + bs[1:]) / 2.0)[keep]
-    tol = 1e-12 if space.kind == "grid" else 0.0
     dens = np.array([[1.0 / space.ball_volume(c, h)
-                      if space.distance(c, m) <= h + tol else 0.0
+                      if space.distance(c, m) <= h else 0.0
                       for m in mids] for c in centers])
-    if space.kind == "grid" or points is not None:
+    if points is not None:
         return dens, meas, float(np.any(dens > 0, axis=0).sum()) / len(mids)
     total, cur_lo, cur_hi = 0.0, None, None
     for lo, hi in sorted(pieces):
@@ -223,7 +218,6 @@ _GEOMETRY_CASES = {
     "ring-wider-than-circle": (_RING, [0.3], 0.8),
     "ring-touching": (_RING, [0.125, 0.375, 0.625], 0.125),
     "cube1-edges": (_CUBE1, [0.0, 0.05, 1.0, 0.93, 0.5], 0.1),
-    "grid-edges-on-points": (ActionSpace.grid(10), [0.1, 0.5, 0.7], 0.2),
 }
 
 

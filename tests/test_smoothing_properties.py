@@ -91,23 +91,6 @@ class TestSmoothedLossesAgainstReferences:
         for g, ci in zip(got, centers):
             assert abs(g - _ball_mean(loss, space, ci, h)) <= 1e-9
 
-    @settings(max_examples=100, deadline=None)
-    @given(piecewise_losses(), st.integers(1, 30), st.data())
-    def test_grid_member_mean(self, loss, M, data):
-        space = ActionSpace.grid(M)
-        pts = space.grid_points()
-        idx = data.draw(st.lists(st.integers(0, M - 1), min_size=1,
-                                 max_size=5))
-        # multiples of 1/M put ball edges exactly on grid points
-        h = data.draw(st.one_of(st.floats(1e-3, 1.0),
-                                st.integers(0, M).map(lambda k: k / M)))
-        h = max(h, 1e-3)
-        got = RectKernel(space, h).smoothed_losses(pts[idx], loss)
-        for g, i in zip(got, idx):
-            members = [p for p in pts if abs(p - pts[i]) <= h + 1e-12]
-            want = np.mean([float(loss(p)) for p in members])
-            assert abs(g - want) <= 1e-9
-
     @settings(max_examples=25, deadline=None)
     @given(piecewise_losses(linear=False), piecewise_losses(linear=True),
            st.lists(st.tuples(center, center), min_size=1, max_size=3),

@@ -8,10 +8,8 @@ from smoothcb.spaces import ActionSpace
 
 def _lattice_uniformity(space, hs, res=64):
     """The uniformity constant as a max and min over every centre of the
-    lattice of res^d points (the grid's own points on a grid)."""
-    if space.kind == "grid":
-        centers = space.grid_points()
-    elif space.kind == "ring":
+    lattice of res^d points."""
+    if space.kind == "ring":
         centers = np.linspace(0.0, 1.0, res, endpoint=False)
     else:
         axis = np.linspace(0.0, 1.0, res)
@@ -20,6 +18,14 @@ def _lattice_uniformity(space, hs, res=64):
                    else np.stack([m.ravel() for m in mesh], axis=1))
     return max(float(np.max(space.ball_volumes(centers, 2.0 * h))
                      / np.min(space.ball_volumes(centers, h))) for h in hs)
+
+
+class TestKinds:
+    def test_ring_and_cube_only(self):
+        assert repr(ActionSpace.ring()) == "ActionSpace(ring)"
+        assert repr(ActionSpace.cube(3)) == "ActionSpace(cube, d=3)"
+        with pytest.raises(ValueError, match="unknown action space kind"):
+            ActionSpace("grid")
 
 
 class TestDistance:
@@ -65,8 +71,7 @@ class TestBallVolume:
         assert space.ball_volume(0.0, 0.1) == pytest.approx(0.1, abs=1e-12)
 
     def test_radius_one_covers_everything(self):
-        for space in (ActionSpace.ring(), ActionSpace.cube(2),
-                      ActionSpace.grid(7)):
+        for space in (ActionSpace.ring(), ActionSpace.cube(2)):
             assert space.ball_volume(space.sample_uniform(
                 np.random.default_rng(0), 1)[0], 1.0) == pytest.approx(1.0)
 
@@ -99,13 +104,9 @@ class TestUniformity:
         space = ActionSpace.cube(1)
         assert space.estimate_uniformity([0.1]) == pytest.approx(4.0, abs=1e-9)
 
-    def test_grid_at_least_one(self):
-        space = ActionSpace.grid(4)
-        assert space.estimate_uniformity([0.3]) >= 1.0
-
     @pytest.mark.parametrize("space", [
-        ActionSpace.ring(), ActionSpace.grid(4), ActionSpace.grid(37),
-        ActionSpace.cube(1), ActionSpace.cube(2), ActionSpace.cube(3)],
+        ActionSpace.ring(), ActionSpace.cube(1), ActionSpace.cube(2),
+        ActionSpace.cube(3)],
         ids=repr)
     def test_equals_the_lattice(self, space):
         rng = np.random.default_rng(7)
@@ -147,20 +148,6 @@ class TestFacts:
             for T in (1, 2, 4, 16, 256, 10 ** 4):
                 lhs = (1.0 / (1.0 - 1.0 / (4.0 * d * T))) ** d
                 assert lhs <= 1.0 + 1.0 / T + 1e-12
-
-
-class TestGrid:
-    def test_points_are_multiples(self):
-        space = ActionSpace.grid(5)
-        assert np.allclose(space.grid_points(),
-                           np.array([1, 2, 3, 4, 5]) / 5.0)
-
-    def test_sample_lands_on_grid(self):
-        space = ActionSpace.grid(8)
-        rng = np.random.default_rng(4)
-        pts = set(np.round(space.grid_points(), 12))
-        for _ in range(50):
-            assert round(space.sample_uniform(rng, 1)[0], 12) in pts
 
 
 class TestSampleBall:
@@ -210,82 +197,3 @@ class TestSampleBall:
             c = c.reshape(-1, d)
         self._same_bits_and_state(ActionSpace.cube(d), c, r, reference, 4)
 
-
-def _membership(space, centres, r):
-    """The grid ball as an (n, M) membership matrix: its definition."""
-    return (np.abs(space.grid_points() - np.asarray(centres)[..., None])
-            <= r + 1e-12)
-
-
-def _grid_cases(M):
-    """On-grid and off-grid centres, and radii from 0 through tiny, exact
-    grid spacings (ends that fall on grid points) to beyond the grid."""
-    pts = ActionSpace.grid(M).grid_points()
-    centres = np.concatenate([
-        pts, pts + 1e-12, pts - 1e-12, pts + 3e-13,
-        (np.arange(M + 1) + 0.5) / M, [0.0, 0.3, 1 / 3, 2 / 3, 1.0 + 1 / M]])
-    radii = ([0.0, 1e-13, 5e-13, 1e-12, 2e-12, 1.0, 1.5, 2.0]
-             + [j / M for j in range(1, M + 1)]
-             + [(j + 0.5) / M for j in range(M)])
-    return centres, radii
-
-
-class TestGridBalls:
-    def test_volumes_match_membership(self):
-        for M in range(1, 51):
-            space = ActionSpace.grid(M)
-            centres, radii = _grid_cases(M)
-            for r in radii:
-                ref = _membership(space, centres, r)
-                first, count = space._grid_balls(centres, r)
-                assert np.array_equal(count, ref.sum(axis=-1)), (M, r)
-                has = count > 0
-                assert np.array_equal(first[has],
-                                      np.argmax(ref, axis=-1)[has]), (M, r)
-                vols = space.ball_volumes(centres, r)
-                assert (vols.tobytes()
-                        == (ref.sum(axis=-1) / M).tobytes()), (M, r)
-
-    def test_volumes_keep_the_centres_batch_shape(self):
-        space = ActionSpace.grid(7)
-        centres = np.random.default_rng(0).uniform(0, 1, (5, 3))
-        ref = _membership(space, centres, 0.2).sum(axis=-1) / 7
-        assert space.ball_volumes(centres, 0.2).tobytes() == ref.tobytes()
-        assert space.ball_volume(0.5, 0.2) == float(
-            _membership(space, 0.5, 0.2).sum() / 7)
-
-    def test_draws_match_membership(self):
-        for M in range(1, 51):
-            space = ActionSpace.grid(M)
-            pts = space.grid_points()
-            centres, radii = _grid_cases(M)
-            for r in radii:
-                ref = _membership(space, centres, r)
-                c = centres[ref.any(axis=-1)]
-                ref = ref[ref.any(axis=-1)]
-                rng = np.random.default_rng(M)
-                want = pts[np.argmax(ref, axis=1)
-                           + np.random.default_rng(M).integers(
-                               0, ref.sum(axis=1))]
-                got = space.sample_ball(c, r, rng)
-                assert got.tobytes() == want.tobytes(), (M, r)
-
-    def test_memory_bounded(self):
-        # one call each at sizes where an (n, M) membership matrix took
-        # gigabytes: 50,000 draws and one elimination chunk of 8,192 x 20
-        # centres, on a 2,000-point grid
-        space = ActionSpace.grid(2000)
-        rng = np.random.default_rng(0)
-        draws = space.sample_uniform(rng, 50_000)
-        chunk = rng.uniform(0.0, 1.0, (8192, 20))
-        tracemalloc.start()
-        try:
-            space.sample_ball(draws, 0.05, rng)
-            peak_draws = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            space.ball_volumes(chunk, 0.05)
-            peak_chunk = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak_draws < 8 * 2 ** 20
-        assert peak_chunk < 24 * 2 ** 20
