@@ -7,12 +7,13 @@ weighting with median-of-means aggregation across batches, and prunes
 policies that fall behind the empirical best by more than the epoch radius
 allows.  An epoch is played the same way on every space kind and context
 class: its contexts, mixed draws and realized losses are drawn whole, as
-vectors over its rounds.  With one finite context on the ring or the 1-d
-cube its scores come from per-cell loss sums: every action in a cell (a
-segment of the survivors' balls) has the same survivor densities and
-propensity, so one (cells x survivors) table turns each batch's per-cell
-loss sums into its estimates.  Every other round adds its own density row.
-An epoch that is not scored forms nothing per survivor.
+vectors over its rounds, and a finite context set plays as one block.  With
+one finite context on the ring or the 1-d cube its scores come from
+per-cell loss sums: every action in a cell (a segment of the survivors'
+balls) has the same survivor densities and propensity, so one (cells x
+survivors) table turns each batch's per-cell loss sums into its estimates.
+Every other round adds its own density row.  An epoch that is not scored
+forms nothing per survivor.
 
 Two schedules: the fixed-bandwidth variant keeps h_m = h and halves the
 radius r_m = 2^-m; the Lipschitz variant halves the bandwidth h_m = 2^-m
@@ -27,11 +28,12 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .environments import FiniteContexts, StochasticEnv, draw_indices
+from .environments import (FiniteContexts, StochasticEnv, draw_indices,
+                           guide_search)
 from .estimators import median_of_means
 from .kernels import RectKernel
-from .policies import (PolicyClass, VersionSpace, distinct_rows, segment_cuts,
-                       union_geometry)
+from .policies import (N_MC, PolicyClass, VersionSpace, distinct_rows,
+                       segment_cuts, union_geometry)
 
 VARIANT_S = "s"
 VARIANT_L = "l"
@@ -205,8 +207,10 @@ class SmoothPolicyElimination:
             self.pc, vs, h_m, mu_m, panel, rng=rng)
         tilde_n = math.ceil(320.0 * kappa * V_m / (r_m * r_m))
         if tilde_n == 0:
-            raise ValueError(f"epoch {m} has a budget of 0 rounds: "
-                             f"V_m = {V_m:g} at h_m = {h_m:g}, r_m = {r_m:g}")
+            why = (f": no point of the {N_MC} Monte Carlo draws per context "
+                   "fell in the survivors' union of balls" if V_m == 0 else "")
+            raise ValueError(f"epoch {m} has a budget of 0 rounds: V_m = "
+                             f"{V_m:g} at h_m = {h_m:g}, r_m = {r_m:g}{why}")
         return EpochState(m=m, vs=vs, h_m=h_m, r_m=r_m, mu_m=mu_m, V_m=V_m,
                           tilde_n_m=tilde_n, n_m=tilde_n * self.delta_T, Q=Q,
                           solver_value=value, solver_iters=iters)
@@ -252,7 +256,8 @@ class SmoothPolicyElimination:
         ball = space.sample_ball(picked_centers(pick), state.h_m, rng)
         if ball.ndim > 1:
             explore = explore[:, None]
-        return np.where(explore, uniform, ball)
+        np.copyto(ball, uniform, where=explore)
+        return ball
 
     def act(self, state: EpochState, centers: np.ndarray,
             rng: np.random.Generator):
@@ -293,10 +298,10 @@ class SmoothPolicyElimination:
         cuts = segment_cuts(space, centers, state.h_m)[0]
         if len(cuts) - 1 > CHUNK:
             return no_cells
+        search = guide_search(cuts)
 
         def locate(a):
-            pos = np.minimum(cuts.searchsorted(a, side="right") - 1,
-                             len(cuts) - 2)
+            pos = np.minimum(search(a) - 1, len(cuts) - 2)
             inside = (a - cuts[pos] > EDGE) & (cuts[pos + 1] - a > EDGE)
             return np.where(inside, pos, -1)
         return locate, self._weights(
@@ -358,22 +363,28 @@ class SmoothPolicyElimination:
                     score: bool = True):
         """Play n rounds; returns (actions, losses, mean losses, means).
 
-        Contexts, draws and losses are drawn whole, in that order.  With
-        ``score`` (which needs n = n_m), means is ``_score``'s (survivors x
-        delta_T) batch means: batch b's mean estimate of each survivor's
-        smoothed loss.  Without it nothing per survivor is formed and means
-        is None.
+        Contexts, draws and losses are drawn whole, in that order.  Picked
+        centres are one flat take per block of rounds: a finite set (few
+        context rows) plays as one block, a sampler CHUNK rounds at a time.
+        With ``score`` (which needs n = n_m), means is ``_score``'s
+        (survivors x delta_T) batch means: batch b's mean estimate of each
+        survivor's smoothed loss.  Without it nothing per survivor is formed
+        and means is None.
         """
         values, index = self.env.contexts.sample_many(rng_env, n)
-        blocks = [slice(s, min(s + CHUNK, n)) for s in range(0, n, CHUNK)]
+        step = n if isinstance(self.env.contexts, FiniteContexts) else CHUNK
+        blocks = [slice(s, min(s + step, n)) for s in range(0, n, step)]
         survivors = state.vs.indices
 
         def picked_centers(pick):
             parts = []
             for b in blocks:
-                actions, rows = self._actions(values, index[b])
-                parts.append(actions[rows, survivors[pick[b]]])
-            return np.concatenate(parts)
+                actions, flat = self._actions(values, index[b])
+                flat *= actions.shape[1]  # row * |Pi| + survivor
+                flat += survivors.take(pick[b])
+                parts.append(actions.reshape((-1,) + actions.shape[2:])
+                             .take(flat, axis=0))
+            return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
         a = self._draw(state, n, picked_centers, rng)
         loss, mean = self.env.realize_many(values, index, a, rng_env)

@@ -43,16 +43,37 @@ def _whole(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
+def guide_search(row: np.ndarray):
+    """``lambda u: row.searchsorted(u, "right")`` for a sorted row and u in
+    [0, 1], through a guide table (Chen and Asau) built once, here.  With m
+    a power of two, u * m and c * m are exact, so a u in [j/m, (j+1)/m) has
+    between lo[j] = #{c <= j/m} and hi[j] = #{c < (j+1)/m} entries c <= u;
+    only a u whose bucket holds an entry (at most 1/16 of them) searches.
+    """
+    m = 16 << (len(row) - 1).bit_length()
+    cm = row * m
+    # c <= j/m iff ceil(c * m) <= j, and c < (j+1)/m iff floor(c * m) <= j
+    lo = np.bincount(np.ceil(cm).astype(np.intp), minlength=m + 1)
+    hi = np.bincount(cm.astype(np.intp), minlength=m + 1)
+    lo.cumsum(out=lo)
+    hi.cumsum(out=hi)
+    lo[lo != hi] = -1  # the guide table: the answer, or -1 to search
+
+    def search(u: np.ndarray) -> np.ndarray:
+        pos = np.empty(len(u), dtype=np.intp)
+        np.multiply(u, m, out=pos, casting="unsafe")  # floor, no float copy
+        # in place: mode "raise" would buffer a copy, and every bucket is <= m
+        lo.take(pos, out=pos, mode="clip")
+        miss = np.flatnonzero(pos < 0)
+        pos[miss] = row.searchsorted(u[miss], "right")
+        return pos
+    return search
+
+
 def draw_indices(p, n: int, rng: np.random.Generator) -> np.ndarray:
     """``rng.choice(len(p), size=n, p=p)`` for a float p: the same picks,
-    checks and draws from rng, through a guide table (Chen and Asau).
-
-    Like choice, round i picks the number of cdf entries <= u_i.  With m a
-    power of two, u * m and c * m are exact, so a u in [j/m, (j+1)/m) picks
-    between lo[j] = #{c <= j/m} and hi[j] = #{c < (j+1)/m}; only rounds
-    whose bucket holds a cdf entry (at most len(p)/m of them) search it.
-    Its only n-length arrays are choice's two: the draws and the picks.
-    """
+    checks and draws, as the count of cdf entries <= u_i (``guide_search``);
+    its only n-length arrays are choice's two, the draws and the picks."""
     p = np.asarray(p, dtype=float)
     _check(p.ndim == 1, "p must be 1-dimensional")
     total = p.sum()
@@ -62,22 +83,7 @@ def draw_indices(p, n: int, rng: np.random.Generator) -> np.ndarray:
            "Probabilities do not sum to 1")
     cdf = p.cumsum()
     cdf /= cdf[-1]
-    u = rng.random(n)
-    m = 16 << (len(p) - 1).bit_length()
-    cm = cdf * m
-    # c <= j/m iff ceil(c * m) <= j, and c < (j+1)/m iff floor(c * m) <= j
-    lo = np.bincount(np.ceil(cm).astype(np.intp), minlength=m + 1)
-    hi = np.bincount(cm.astype(np.intp), minlength=m + 1)
-    lo.cumsum(out=lo)
-    hi.cumsum(out=hi)
-    lo[lo != hi] = -1  # the guide table: the pick, or -1 to search
-    pick = np.empty(n, dtype=np.intp)
-    np.multiply(u, m, out=pick, casting="unsafe")  # floor, with no float copy
-    # in place: mode "raise" would buffer a copy, and every bucket is < m
-    lo.take(pick, out=pick, mode="clip")
-    miss = np.flatnonzero(pick < 0)
-    pick[miss] = cdf.searchsorted(u[miss], "right")
-    return pick
+    return guide_search(cdf)(rng.random(n))
 
 
 class FiniteContexts:
@@ -152,7 +158,8 @@ class StochasticEnv:
     ``mean_losses`` maps a batch of contexts to one LossFunction in [0,1]
     whose leading axis is the context: row i, of both its values and its
     integrals, is context i's mean loss.  A loss that ignores the context
-    broadcasts as it is, so ``lambda xs: mean`` serves any context set.
+    broadcasts as it is, so ``lambda xs: mean`` serves any context set, and
+    a one-row batch broadcasts over the rounds it is evaluated at.
     Noise models: Bernoulli (exactly mean-preserving), Deterministic, and
     additive clipped Gaussian (mean-preserving only away from the boundary;
     documented bias).
@@ -197,14 +204,17 @@ class StochasticEnv:
         """Realized and mean losses of one action per round.
 
         Round i has context values[index[i]]; one mean-loss call covers
-        every round.
+        every round, and with one context value its one row is evaluated
+        once and broadcast over the rounds.
         """
         n = len(a)
-        means = np.atleast_1d(self.mean_losses(values[index])(a))
+        ctx = values if len(values) == 1 else values[index]
+        means = np.atleast_1d(self.mean_losses(ctx)(a))
         if self.noise == DETERMINISTIC:
             return means, means
         if self.noise == BERNOULLI:
-            return (rng.random(n) < means).astype(float), means
+            u = rng.random(n)
+            return np.less(u, means, out=u), means
         noisy = np.clip(means + self.sigma * rng.standard_normal(n), 0.0, 1.0)
         return noisy, means
 

@@ -63,19 +63,20 @@ class RectKernel:
 
     def sample(self, center, rng: np.random.Generator):
         """One draw from the kernel centred at ``center``: sample_ball's
-        one-row draw, taken with scalar draws on the ring and the 1-d cube
-        (the same doubles, in the same order)."""
+        one-row draw, taken on the ring and the 1-d cube as scalar
+        ``rng.uniform(lo, hi)`` doubles, ``lo + (hi - lo) * rng.random()``."""
         sp, h = self.space, self.h
         if h == 0.0:
             return center
         if sp.kind == RING:
-            u = rng.uniform(-h, h)
+            u = -h + (h + h) * rng.random()
             if 2.0 * h >= 1.0:
-                return rng.uniform(0.0, 1.0)
+                return rng.random()
             return (float(center) + u) % 1.0
         if sp.kind == CUBE and sp.d == 1:
             c = float(center)
-            return rng.uniform(max(0.0, c - h), min(1.0, c + h))
+            lo = max(0.0, c - h)
+            return lo + (min(1.0, c + h) - lo) * rng.random()
         out = sp.sample_ball(np.asarray(center, dtype=float)[None], h, rng)[0]
         return float(out) if sp.d == 1 else out
 

@@ -128,11 +128,9 @@ class ActionSpace:
 
     def sample_uniform(self, rng: np.random.Generator, size: int):
         """``size`` draws from the base measure nu, shape (size,) or
-        (size, d) on the cube."""
-        if self.kind == RING:
-            return rng.uniform(0.0, 1.0, size=size)
-        out = rng.uniform(0.0, 1.0, size=(size, self.d))
-        return out[:, 0] if self.d == 1 else out
+        (size, d) on the cube: ``rng.uniform(0, 1)``'s doubles, which are
+        ``0.0 + 1.0 * u`` of the same u."""
+        return rng.random(size if self.d == 1 else (size, self.d))
 
     def sample_ball(self, centers, r: float, rng: np.random.Generator):
         """One uniform (under nu) draw from each closed ball B(centers[i], r).
@@ -145,7 +143,7 @@ class ActionSpace:
             # seeded runs keep their draw order
             u = rng.uniform(-r, r, size=c.shape)
             if 2.0 * r >= 1.0:
-                return rng.uniform(0.0, 1.0, size=c.shape)
+                return rng.random(c.shape)
             u += c  # x - floor(x) is np.mod(x, 1.0) bit for bit, and faster
             return np.subtract(u, np.floor(u), out=u)
         lo = np.maximum(0.0, c - r)  # as rng.uniform(lo, hi), faster

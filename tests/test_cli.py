@@ -319,12 +319,15 @@ class TestBadRunConfig:
         assert len(calls) == 2
 
     def test_elimination_epoch_without_budget(self, capsys):
-        # the Monte Carlo V_m of one tiny ball on the square is 0
+        # the Monte Carlo V_m of one tiny ball on the square is 0, and the
+        # line says so: its exact volume (2h)^2 = 1e-6 is positive
         self._check_exit_2(capsys, ["run", "--alg", "pe-s", "--env",
                                     "needle_h:d=2", "--h", "0.0005",
                                     "--policies", "1", "--T", "100"],
                            "epoch 1 has a budget of 0 rounds: V_m = 0 at "
-                           "h_m = 0.0005")
+                           "h_m = 0.0005, r_m = 0.5: no point of the 10000 "
+                           "Monte Carlo draws per context fell in the "
+                           "survivors' union of balls")
 
     def test_lowerbound_kind_outside_choices_in_config(self, tmp_path,
                                                         capsys, monkeypatch):

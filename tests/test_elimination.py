@@ -361,6 +361,40 @@ class TestSampling:
         assert pval > 1e-3
 
 
+    @pytest.mark.parametrize("name", ["ring", "cube2"])
+    def test_draw_in_place_equals_where(self, name):
+        # _draw's in-place pick of the uniform draws (through explore[:, None]
+        # on the cube in d >= 2) gives np.where's actions from
+        # rng.uniform(0, 1)'s doubles, in the same draw order
+        if name == "ring":
+            env, pc, alg = _make_alg([0.2, 0.5, 0.9], h=0.15)
+        else:
+            env = make_named_instance("needle_h", h=0.125, d=2,
+                                      noise="deterministic")
+            pc = PolicyClass.constant(env.space,
+                                      [[0.25, 0.25], [0.6, 0.7], [0.9, 0.1]])
+            alg = SmoothPolicyElimination(
+                env, pc, ElimConfig(variant="s", T=1024, h=0.15))
+        state = alg.start_epoch(1, VersionSpace(pc), _panel())
+        state.Q = np.array([0.2, 0.3, 0.5])
+        state.mu_m = 0.3
+        centers = pc.actions_many([None])[0]
+        n = 5000
+        got = alg._draw(state, n, lambda pick: centers[pick],
+                        np.random.default_rng(4))
+        ref = np.random.default_rng(4)
+        explore = ref.random(n) < state.mu_m
+        pick = ref.choice(3, size=n, p=state.Q)
+        uniform = ref.uniform(0.0, 1.0, size=(n,) + centers.shape[1:])
+        ball = env.space.sample_ball(centers[pick], state.h_m, ref)
+        if ball.ndim > 1:
+            explore = explore[:, None]
+        assert explore.any() and not explore.all()
+        expected = np.where(explore, uniform, ball)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
 class TestPruning:
     def _tiny_state(self, alg, pc, r_m=0.05):
         vs = VersionSpace(pc)

@@ -11,11 +11,11 @@ from callable_loss import CallableLoss
 
 from smoothcb.environments import (FiniteContexts, StochasticEnv,
                                    _closed_pocket, draw_indices,
-                                   make_named_instance)
+                                   guide_search, make_named_instance)
 from smoothcb.harness import RunConfig, default_policy_class, run_experiment
 from smoothcb.kernels import RectKernel
 from smoothcb.losses import PiecewiseConstantLoss, PiecewiseLinearLoss
-from smoothcb.policies import PolicyClass
+from smoothcb.policies import PolicyClass, segment_cuts
 from smoothcb.spaces import ActionSpace
 
 
@@ -63,6 +63,36 @@ class TestBatchedRounds:
         expected = [env.realize_at(values[i], v, None)[1]
                     for i, v in zip(index, a)]
         assert np.array_equal(mean, expected) and np.array_equal(loss, mean)
+
+    @pytest.mark.parametrize("noise", ["deterministic", "bernoulli",
+                                       "gaussian"])
+    def test_one_context_row_broadcasts_as_gathered(self, noise):
+        # one context vector: linear_sphere's batch-first ShiftedLoss is
+        # evaluated at its one row and broadcast over the rounds, with the
+        # bits of the row gathered per round; the noise takes the same
+        # draws from the generator
+        sphere = make_named_instance("linear_sphere", d_ctx=3)
+        env = StochasticEnv(sphere.space,
+                            FiniteContexts([np.array([0.6, -0.48, 0.64])]),
+                            sphere.mean_losses, noise=noise)
+        n = 4096
+        values, index = env.contexts.sample_many(None, n)
+        a = np.random.default_rng(1).random(n)
+        rng, ref = np.random.default_rng(2), np.random.default_rng(2)
+        loss, mean = env.realize_many(values, index, a, rng)
+        gathered = env.mean_losses(values[index])(a)
+        assert mean.dtype == loss.dtype == np.float64
+        assert mean.tobytes() == gathered.tobytes()
+        if noise == "bernoulli":
+            expected = (ref.random(n) < gathered).astype(float)
+            assert set(np.unique(loss)) == {0.0, 1.0}
+        elif noise == "gaussian":
+            expected = np.clip(gathered + env.sigma * ref.standard_normal(n),
+                               0.0, 1.0)
+        else:
+            expected = gathered
+        assert loss.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_finite_sample_equals_choice(self):
         # weight vectors with zeros in random places: the same context as
@@ -208,6 +238,63 @@ class TestDrawIndices:
 
     def test_sum_within_tolerance_is_accepted(self):
         self._same_as_choice(np.array([0.5, 0.5 + 1e-9]), 10_000)
+
+
+class TestGuideSearch:
+    """guide_search against row.searchsorted(u, "right"), the answer it
+    gives by construction."""
+
+    @staticmethod
+    def _same_as_searchsorted(row, u):
+        row, u = np.asarray(row, dtype=float), np.asarray(u, dtype=float)
+        got = guide_search(row)(u)
+        assert got.dtype == np.intp and got.shape == u.shape
+        assert np.array_equal(got, row.searchsorted(u, "right"))
+
+    @staticmethod
+    def _around(row, seed=0):
+        """Each entry of the row, its two neighbouring doubles in [0, 1],
+        0.0, 1.0 and random points."""
+        row = np.asarray(row, dtype=float)
+        near = np.concatenate([row, np.nextafter(row, 0.0),
+                               np.nextafter(row, 1.0)])
+        return np.concatenate([near, [0.0, 1.0],
+                               np.random.default_rng(seed).random(5000)])
+
+    @pytest.mark.parametrize("length", [2, 5, 16, 17, 200])
+    def test_cuts_on_bucket_edges(self, length):
+        # every cut is some j / m, m the table's bucket count, and every
+        # bucket edge is looked up
+        m = 16 << (length - 1).bit_length()
+        row = np.sort(np.random.default_rng(length).integers(
+            0, m + 1, length)) / m
+        row[0], row[-1] = 0.0, 1.0
+        u = np.concatenate([self._around(row), np.arange(m + 1) / m])
+        self._same_as_searchsorted(row, u)
+
+    def test_repeated_cuts(self):
+        for row in ([0.0, 0.0, 0.25, 0.25, 0.25, 0.3, 1.0, 1.0],
+                    [0.0, 0.5, 0.5, 0.5, 0.5, 1.0],
+                    [0.0] * 3 + [1.0] * 3):
+            self._same_as_searchsorted(row, self._around(row))
+
+    def test_whole_circle_row(self):
+        # the ring's cuts when the survivors' balls cover the circle
+        row = segment_cuts(ActionSpace.ring(), np.array([[0.3, 0.8]]),
+                           0.5)[0]
+        assert list(row) == [0.0, 1.0]
+        self._same_as_searchsorted(row, self._around(row))
+
+    def test_ring_cuts_and_an_action_of_one(self):
+        # a ring action x - floor(x) is 1.0 for a tiny negative x
+        x = -2.0 ** -60
+        assert x - math.floor(x) == 1.0
+        rng = np.random.default_rng(3)
+        for trial in range(50):
+            centers = rng.random((1, int(rng.integers(1, 120))))
+            row = segment_cuts(ActionSpace.ring(), centers,
+                               float(rng.choice([0.01, 0.05, 0.1, 0.3])))[0]
+            self._same_as_searchsorted(row, self._around(row, seed=trial))
 
 
 class TestBenchmarks:

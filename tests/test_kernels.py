@@ -93,6 +93,30 @@ class TestSampleMatchesSampleBall:
         assert rng_k.random() == rng_b.random()
 
 
+class TestScalarDrawsEqualUniform:
+    @pytest.mark.parametrize("space", [ActionSpace.ring(), ActionSpace.cube(1)],
+                             ids=["ring", "cube1"])
+    @pytest.mark.parametrize("h", [0.01, 0.1, 0.3, 0.5, 0.7, 1.0])
+    def test_draw_for_draw(self, space, h):
+        # sample's lo + (hi - lo) * random() are rng.uniform(lo, hi)'s
+        # doubles, and the generator is left in the same state; h >= 1/2
+        # takes the whole-ring draw after the offset
+        k = RectKernel(space, h)
+        rng, ref = np.random.default_rng(23), np.random.default_rng(23)
+        centers = np.random.default_rng(5).random(500).tolist()
+        for c in centers + [0.0, 0.5, float(np.nextafter(1.0, 0.0))]:
+            got = k.sample(np.float64(c), rng)
+            if space.kind == "ring":
+                u = ref.uniform(-h, h)
+                expected = (ref.uniform(0.0, 1.0) if 2.0 * h >= 1.0
+                            else (c + u) % 1.0)
+            else:
+                expected = ref.uniform(max(0.0, c - h), min(1.0, c + h))
+            assert isinstance(got, float)
+            assert _bits(got) == _bits(expected)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 class TestKappa:
     def test_ring(self):
         assert RectKernel(ActionSpace.ring(), 0.1).kappa() == pytest.approx(5.0)
