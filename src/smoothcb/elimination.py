@@ -8,11 +8,11 @@ policies that fall behind the empirical best by more than the epoch radius
 allows.  An epoch is played the same way on every space kind and context
 class: its contexts, mixed draws and realized losses are drawn whole, as
 vectors over its rounds, and a finite context set plays as one block.  With
-one finite context on the ring or the 1-d cube its scores come from
-per-cell loss sums: every action in a cell (a segment of the survivors'
-balls) has the same survivor densities and propensity, so one (cells x
-survivors) table turns each batch's per-cell loss sums into its estimates.
-Every other round adds its own density row.  An epoch that is not scored
+one finite context its scores come from per-cell loss sums: every action in
+a cell (a piece between the survivors' ball ends on each axis) has the same
+survivor densities and propensity, so one (cells x survivors) table turns
+each batch's per-cell loss sums into its estimates.  Every other round adds
+its own density row.  An epoch that is not scored
 forms nothing per survivor.
 
 Two schedules: the fixed-bandwidth variant keeps h_m = h and halves the
@@ -32,7 +32,7 @@ from .environments import (FiniteContexts, StochasticEnv, draw_indices,
                            guide_search)
 from .estimators import median_of_means
 from .kernels import RectKernel
-from .policies import (N_MC, PolicyClass, VersionSpace, distinct_rows,
+from .policies import (PolicyClass, VersionSpace, distinct_rows,
                        segment_cuts, union_geometry)
 
 VARIANT_S = "s"
@@ -43,7 +43,8 @@ SOLVER_TOL = 1e-3
 SOLVER_ITER_CAP = 5000
 # rounds per block of an epoch's per-round work; blocks do not depend on the
 # batch length, and a batch may span several blocks.  An epoch forms at most
-# CHUNK cells, so its (cells x survivors) table is no larger than a block.
+# CHUNK cells, so its (cells x survivors) table is no larger than a block; a
+# context on the cube in d >= 2 with more than CHUNK cells is refused.
 CHUNK = 2 ** 13
 # an action closer than EDGE to a segment's end takes its own density row:
 # there the kernel's distance test and the sorted cuts may round apart
@@ -103,8 +104,7 @@ class EpochState:
 
 
 def solve_variance_program(
-        pc: PolicyClass, vs: VersionSpace, h: float, mu: float,
-        panel, rng: Optional[np.random.Generator] = None,
+        pc: PolicyClass, vs: VersionSpace, h: float, mu: float, panel,
 ) -> Tuple[np.ndarray, float, int, float]:
     """Minimize max_pi E_x E_{a~K_h(pi(x))}[1/q(a|x)] over simplex weights Q.
 
@@ -112,12 +112,11 @@ def solve_variance_program(
     toward the worst-off policy, with the exact max-pi objective evaluated
     each iteration; stops once the value reaches V/(1-mu)*(1+SOLVER_TOL), the
     certified optimum bound, where V is the panel-weighted volume of the
-    union of the survivors' h-balls, measured on the objective's own
-    ``union_geometry`` segments (its own points on the cube in d >= 2).
-    The geometry and each objective term are built once per distinct row of
-    survivor actions over the panel (once per context on the cube in
-    d >= 2, whose points are drawn per context) and weighted back onto the
-    panel's contexts.
+    union of the survivors' h-balls, measured exactly on the objective's own
+    ``union_geometry`` cells.  The geometry and each objective term are
+    built once per distinct row of survivor actions over the panel and
+    weighted back onto the panel's contexts; a context on the cube in
+    d >= 2 with more than CHUNK cells is refused with a ValueError.
     Returns (Q, value at Q, iterations, V).  Raises SolverFailure when the
     cap is hit and the best value still exceeds V/(1-mu)*(1+10*SOLVER_TOL).
     """
@@ -126,8 +125,8 @@ def solve_variance_program(
     xs, ws = panel
     k = len(vs)
     c = pc.actions_many(xs)[:, vs.indices]
-    first, inverse = distinct_rows(pc.space, c)
-    blocks = union_geometry(pc.space, c[first], h, rng)
+    first, inverse = distinct_rows(c)
+    blocks = union_geometry(pc.space, c[first], h, max_cells=CHUNK)
     # each row's volume and term are expanded back onto the panel, not summed
     # per row, so the panel sums add the same terms in the same order
     V = float(ws @ np.concatenate([vol for _, _, vol in blocks])[inverse])
@@ -198,17 +197,16 @@ class SmoothPolicyElimination:
 
     # -- one epoch -------------------------------------------------------
 
-    def start_epoch(self, m: int, vs: VersionSpace, panel,
-                    rng: Optional[np.random.Generator] = None) -> EpochState:
+    def start_epoch(self, m: int, vs: VersionSpace, panel) -> EpochState:
         h_m, r_m = self.schedule(m)
         mu_m = min(0.5, r_m)
         kappa = RectKernel(self.pc.space, h_m).kappa()
         Q, value, iters, V_m = solve_variance_program(
-            self.pc, vs, h_m, mu_m, panel, rng=rng)
+            self.pc, vs, h_m, mu_m, panel)
         tilde_n = math.ceil(320.0 * kappa * V_m / (r_m * r_m))
         if tilde_n == 0:
-            why = (f": no point of the {N_MC} Monte Carlo draws per context "
-                   "fell in the survivors' union of balls" if V_m == 0 else "")
+            why = (": every cell the survivors' balls cover is 1e-15 wide or "
+                   "less on some axis, and is dropped" if V_m == 0 else "")
             raise ValueError(f"epoch {m} has a budget of 0 rounds: V_m = "
                              f"{V_m:g} at h_m = {h_m:g}, r_m = {r_m:g}{why}")
         return EpochState(m=m, vs=vs, h_m=h_m, r_m=r_m, mu_m=mu_m, V_m=V_m,
@@ -281,32 +279,44 @@ class SmoothPolicyElimination:
     def _cells(self, state: EpochState, values):
         """(locate, W) for the cells of an epoch with one finite context.
 
-        On the ring or the 1-d cube a cell is a segment between consecutive
-        ``segment_cuts`` of the survivors' h_m-balls; every action in a cell
-        has the same survivor densities and propensity, so W[cell] is formed
-        at one point of it.  ``locate(a)`` gives each round's cell, or -1
-        for a round that takes its own row: one within EDGE of a cut, and
-        every round where no cells are formed (sampled or several contexts,
-        the cube in d >= 2, or more than CHUNK cells).
+        A cell is a piece between consecutive ``segment_cuts`` of the
+        survivors' h_m-balls, and on the cube in d >= 2 a product of one such
+        piece per axis; every action in a cell has the same survivor
+        densities and propensity, so W[cell] is formed at one point of it.
+        ``locate(a)`` gives each round's cell, or -1 for a round that takes
+        its own row: one within EDGE of a cut on some axis, and every round
+        where no cells are formed (sampled or several contexts, or more than
+        CHUNK cells).
         """
         space, k = self.pc.space, len(state.vs)
         no_cells = (lambda a: np.full(len(a), -1), np.zeros((0, k)))
         if (not isinstance(self.env.contexts, FiniteContexts)
-                or len(values) != 1 or space.d > 1):
+                or len(values) != 1):
             return no_cells
         centers = self.pc.actions_many(values)[:, state.vs.indices]
         cuts = segment_cuts(space, centers, state.h_m)[0]
-        if len(cuts) - 1 > CHUNK:
+        # an axis of the cube repeats the ends of centres sharing a coordinate
+        axes = [np.unique(x) for x in cuts] if space.d > 1 else list(cuts)
+        pieces = [len(x) - 1 for x in axes]
+        if math.prod(pieces) > CHUNK:
             return no_cells
-        search = guide_search(cuts)
+        searches = [guide_search(x) for x in axes]
 
         def locate(a):
-            pos = np.minimum(search(a) - 1, len(cuts) - 2)
-            inside = (a - cuts[pos] > EDGE) & (cuts[pos + 1] - a > EDGE)
-            return np.where(inside, pos, -1)
+            pos, inside = [], True
+            for x, search, u in zip(axes, searches, a.reshape(len(a), -1).T):
+                p = np.minimum(search(u) - 1, len(x) - 2)
+                inside = (u - x[p] > EDGE) & (x[p + 1] - u > EDGE) & inside
+                pos.append(p)
+            # cells numbered in C order over the axes' pieces
+            cell = (pos[0] if space.d == 1
+                    else np.ravel_multi_index(pos, pieces))
+            return np.where(inside, cell, -1)
+        mids = np.stack(np.meshgrid(*[(x[:-1] + x[1:]) / 2.0 for x in axes],
+                                    indexing="ij"), axis=-1)
+        mids = mids.reshape(-1, space.d) if space.d > 1 else mids.ravel()
         return locate, self._weights(
-            state, np.repeat(centers, len(cuts) - 1, axis=0),
-            (cuts[:-1] + cuts[1:]) / 2.0)
+            state, np.repeat(centers, len(mids), axis=0), mids)
 
     def _score(self, state: EpochState, values, index, a,
                loss: np.ndarray) -> np.ndarray:
@@ -414,7 +424,7 @@ class SmoothPolicyElimination:
         m = 1
         while t < T:
             if m <= self.max_epochs:
-                state = self.start_epoch(m, vs, panel, rng=rng)
+                state = self.start_epoch(m, vs, panel)
             n_play = min(state.n_m, T - t)
             full = n_play == state.n_m and m <= self.max_epochs
             a_arr, loss_arr, mean_arr, means = self._play_epoch(

@@ -17,7 +17,6 @@ from .spaces import ActionSpace
 
 BERNOULLI = "bernoulli"
 DETERMINISTIC = "deterministic"
-GAUSSIAN = "gaussian"
 # contexts in the Monte Carlo panel over which a sampled context set's
 # expectations are taken; context_panel reads it at call time
 N_CTX = 2000
@@ -160,25 +159,21 @@ class StochasticEnv:
     integrals, is context i's mean loss.  A loss that ignores the context
     broadcasts as it is, so ``lambda xs: mean`` serves any context set, and
     a one-row batch broadcasts over the rounds it is evaluated at.
-    Noise models: Bernoulli (exactly mean-preserving), Deterministic, and
-    additive clipped Gaussian (mean-preserving only away from the boundary;
-    documented bias).
+    Noise models: Bernoulli (exactly mean-preserving, one double per round)
+    and Deterministic (no draws).
     """
 
     def __init__(self, space: ActionSpace, contexts,
                  mean_losses: Callable[[Sequence], LossFunction],
-                 noise: str = DETERMINISTIC, sigma: float = 0.1,
+                 noise: str = DETERMINISTIC,
                  lipschitz_constant: Optional[float] = None,
                  metadata: Optional[Dict] = None):
-        if noise not in (BERNOULLI, DETERMINISTIC, GAUSSIAN):
+        if noise not in (BERNOULLI, DETERMINISTIC):
             raise ValueError(f"unknown noise model: {noise!r}")
-        _check(_real(sigma) and sigma >= 0.0,
-               "sigma must be a finite number >= 0")
         self.space = space
         self.contexts = contexts
         self.mean_losses = mean_losses
         self.noise = noise
-        self.sigma = sigma
         self.lipschitz_constant = lipschitz_constant
         self.metadata = metadata or {}
 
@@ -194,10 +189,7 @@ class StochasticEnv:
         mu = mv if isinstance(mv, float) else float(np.atleast_1d(mv)[0])
         if self.noise == DETERMINISTIC:
             return mu, mu
-        if self.noise == BERNOULLI:
-            return float(rng.random() < mu), mu
-        noisy = mu + self.sigma * rng.standard_normal()
-        return float(np.clip(noisy, 0.0, 1.0)), mu
+        return float(rng.random() < mu), mu
 
     def realize_many(self, values, index, a: np.ndarray,
                      rng: np.random.Generator):
@@ -207,16 +199,12 @@ class StochasticEnv:
         every round, and with one context value its one row is evaluated
         once and broadcast over the rounds.
         """
-        n = len(a)
         ctx = values if len(values) == 1 else values[index]
         means = np.atleast_1d(self.mean_losses(ctx)(a))
         if self.noise == DETERMINISTIC:
             return means, means
-        if self.noise == BERNOULLI:
-            u = rng.random(n)
-            return np.less(u, means, out=u), means
-        noisy = np.clip(means + self.sigma * rng.standard_normal(n), 0.0, 1.0)
-        return noisy, means
+        u = rng.random(len(a))
+        return np.less(u, means, out=u), means
 
     # -- benchmarks -------------------------------------------------------
 

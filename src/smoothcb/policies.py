@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from typing import Optional
 
 import numpy as np
@@ -157,52 +158,45 @@ def packing_number(space: ActionSpace, points, delta: float) -> int:
     return n
 
 
-# Monte Carlo points per context for the ball union on the cube in d >= 2
-N_MC = 10 ** 4
-# (context, ball, segment) cells per block: bounds the build's temporaries
+# (context, ball, cell) triples per block: bounds the build's temporaries
 _BLOCK_CELLS = 2 ** 15
 
 
 def union_geometry(space: ActionSpace, centers: np.ndarray, h: float,
-                   rng: Optional[np.random.Generator] = None) -> list:
-    """Each context's union of h-balls, cut into segments of constant density.
+                   max_cells: Optional[int] = None) -> list:
+    """Each context's union of h-balls, cut into cells of constant density.
 
     ``centers`` has shape (contexts, k), plus a trailing d on the cube.
     Returns (dens, meas, volume) blocks of consecutive contexts: ball j's
-    kernel density dens[c, j, s] on segment s of context c, the segment's
-    measure meas[c, s], and the union's measure volume[c].  On 1-d spaces
-    the segments lie between ball ends; those of length <= 1e-15 are
-    dropped, and every context is padded with zero-measure segments to the
-    most any context keeps, so its arrays, and sums over them, do not depend
-    on how the contexts are blocked or grouped; the volume is the lengths of
-    the covered runs, summed left to right.  On the cube in d >= 2 the
-    segments are N_MC draws from ``rng`` per context, and the volume is the
-    covered share of those same points.  The exploration program builds it
-    once per distinct row of survivor actions, except on the cube in d >= 2
-    (``distinct_rows``).
+    kernel density dens[c, j, s] on cell s of context c, the cell's
+    measure meas[c, s], and the union's measure volume[c].  A cell is one
+    piece per axis between ``segment_cuts``, those of length <= 1e-15
+    dropped.  Each axis is padded with zero-measure pieces to the most any
+    context keeps, so a context's arrays, and sums over them, do not depend
+    on how the contexts are blocked or grouped.  The volume is the covered
+    cells' measure, in 1-d the covered runs' lengths summed left to right.
+    More than ``max_cells`` cells per context on the cube in d >= 2 is a
+    ValueError, raised before any table is built.  The exploration program
+    builds it once per distinct row of survivor actions (``distinct_rows``).
     """
     c = np.asarray(centers, dtype=float)
-    if space.d > 1:
-        cuts = np.empty((len(c), 0))
-        width = N_MC * space.d
-    else:
-        cuts = segment_cuts(space, c, h)
-        width = int((np.diff(cuts, axis=1) > 1e-15).sum(axis=1).max())
-    step = max(1, _BLOCK_CELLS // (c.shape[1] * width))
-    rng = rng or np.random.default_rng(0)
-    return [_union_block(space, c[i:i + step], cuts[i:i + step], width, h,
-                         rng)
+    cuts = segment_cuts(space, c, h)
+    widths = (np.diff(cuts, axis=-1) > 1e-15).sum(axis=-1).max(axis=0)
+    cells = int(np.prod(widths))
+    if space.d > 1 and max_cells is not None and cells > max_cells:
+        raise ValueError(f"the survivors' balls at h = {h:g} cut the cube "
+                         f"into {cells} cells per context, more than "
+                         f"{max_cells}")
+    step = max(1, _BLOCK_CELLS // (c.shape[1] * cells))
+    return [_union_block(space, c[i:i + step], cuts[i:i + step], widths, h)
             for i in range(0, len(c), step)]
 
 
-def distinct_rows(space: ActionSpace, centers: np.ndarray):
+def distinct_rows(centers: np.ndarray):
     """(first, inverse): one row index per distinct row of ``centers``, and
     each row's place among them, so centers[first][inverse] == centers.
-    Rows are compared byte for byte.  On the cube in d >= 2 every row is its
-    own, as its geometry draws its own Monte Carlo points."""
-    c = np.ascontiguousarray(centers)
-    if space.d > 1:
-        return np.arange(len(c)), np.arange(len(c))
+    Rows are compared byte for byte."""
+    c = np.ascontiguousarray(centers).reshape(len(centers), -1)
     keys = c.view(np.dtype((np.void, c.itemsize * c.shape[1])))[:, 0]
     if len(keys) and (keys == keys[0]).all():  # np.unique's answer, no sort
         return np.zeros(1, dtype=np.intp), np.zeros(len(keys), dtype=np.intp)
@@ -211,40 +205,49 @@ def distinct_rows(space: ActionSpace, centers: np.ndarray):
 
 def segment_cuts(space: ActionSpace, centers: np.ndarray,
                  h: float) -> np.ndarray:
-    """Each row's h-ball ends in [0, 1], sorted between a 0 and a 1.
+    """Each row's h-ball ends in [0, 1] on each axis, sorted between a 0
+    and a 1.
 
-    On a 1-d space every ball's kernel density is constant between two
-    consecutive cuts.  ``centers`` has shape (n, k); the result is (n, 2k+2),
-    or (n, 2) on the ring when a ball covers the whole circle.
+    Under the sup metric a ball is a box, so every ball's kernel density is
+    constant on each product of pieces between consecutive cuts, one piece
+    per axis (Klee's coordinate compression).  ``centers`` has shape (n, k),
+    or (n, k, d) on the cube; the result is (n, d, 2k+2), with d = 1 on 1-d
+    spaces, or (n, 1, 2) on the ring when a ball covers the whole circle.
     """
     c = np.asarray(centers, dtype=float)
-    ends = np.concatenate([c - h, c + h], axis=1)
+    c = np.moveaxis(c, -1, 1) if space.d > 1 else c[:, None]
+    ends = np.concatenate([c - h, c + h], axis=-1)
     if space.kind == CUBE:
         ends = np.clip(ends, 0.0, 1.0)
     else:  # a ring ball wraps around 0, or covers the whole ring
-        ends = np.mod(ends, 1.0) if 2.0 * h < 1.0 else ends[:, :0]
-    return np.sort(np.concatenate(
-        [np.zeros((len(c), 1)), ends, np.ones((len(c), 1))], axis=1), axis=1)
+        ends = np.mod(ends, 1.0) if 2.0 * h < 1.0 else ends[..., :0]
+    edge = c.shape[:-1] + (1,)
+    return np.sort(np.concatenate([np.zeros(edge), ends, np.ones(edge)],
+                                  axis=-1), axis=-1)
 
 
 def _union_block(space: ActionSpace, c: np.ndarray, cuts: np.ndarray,
-                 width: int, h: float, rng: np.random.Generator):
-    n = len(c)
-    if space.d > 1:
-        mids = rng.uniform(0.0, 1.0, size=(n, N_MC, space.d))
-        meas = np.full((n, N_MC), 1.0 / N_MC)
+                 widths: np.ndarray, h: float):
+    n, d = len(c), len(widths)
+    keep = np.diff(cuts, axis=-1) > 1e-15
+    # on each axis the kept pieces first, in order, then the padding
+    order = np.argsort(~keep, axis=-1, kind="stable")
+    lo, hi, keep = ([np.take_along_axis(x[:, a], order[:, a, :w], axis=1)
+                     for a, w in enumerate(widths)]
+                    for x in (cuts[..., :-1], cuts[..., 1:], keep))
+    meas = [np.where(k, b - a, 0.0) for a, b, k in zip(lo, hi, keep)]
+    mids = [(a + b) / 2.0 for a, b in zip(lo, hi)]
+    if d > 1:  # a cell is one piece per axis, numbered in C order
+        grid = [(n,) + (1,) * a + (-1,) + (1,) * (d - 1 - a) for a in range(d)]
+        meas = math.prod(map(np.reshape, meas, grid)).reshape(n, -1)
+        mids = np.stack(np.broadcast_arrays(*map(np.reshape, mids, grid)),
+                        axis=-1).reshape(n, -1, d)
     else:
-        keep = np.diff(cuts, axis=1) > 1e-15
-        # the kept segments first, in order, then the padding
-        order = np.argsort(~keep, axis=1, kind="stable")[:, :width]
-        lo, hi, keep = (np.take_along_axis(x, order, axis=1)
-                        for x in (cuts[:, :-1], cuts[:, 1:], keep))
-        meas = np.where(keep, hi - lo, 0.0)
-        mids = (lo + hi) / 2.0
+        (lo,), (hi,), (keep,), (meas,), (mids,) = lo, hi, keep, meas, mids
     dens = RectKernel(space, h).densities(c[:, :, None], mids[:, None])
     covered = dens.any(axis=1)
-    if space.d > 1:
-        return dens, meas, covered.sum(axis=1) / N_MC
+    if d > 1:  # a padding piece gives its cells measure 0
+        return dens, meas, np.minimum(1.0, (covered * meas).sum(axis=1))
     # each covered run's right end minus its left end, added left to right
     run = np.diff((covered & keep).astype(int), axis=1, prepend=0, append=0)
     first, after = np.nonzero(run == 1), np.nonzero(run == -1)
@@ -253,11 +256,8 @@ def _union_block(space: ActionSpace, c: np.ndarray, cuts: np.ndarray,
     return dens, meas, np.minimum(1.0, np.cumsum(runs, axis=1)[:, -1])
 
 
-def union_ball_volume(subset: VersionSpace, x=None, h: float = 0.1,
-                      rng: Optional[np.random.Generator] = None) -> float:
+def union_ball_volume(subset: VersionSpace, x=None, h: float = 0.1) -> float:
     """nu of the union of h-balls at the surviving policies' actions: the
-    one-context case of ``union_geometry``, exact on 1-d spaces, and the
-    covered share of N_MC draws from ``rng`` (default seed 0) on the
-    cube in d >= 2."""
+    one-context case of ``union_geometry``."""
     acts = subset.pc.actions_at(x)[subset.mask]
-    return float(union_geometry(subset.pc.space, acts[None], h, rng)[0][2][0])
+    return float(union_geometry(subset.pc.space, acts[None], h)[0][2][0])

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from smoothcb import cli, elimination, environments, harness
+from smoothcb import cli, elimination, environments, harness, policies
 from smoothcb.cli import main, parse_env_spec
 
 
@@ -225,6 +225,7 @@ class TestBadRunConfig:
         "needle_h:R=0", "needle_L:R=0", "needle_h:index=1.5",
         "linear_sphere:L=nan", "needle_h:R=-1", "discontinuous:ap=2",
         "needle_L:L=1e308", "needle_L:d=1", "needle_h:h=1/0",
+        "absolute:noise=gaussian",
         pytest.param("needle_L:L=1" + "0" * 400, id="needle_L:L=huge-int"),
         pytest.param("needle_h:R=1" + "0" * 400, id="needle_h:R=huge-int")])
     def test_bad_instance_parameter(self, capsys, env):
@@ -319,15 +320,33 @@ class TestBadRunConfig:
         assert len(calls) == 2
 
     def test_elimination_epoch_without_budget(self, capsys):
-        # the Monte Carlo V_m of one tiny ball on the square is 0, and the
-        # line says so: its exact volume (2h)^2 = 1e-6 is positive
+        # balls 2e-16 wide cover only pieces of 1e-15 or less, which the
+        # exact geometry drops, so V_m is 0 on the square and on the line
+        for env in ("needle_h:d=2", "needle_h"):
+            self._check_exit_2(capsys, ["run", "--alg", "pe-s", "--env", env,
+                                        "--h", "1e-16", "--policies", "1",
+                                        "--T", "100", "--seeds", "1"],
+                               "epoch 1 has a budget of 0 rounds: V_m = 0 "
+                               "at h_m = 1e-16, r_m = 0.5: every cell the "
+                               "survivors' balls cover is 1e-15 wide or less "
+                               "on some axis, and is dropped")
+
+    def test_more_cells_than_a_chunk(self, capsys, monkeypatch):
+        # a 64 x 64 grid cuts each axis into 127 pieces: 16,129 cells, more
+        # than CHUNK, refused from the per-axis counts before the first
+        # round and before any table is built
+        def no_table(*args):
+            raise AssertionError("a table was built")
+        monkeypatch.setattr(policies, "_union_block", no_table)
+        monkeypatch.setattr(elimination.SmoothPolicyElimination,
+                            "_play_epoch", _no_play)
         self._check_exit_2(capsys, ["run", "--alg", "pe-s", "--env",
-                                    "needle_h:d=2", "--h", "0.0005",
-                                    "--policies", "1", "--T", "100"],
-                           "epoch 1 has a budget of 0 rounds: V_m = 0 at "
-                           "h_m = 0.0005, r_m = 0.5: no point of the 10000 "
-                           "Monte Carlo draws per context fell in the "
-                           "survivors' union of balls")
+                                    "needle_h:d=2", "--h", "0.01",
+                                    "--policies", "4096", "--T", "100",
+                                    "--seeds", "1"],
+                           "configuration error: the survivors' balls at "
+                           "h = 0.01 cut the cube into 16129 cells per "
+                           "context, more than 8192")
 
     def test_lowerbound_kind_outside_choices_in_config(self, tmp_path,
                                                         capsys, monkeypatch):

@@ -124,15 +124,14 @@ class TestVarianceProgram:
 
     @pytest.mark.parametrize("s", [9, 35])
     def test_cube2_certified_against_own_panel(self, s):
-        # V and the objective share one Monte Carlo panel; with V measured
-        # on a separate panel, these classes raised SolverFailure
+        # V and the objective share one set of cells; with V measured on a
+        # separate Monte Carlo panel, these classes raised SolverFailure
         rng = np.random.default_rng(s)
         k = int(rng.integers(2, 10))
         pc = PolicyClass.constant(ActionSpace.cube(2), rng.random((k, 2)))
         h, mu = rng.uniform(0.05, 0.3), rng.uniform(0.01, 0.5)
         _, value, _, V = solve_variance_program(
-            pc, VersionSpace(pc), h=h, mu=mu, panel=_panel(),
-            rng=np.random.default_rng(100 + s))
+            pc, VersionSpace(pc), h=h, mu=mu, panel=_panel())
         assert value <= V / (1 - mu) * (1 + SOLVER_TOL)
 
     def test_failure_when_iterations_exhausted(self, monkeypatch):
@@ -149,13 +148,13 @@ class TestVarianceProgram:
                                    panel=_panel())
 
 
-def _solve_per_context(pc, vs, h, mu, panel, rng, monkeypatch):
+def _solve_per_context(pc, vs, h, mu, panel, monkeypatch):
     """The reference: the same solver with every panel row its own group,
     so union_geometry builds one geometry per context."""
     with monkeypatch.context() as m:
         m.setattr(elimination, "distinct_rows",
-                  lambda space, c: (np.arange(len(c)),) * 2)
-        return solve_variance_program(pc, vs, h, mu, panel, rng=rng)
+                  lambda c: (np.arange(len(c)),) * 2)
+        return solve_variance_program(pc, vs, h, mu, panel)
 
 
 def _tabular_mixed_widths():
@@ -170,6 +169,16 @@ def _tabular_mixed_widths():
     pc = PolicyClass.tabular(ActionSpace.ring(), table)
     ws = rng.random(2000)
     return pc, (np.repeat([0, 1], [100, 1900]), ws / ws.sum()), 0.1
+
+
+def _cube2_tabular():
+    # context 1's first two policies share their first coordinate, so its
+    # first axis keeps fewer pieces than context 0's and is padded
+    rng = np.random.default_rng(6)
+    table = rng.random((2, 5, 2))
+    table[1, 1, 0] = table[1, 0, 0]
+    pc = PolicyClass.tabular(ActionSpace.cube(2), table)
+    return pc, (rng.integers(0, 2, 200), np.full(200, 1 / 200)), 0.15
 
 
 def _sampled_panel(pc, n=500):
@@ -202,6 +211,7 @@ _GROUPED_CASES = {
         (np.random.default_rng(5).integers(0, 5, 300), np.full(300, 1 / 300)),
         0.07),
     "tabular-mixed-widths": _tabular_mixed_widths,
+    "cube2-tabular": _cube2_tabular,
     "sphere-distinct-rows": lambda: (*_sampled_panel(_sphere_class()), 0.1),
 }
 
@@ -217,7 +227,7 @@ class TestGroupedSolver:
         vs = VersionSpace(pc)
         Q, value, iters, V = solve_variance_program(pc, vs, h, mu, panel)
         Q_ref, value_ref, iters_ref, V_ref = _solve_per_context(
-            pc, vs, h, mu, panel, None, monkeypatch)
+            pc, vs, h, mu, panel, monkeypatch)
         assert np.array_equal(Q, Q_ref)
         assert (value, iters, V) == (value_ref, iters_ref, V_ref)
 
@@ -233,26 +243,13 @@ class TestGroupedSolver:
             assert np.array_equal(np.concatenate([b[i] for b in whole]),
                                   np.concatenate([b[i] for b in split]))
 
-    def test_cube2_draws_as_per_context(self, monkeypatch):
-        space = ActionSpace.cube(2)
-        pc = PolicyClass.constant(space, [[0.1, 0.2], [0.15, 0.3],
-                                          [0.9, 0.9]])
-        panel = ([None] * 3, np.array([0.2, 0.3, 0.5]))
-        rng, rng_ref = np.random.default_rng(7), np.random.default_rng(7)
-        got = solve_variance_program(pc, VersionSpace(pc), 0.2, 0.1, panel,
-                                     rng=rng)
-        ref = _solve_per_context(pc, VersionSpace(pc), 0.2, 0.1, panel,
-                                 rng_ref, monkeypatch)
-        assert np.array_equal(got[0], ref[0]) and got[1:] == ref[1:]
-        assert rng.bit_generator.state == rng_ref.bit_generator.state
-
     def test_one_geometry_per_distinct_row(self, monkeypatch):
         pc, panel, h = _GROUPED_CASES["constant-sampled-panel"]()
         calls = []
 
-        def counting(space, centers, *args):
+        def counting(space, centers, *args, **kwargs):
             calls.append(len(centers))
-            return union_geometry(space, centers, *args)
+            return union_geometry(space, centers, *args, **kwargs)
 
         monkeypatch.setattr(elimination, "union_geometry", counting)
         solve_variance_program(pc, VersionSpace(pc), h, 0.5, panel)
@@ -441,15 +438,15 @@ class TestPruning:
 
 
 def _cube_contexts_instance():
-    # two weighted contexts, a tabular class, Gaussian noise; h = 0.2 puts
+    # two weighted contexts, a tabular class, no noise; h = 0.2 puts
     # ball ends an ulp apart (0.1 + h, 0.5 - h) or together (0.4 + h,
     # 0.8 - h), and clips balls at 0 and 1
     space = ActionSpace.cube(1)
     losses = [PiecewiseLinearLoss([0.0, 0.3, 1.0], [0.8, 0.1, 0.9]),
               PiecewiseLinearLoss([0.0, 0.7, 1.0], [0.9, 0.2, 0.6])]
     env = StochasticEnv(space, FiniteContexts([0, 1], [0.3, 0.7]),
-                        lambda xs: ByContext(losses, xs), noise="gaussian",
-                        sigma=0.2)
+                        lambda xs: ByContext(losses, xs),
+                        noise="deterministic")
     table = np.array([[0.1, 0.3, 0.5, 0.7, 0.9], [0.2, 0.4, 0.6, 0.8, 1.0]])
     return env, PolicyClass.tabular(space, table), 0.2
 
@@ -514,8 +511,7 @@ class TestOneEpochPath:
         env, pc, alg = self._alg(name)
         rng = np.random.default_rng(0)
         panel = env.context_panel(50, rng)
-        return env, pc, alg, alg.start_epoch(1, VersionSpace(pc), panel,
-                                             rng=rng)
+        return env, pc, alg, alg.start_epoch(1, VersionSpace(pc), panel)
 
     @pytest.mark.parametrize("name", sorted(_INSTANCES))
     def test_estimates_and_propensities_exact(self, name):
@@ -558,19 +554,26 @@ class TestOneEpochPath:
                                         np.random.default_rng(1),
                                         score=False)
         values, index = env.contexts.sample_many(np.random.default_rng(1), n)
-        segments = (isinstance(env.contexts, FiniteContexts)
-                    and pc.space.d == 1)
-        cells = segments and len(values) == 1
-        if segments:
-            # every ball end and its neighbouring doubles, and 0 and 1 where
-            # the space holds them, in place of the first drawn actions
+        finite = isinstance(env.contexts, FiniteContexts)
+        cells = finite and len(values) == 1
+        if finite:
+            # on each axis every ball end and its neighbouring doubles, and 0
+            # and 1 where the space holds them, in place of drawn actions'
+            # coordinates; each axis takes its own rounds, so a round near a
+            # cut on one axis lies inside a piece on the others
             cuts = segment_cuts(pc.space, pc.actions_many(values)[
-                :, state.vs.indices], state.h_m).ravel()
-            edges = np.unique(np.concatenate(
-                [cuts, np.nextafter(cuts, 0.0), np.nextafter(cuts, 1.0)]))
-            edges = edges[[space_contains(pc.space, e) for e in edges]]
-            a = a.copy()
-            a[:len(edges)] = edges
+                :, state.vs.indices], state.h_m)
+            line = pc.space if pc.space.d == 1 else ActionSpace.cube(1)
+            a = a.reshape(n, -1).copy()
+            start = 0
+            for axis in range(pc.space.d):
+                ends = cuts[:, axis].ravel()
+                edges = np.unique(np.concatenate(
+                    [ends, np.nextafter(ends, 0.0), np.nextafter(ends, 1.0)]))
+                edges = edges[[space_contains(line, e) for e in edges]]
+                a[start:start + len(edges), axis] = edges
+                start += len(edges)
+            a = a.reshape(-1) if pc.space.d == 1 else a
         # rounds in cells, and rounds that take their own rows
         cell = alg._cells(state, values)[0](a)
         assert np.any(cell >= 0) == cells
@@ -591,7 +594,7 @@ class TestOneEpochPath:
         env, pc, alg, state = self._epoch(name)
         values = np.asarray(env.contexts.values)
         cuts = segment_cuts(pc.space, pc.actions_many(values)[
-            :, state.vs.indices], state.h_m)
+            :, state.vs.indices], state.h_m)[:, 0]
         if name == "ring_whole":
             assert np.array_equal(cuts, [[0.0, 1.0]])
         a = np.concatenate([cuts.ravel(), np.nextafter(cuts, 0.0).ravel(),
@@ -729,7 +732,7 @@ class TestBoundedMemory:
             env, pc, ElimConfig(variant="l", T=2 ** 18, L=1.0))
         rng = np.random.default_rng(0)
         state = alg.start_epoch(1, VersionSpace(pc),
-                                env.context_panel(2000, rng), rng=rng)
+                                env.context_panel(2000, rng))
         assert state.n_m == 128_000 and len(state.vs) == 100
         tracemalloc.start()
         try:

@@ -9,6 +9,7 @@ import pytest
 from by_context import ByContext
 from callable_loss import CallableLoss
 
+from smoothcb import elimination
 from smoothcb.environments import (FiniteContexts, StochasticEnv,
                                    _closed_pocket, draw_indices,
                                    guide_search, make_named_instance)
@@ -64,8 +65,7 @@ class TestBatchedRounds:
                     for i, v in zip(index, a)]
         assert np.array_equal(mean, expected) and np.array_equal(loss, mean)
 
-    @pytest.mark.parametrize("noise", ["deterministic", "bernoulli",
-                                       "gaussian"])
+    @pytest.mark.parametrize("noise", ["deterministic", "bernoulli"])
     def test_one_context_row_broadcasts_as_gathered(self, noise):
         # one context vector: linear_sphere's batch-first ShiftedLoss is
         # evaluated at its one row and broadcast over the rounds, with the
@@ -86,9 +86,6 @@ class TestBatchedRounds:
         if noise == "bernoulli":
             expected = (ref.random(n) < gathered).astype(float)
             assert set(np.unique(loss)) == {0.0, 1.0}
-        elif noise == "gaussian":
-            expected = np.clip(gathered + env.sigma * ref.standard_normal(n),
-                               0.0, 1.0)
         else:
             expected = gathered
         assert loss.tobytes() == expected.tobytes()
@@ -281,7 +278,7 @@ class TestGuideSearch:
     def test_whole_circle_row(self):
         # the ring's cuts when the survivors' balls cover the circle
         row = segment_cuts(ActionSpace.ring(), np.array([[0.3, 0.8]]),
-                           0.5)[0]
+                           0.5)[0, 0]
         assert list(row) == [0.0, 1.0]
         self._same_as_searchsorted(row, self._around(row))
 
@@ -293,7 +290,7 @@ class TestGuideSearch:
         for trial in range(50):
             centers = rng.random((1, int(rng.integers(1, 120))))
             row = segment_cuts(ActionSpace.ring(), centers,
-                               float(rng.choice([0.01, 0.05, 0.1, 0.3])))[0]
+                               float(rng.choice([0.01, 0.05, 0.1, 0.3])))[0, 0]
             self._same_as_searchsorted(row, self._around(row, seed=trial))
 
 
@@ -612,16 +609,18 @@ class TestNeedleCube:
         assert best < 0.5
 
     # sha256 of actions, losses and epoch rows of seeded runs on the d = 2
-    # field whose pocket corner meets the safe orthant
+    # field whose pocket corner meets the safe orthant; the pe-s digest was
+    # recorded when the exploration program's geometry became exact box
+    # cells (test_pe_s_is_the_monte_carlo_run_past_its_draws)
     DIGESTS = {
         ("exp4", 512): "25e1db337116916e9a04c5ec330d81a1"
                        "d2ab82e93ba804a3838c3f4345bc013b",
-        ("pe-s", 2048): "4ab6bbaca825a68ef5a6830e112c7be7"
-                        "86328cf7dfdc0da55b3434a1edd4892e",
+        ("pe-s", 2048): "8bcad5df276cae54952a2e77c240d87d"
+                        "21a1f61a5ba61865d4898d3493cf6c32",
     }
 
-    @pytest.mark.parametrize("alg,T", sorted(DIGESTS))
-    def test_trajectory_digest(self, alg, T):
+    @staticmethod
+    def _digest(alg, T, epochs=True):
         cfg = RunConfig(alg=alg, env_name="needle_h", T=T, h=0.125,
                         env_params={"h": 0.125, "d": 2, "index": 4},
                         seeds=[0, 1], n_policies=16)
@@ -629,8 +628,29 @@ class TestNeedleCube:
         for tr in run_experiment(cfg):
             digest.update(np.asarray(tr.actions, dtype=np.float64).tobytes())
             digest.update(np.asarray(tr.losses, dtype=np.float64).tobytes())
-            digest.update(json.dumps(tr.epochs, sort_keys=True).encode())
-        assert digest.hexdigest() == self.DIGESTS[(alg, T)]
+            if epochs:
+                digest.update(json.dumps(tr.epochs, sort_keys=True).encode())
+        return digest.hexdigest()
+
+    @pytest.mark.parametrize("alg,T", sorted(DIGESTS))
+    def test_trajectory_digest(self, alg, T):
+        assert self._digest(alg, T) == self.DIGESTS[(alg, T)]
+
+    def test_pe_s_is_the_monte_carlo_run_past_its_draws(self, monkeypatch):
+        # the exploration program once measured this union on 10^4 points
+        # per context drawn from the algorithm stream.  Advanced past those
+        # draws, the stream plays that run's actions and losses (sha256
+        # recorded then); its epoch rows differed only in solver_value, the
+        # Monte Carlo 1.088 and 1.0944 where the exact cells give 1.0
+        play = elimination.SmoothPolicyElimination._play_epoch
+
+        def past_the_draws(self, state, n, rng, rng_env, score=True):
+            rng.uniform(0.0, 1.0, size=(1, 10 ** 4, 2))
+            return play(self, state, n, rng, rng_env, score)
+        monkeypatch.setattr(elimination.SmoothPolicyElimination,
+                            "_play_epoch", past_the_draws)
+        assert self._digest("pe-s", 2048, epochs=False) == (
+            "668bdef47c9a8bed7f56df47b89e6a3d200fe3081c7e87c151e1dfca61218c14")
 
 
 class TestValidation:
@@ -653,13 +673,6 @@ class TestValidation:
     def test_finite_contexts_nan_weights(self):
         with pytest.raises(ValueError, match="weights"):
             FiniteContexts([0, 1], [np.nan, np.nan])
-
-    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -0.1])
-    def test_gaussian_sigma(self, sigma):
-        with pytest.raises(ValueError, match="sigma"):
-            StochasticEnv(ActionSpace.ring(), FiniteContexts([None]),
-                          lambda xs: PiecewiseConstantLoss.constant(0.3),
-                          noise="gaussian", sigma=sigma)
 
     def test_needle_index_bounds(self):
         with pytest.raises(ValueError):

@@ -120,13 +120,10 @@ class TestDeterminism:
 class TestSeededLearnerTrajectories:
     # sha256 of actions and losses of seeded exp4 and corral runs; the
     # uniform-h master's kappa = 1 bucket holds h = 1/2 and h = 1, and the
-    # Lipschitz master's buckets hold two bandwidths each.  Clipped Gaussian
-    # noise gives exact zero losses, as Bernoulli noise does.
+    # Lipschitz master's buckets hold two bandwidths each.
     DIGESTS = {
         ("exp4", "discontinuous"): "117ac57f78b96c879c6c009016e73828"
                                    "66a5dbd43f39c265c6d2f13478013af6",
-        ("exp4", "absolute:noise=gaussian"):
-            "3aec59cf17a4da8839ab0ea5450888ee7f5bc7e87a5b866f2a39253e654eab63",
         ("exp4", "needle_h:d=2"):
             "3742ff9af2d582968f58ff01618cbb9f9cb0dc90ee1c72146348b32fdf62b724",
         ("corral-uniform-h", "absolute"): "7c526661e3353551116b2da511274574"

@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from box_union import box_union_volume
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from packing_reference import greedy_packing
@@ -182,24 +185,34 @@ class TestPackingAgainstScalarGreedy:
             space, pts, delta)
 
 
-def _reference_geometry(space, centers, h, points=None):
-    """One context's segments, densities and ball-union volume, built one
-    ball at a time: ball_intervals cuts and an interval merge on 1-d spaces,
-    membership counts on given points of the 2-d cube."""
-    if points is not None:
-        mids = points
-        meas = np.full(len(mids), 1.0 / len(mids))
+def _pieces(ends):
+    """Lengths and midpoints of the pieces of [0, 1] between the given ends
+    longer than 1e-15."""
+    bs = np.array(sorted({0.0, 1.0, *ends}))
+    keep = np.diff(bs) > 1e-15
+    return np.diff(bs)[keep], ((bs[:-1] + bs[1:]) / 2.0)[keep]
+
+
+def _reference_geometry(space, centers, h):
+    """One context's cells, densities and ball-union volume, built one ball
+    at a time: ball_intervals cuts and an interval merge on 1-d spaces; on
+    the cube in d >= 2, the products of each axis's pieces between the
+    clipped ball ends, and the union's measure by inclusion-exclusion."""
+    centers = np.asarray(centers, dtype=float)
+    if space.d > 1:
+        lo, hi = np.maximum(0.0, centers - h), np.minimum(1.0, centers + h)
+        axes = [_pieces([*lo[:, i], *hi[:, i]]) for i in range(space.d)]
+        meas = np.array([np.prod(x) for x in
+                         itertools.product(*(x for x, _ in axes))])
+        mids = list(itertools.product(*(m for _, m in axes)))
     else:
         pieces = [iv for c in centers for iv in space.ball_intervals(c, h)]
-        bs = np.array(sorted({0.0, 1.0, *(e for iv in pieces for e in iv)}))
-        keep = np.diff(bs) > 1e-15
-        meas = np.diff(bs)[keep]
-        mids = ((bs[:-1] + bs[1:]) / 2.0)[keep]
+        meas, mids = _pieces([e for iv in pieces for e in iv])
     dens = np.array([[1.0 / space.ball_volume(c, h)
                       if space.distance(c, m) <= h else 0.0
                       for m in mids] for c in centers])
-    if points is not None:
-        return dens, meas, float(np.any(dens > 0, axis=0).sum()) / len(mids)
+    if space.d > 1:
+        return dens, meas, box_union_volume(lo, hi)
     total, cur_lo, cur_hi = 0.0, None, None
     for lo, hi in sorted(pieces):
         if cur_hi is None or lo > cur_hi:
@@ -225,19 +238,15 @@ class TestUnionGeometry:
     """union_geometry and the solver against the one-ball-at-a-time
     reference, to 1e-12."""
 
-    def _check(self, pc, panel, h, mu, points=None):
+    def _check(self, pc, panel, h, mu):
         xs, ws = panel
         vs = VersionSpace(pc)
-        refs = [_reference_geometry(pc.space, pc.actions_at(x), h,
-                                    None if points is None else points[i])
-                for i, x in enumerate(xs)]
-        rng = np.random.default_rng(5)
-        blocks = policies.union_geometry(pc.space, pc.actions_many(xs), h,
-                                         rng)
+        refs = [_reference_geometry(pc.space, pc.actions_at(x), h)
+                for x in xs]
+        blocks = policies.union_geometry(pc.space, pc.actions_many(xs), h)
         vols = np.concatenate([vol for _, _, vol in blocks])
         assert vols == pytest.approx([r[2] for r in refs], abs=1e-12)
-        Q, value, _, V = solve_variance_program(
-            pc, vs, h, mu, panel, rng=np.random.default_rng(5))
+        Q, value, _, V = solve_variance_program(pc, vs, h, mu, panel)
         assert V == pytest.approx(np.dot(ws, vols), abs=1e-12)
         terms = sum(w * (dens * meas) @ (1.0 / (mu + (1.0 - mu) * Q @ dens))
                     for w, (dens, meas, _) in zip(ws, refs))
@@ -262,14 +271,32 @@ class TestUnionGeometry:
         ws = np.array([0.05, 0.1, 0.15, 0.2, 0.1, 0.25, 0.15])
         self._check(pc, (list(range(7)), ws), 0.07, mu=0.05)
 
-    def test_cube2_volume_on_objective_points(self):
-        space = ActionSpace.cube(2)
-        pc = PolicyClass.constant(space, [[0.1, 0.2], [0.15, 0.3],
-                                          [0.9, 0.9]])
-        points = np.random.default_rng(5).uniform(
-            0.0, 1.0, size=(2, policies.N_MC, 2))
-        self._check(pc, ([None, None], np.array([0.5, 0.5])), 0.2, mu=0.3,
-                    points=points)
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_random_cube_classes(self, d):
+        # clipped and overlapping boxes; V_m and the objective against the
+        # inclusion-exclusion measure and the per-ball cells
+        rng = np.random.default_rng(d)
+        for _ in range(6):
+            k = int(rng.integers(1, 9))
+            pc = PolicyClass.constant(ActionSpace.cube(d), rng.random((k, d)))
+            h = float(rng.uniform(0.02, 0.4))
+            self._check(pc, ([None], np.array([1.0])), h,
+                        mu=float(rng.uniform(0.01, 0.5)))
+            assert union_ball_volume(VersionSpace(pc), h=h) == pytest.approx(
+                box_union_volume(np.maximum(0.0, pc.actions - h),
+                                 np.minimum(1.0, pc.actions + h)), abs=1e-12)
+
+    @pytest.mark.parametrize("cells", [1, 400, 10 ** 6])
+    def test_cube2_weighted_panel_in_blocks(self, cells, monkeypatch):
+        # contexts whose axes keep different numbers of pieces (shared and
+        # touching coordinates), padded alike in every split into blocks
+        monkeypatch.setattr(policies, "_BLOCK_CELLS", cells)
+        table = np.random.default_rng(4).random((5, 4, 2))
+        table[0, :, 0] = [0.3, 0.3, 0.5, 0.5]
+        table[1, 1] = table[1, 0] + 0.2
+        pc = PolicyClass.tabular(ActionSpace.cube(2), table)
+        ws = np.array([0.1, 0.3, 0.2, 0.25, 0.15])
+        self._check(pc, (list(range(5)), ws), 0.1, mu=0.05)
 
 
 def _unique_rows(c):
@@ -282,7 +309,7 @@ def _unique_rows(c):
 class TestDistinctRows:
     def _check(self, c, n_distinct):
         want = _unique_rows(c)
-        got = policies.distinct_rows(_RING, c)
+        got = policies.distinct_rows(c)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and np.array_equal(g, w)
         assert len(got[0]) == n_distinct
@@ -296,7 +323,7 @@ class TestDistinctRows:
             raise AssertionError("identical rows need no np.unique")
         with monkeypatch.context() as m:
             m.setattr(policies.np, "unique", no_sort)
-            got = policies.distinct_rows(_RING, c)
+            got = policies.distinct_rows(c)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and np.array_equal(g, w)
         self._check(c[:1], 1)
@@ -317,11 +344,17 @@ class TestDistinctRows:
         self._check(c, 2)
         self._check(c[::-1].copy(), 2)
 
-    def test_cube2_rows_are_their_own(self):
-        c = np.tile([[0.2, 0.3], [0.6, 0.7]], (40, 1, 1))
-        first, inverse = policies.distinct_rows(ActionSpace.cube(2), c)
-        assert np.array_equal(first, np.arange(40))
-        assert np.array_equal(inverse, np.arange(40))
+    def test_cube2_rows_are_grouped(self):
+        # a row is a context's (policies x d) actions, compared whole
+        rows = np.random.default_rng(2).random((3, 4, 2))
+        c = rows[[0, 2, 0, 1, 2, 2]]
+        c[5, 3, 1] = -c[5, 3, 1]
+        first, inverse = policies.distinct_rows(c)
+        want = _unique_rows(c.reshape(len(c), -1))
+        assert np.array_equal(first, want[0])
+        assert np.array_equal(inverse, want[1])
+        assert len(first) == 4 and c[first][inverse].tobytes() == c.tobytes()
+        assert np.array_equal(policies.distinct_rows(c[[0, 2]])[1], [0, 0])
 
 
 class TestUnionBallVolume:
