@@ -12,8 +12,7 @@ one finite context its scores come from per-cell loss sums: every action in
 a cell (a piece between the survivors' ball ends on each axis) has the same
 survivor densities and propensity, so one (cells x survivors) table turns
 each batch's per-cell loss sums into its estimates.  Every other round adds
-its own density row.  An epoch that is not scored
-forms nothing per survivor.
+its own density row.  An epoch that is not scored forms nothing per survivor.
 
 Two schedules: the fixed-bandwidth variant keeps h_m = h and halves the
 radius r_m = 2^-m; the Lipschitz variant halves the bandwidth h_m = 2^-m
@@ -32,7 +31,7 @@ from .environments import (FiniteContexts, StochasticEnv, draw_indices,
                            guide_search)
 from .estimators import median_of_means
 from .kernels import RectKernel
-from .policies import (PolicyClass, VersionSpace, distinct_rows,
+from .policies import (MAX_CELLS, PolicyClass, VersionSpace, distinct_rows,
                        segment_cuts, union_geometry)
 
 VARIANT_S = "s"
@@ -43,9 +42,8 @@ SOLVER_TOL = 1e-3
 SOLVER_ITER_CAP = 5000
 # rounds per block of an epoch's per-round work; blocks do not depend on the
 # batch length, and a batch may span several blocks.  An epoch forms at most
-# CHUNK cells, so its (cells x survivors) table is no larger than a block; a
-# context on the cube in d >= 2 with more than CHUNK cells is refused.
-CHUNK = 2 ** 13
+# CHUNK cells, so its (cells x survivors) table is no larger than a block.
+CHUNK = MAX_CELLS
 # an action closer than EDGE to a segment's end takes its own density row:
 # there the kernel's distance test and the sorted cuts may round apart
 EDGE = 1e-12
@@ -115,8 +113,7 @@ def solve_variance_program(
     union of the survivors' h-balls, measured exactly on the objective's own
     ``union_geometry`` cells.  The geometry and each objective term are
     built once per distinct row of survivor actions over the panel and
-    weighted back onto the panel's contexts; a context on the cube in
-    d >= 2 with more than CHUNK cells is refused with a ValueError.
+    weighted back onto the panel's contexts.
     Returns (Q, value at Q, iterations, V).  Raises SolverFailure when the
     cap is hit and the best value still exceeds V/(1-mu)*(1+10*SOLVER_TOL).
     """
@@ -126,7 +123,7 @@ def solve_variance_program(
     k = len(vs)
     c = pc.actions_many(xs)[:, vs.indices]
     first, inverse = distinct_rows(c)
-    blocks = union_geometry(pc.space, c[first], h, max_cells=CHUNK)
+    blocks = union_geometry(pc.space, c[first], h)
     # each row's volume and term are expanded back onto the panel, not summed
     # per row, so the panel sums add the same terms in the same order
     V = float(ws @ np.concatenate([vol for _, _, vol in blocks])[inverse])
@@ -279,14 +276,12 @@ class SmoothPolicyElimination:
     def _cells(self, state: EpochState, values):
         """(locate, W) for the cells of an epoch with one finite context.
 
-        A cell is a piece between consecutive ``segment_cuts`` of the
-        survivors' h_m-balls, and on the cube in d >= 2 a product of one such
-        piece per axis; every action in a cell has the same survivor
-        densities and propensity, so W[cell] is formed at one point of it.
-        ``locate(a)`` gives each round's cell, or -1 for a round that takes
-        its own row: one within EDGE of a cut on some axis, and every round
-        where no cells are formed (sampled or several contexts, or more than
-        CHUNK cells).
+        A cell is one piece per axis between the survivors' h_m-ball
+        ``segment_cuts``; every action in it has the same survivor densities
+        and propensity, so W[cell] is formed at one point of it.  ``locate``
+        gives each round's cell, or -1 for a round that takes its own row:
+        one within EDGE of a cut on some axis, and every round where no cells
+        are formed (sampled or several contexts, or more than CHUNK cells).
         """
         space, k = self.pc.space, len(state.vs)
         no_cells = (lambda a: np.full(len(a), -1), np.zeros((0, k)))
@@ -297,21 +292,20 @@ class SmoothPolicyElimination:
         cuts = segment_cuts(space, centers, state.h_m)[0]
         # an axis of the cube repeats the ends of centres sharing a coordinate
         axes = [np.unique(x) for x in cuts] if space.d > 1 else list(cuts)
-        pieces = [len(x) - 1 for x in axes]
-        if math.prod(pieces) > CHUNK:
+        shape = [len(x) - 1 for x in axes]
+        if math.prod(shape) > CHUNK:
             return no_cells
         searches = [guide_search(x) for x in axes]
 
         def locate(a):
-            pos, inside = [], True
+            pos, inside = [], None
             for x, search, u in zip(axes, searches, a.reshape(len(a), -1).T):
-                p = np.minimum(search(u) - 1, len(x) - 2)
-                inside = (u - x[p] > EDGE) & (x[p + 1] - u > EDGE) & inside
-                pos.append(p)
-            # cells numbered in C order over the axes' pieces
-            cell = (pos[0] if space.d == 1
-                    else np.ravel_multi_index(pos, pieces))
+                pos.append(np.minimum(search(u) - 1, len(x) - 2))
+                ok = (u - x[pos[-1]] > EDGE) & (x[pos[-1] + 1] - u > EDGE)
+                inside = ok if inside is None else inside & ok
+            cell = pos[0] if space.d == 1 else np.ravel_multi_index(pos, shape)
             return np.where(inside, cell, -1)
+        # cells in C order over the axes' pieces, as locate numbers them
         mids = np.stack(np.meshgrid(*[(x[:-1] + x[1:]) / 2.0 for x in axes],
                                     indexing="ij"), axis=-1)
         mids = mids.reshape(-1, space.d) if space.d > 1 else mids.ravel()
@@ -411,11 +405,15 @@ class SmoothPolicyElimination:
         """Full horizon; ``rng_env`` (defaults to ``rng``) drives contexts
         and loss noise so the environment stream is reproducible on its own.
         """
-        cfg = self.config
-        T = cfg.T
+        T = self.config.T
         rng_env = rng_env or rng
         panel = self.env.context_panel(rng=rng)
         vs = VersionSpace(self.pc)
+        if self.pc.space.d > 1:  # the cell cap at each h_m; n_m >= delta_T
+            c = self.pc.actions_many(panel[0])
+            last = min(self.max_epochs, -(-T // self.delta_T))
+            for h in sorted({self.schedule(m)[0] for m in range(1, last + 1)}):
+                segment_cuts(self.pc.space, c, h)
         actions: List[np.ndarray] = []
         losses: List[np.ndarray] = []
         mean_losses: List[np.ndarray] = []

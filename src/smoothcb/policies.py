@@ -160,34 +160,29 @@ def packing_number(space: ActionSpace, points, delta: float) -> int:
 
 # (context, ball, cell) triples per block: bounds the build's temporaries
 _BLOCK_CELLS = 2 ** 15
+# the most cells per context on the cube in d >= 2 (``segment_cuts``)
+MAX_CELLS = 2 ** 13
 
 
-def union_geometry(space: ActionSpace, centers: np.ndarray, h: float,
-                   max_cells: Optional[int] = None) -> list:
+def union_geometry(space: ActionSpace, centers: np.ndarray, h: float) -> list:
     """Each context's union of h-balls, cut into cells of constant density.
 
     ``centers`` has shape (contexts, k), plus a trailing d on the cube.
     Returns (dens, meas, volume) blocks of consecutive contexts: ball j's
-    kernel density dens[c, j, s] on cell s of context c, the cell's
-    measure meas[c, s], and the union's measure volume[c].  A cell is one
-    piece per axis between ``segment_cuts``, those of length <= 1e-15
-    dropped.  Each axis is padded with zero-measure pieces to the most any
-    context keeps, so a context's arrays, and sums over them, do not depend
-    on how the contexts are blocked or grouped.  The volume is the covered
-    cells' measure, in 1-d the covered runs' lengths summed left to right.
-    More than ``max_cells`` cells per context on the cube in d >= 2 is a
-    ValueError, raised before any table is built.  The exploration program
-    builds it once per distinct row of survivor actions (``distinct_rows``).
+    kernel density dens[c, j, s] on cell s of context c, the cell's measure
+    meas[c, s], and the union's measure volume[c].  A cell is one piece per
+    axis between ``segment_cuts``, those of length <= 1e-15 dropped.  Each
+    axis is padded with zero-measure pieces to the most any context keeps,
+    so a context's arrays, and sums over them, do not depend on how the
+    contexts are blocked or grouped.  The volume is the covered cells'
+    measure, in 1-d the covered runs' lengths summed left to right.  The cap
+    of ``segment_cuts`` holds before any table is built.  The exploration
+    program builds it once per distinct row of survivor actions.
     """
     c = np.asarray(centers, dtype=float)
     cuts = segment_cuts(space, c, h)
     widths = (np.diff(cuts, axis=-1) > 1e-15).sum(axis=-1).max(axis=0)
-    cells = int(np.prod(widths))
-    if space.d > 1 and max_cells is not None and cells > max_cells:
-        raise ValueError(f"the survivors' balls at h = {h:g} cut the cube "
-                         f"into {cells} cells per context, more than "
-                         f"{max_cells}")
-    step = max(1, _BLOCK_CELLS // (c.shape[1] * cells))
+    step = max(1, _BLOCK_CELLS // (c.shape[1] * int(np.prod(widths))))
     return [_union_block(space, c[i:i + step], cuts[i:i + step], widths, h)
             for i in range(0, len(c), step)]
 
@@ -205,14 +200,15 @@ def distinct_rows(centers: np.ndarray):
 
 def segment_cuts(space: ActionSpace, centers: np.ndarray,
                  h: float) -> np.ndarray:
-    """Each row's h-ball ends in [0, 1] on each axis, sorted between a 0
-    and a 1.
+    """Each row's h-ball ends in [0, 1] per axis, sorted between 0 and 1.
 
-    Under the sup metric a ball is a box, so every ball's kernel density is
+    A ball is a box under the sup metric, so every ball's kernel density is
     constant on each product of pieces between consecutive cuts, one piece
     per axis (Klee's coordinate compression).  ``centers`` has shape (n, k),
     or (n, k, d) on the cube; the result is (n, d, 2k+2), with d = 1 on 1-d
     spaces, or (n, 1, 2) on the ring when a ball covers the whole circle.
+    More than MAX_CELLS cells, the product over the axes of the most pieces
+    over 1e-15 long that a row keeps, is a ValueError on the cube in d >= 2.
     """
     c = np.asarray(centers, dtype=float)
     c = np.moveaxis(c, -1, 1) if space.d > 1 else c[:, None]
@@ -222,8 +218,15 @@ def segment_cuts(space: ActionSpace, centers: np.ndarray,
     else:  # a ring ball wraps around 0, or covers the whole ring
         ends = np.mod(ends, 1.0) if 2.0 * h < 1.0 else ends[..., :0]
     edge = c.shape[:-1] + (1,)
-    return np.sort(np.concatenate([np.zeros(edge), ends, np.ones(edge)],
+    cuts = np.sort(np.concatenate([np.zeros(edge), ends, np.ones(edge)],
                                   axis=-1), axis=-1)
+    if space.d > 1:  # as union_geometry pads each axis
+        cells = np.prod((np.diff(cuts, axis=-1) > 1e-15).sum(-1).max(0))
+        if cells > MAX_CELLS:
+            raise ValueError(f"the balls at h = {h:g} cut the cube into "
+                             f"{cells} cells per context, more than "
+                             f"{MAX_CELLS}")
+    return cuts
 
 
 def _union_block(space: ActionSpace, c: np.ndarray, cuts: np.ndarray,

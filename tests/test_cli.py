@@ -344,9 +344,9 @@ class TestBadRunConfig:
                                     "needle_h:d=2", "--h", "0.01",
                                     "--policies", "4096", "--T", "100",
                                     "--seeds", "1"],
-                           "configuration error: the survivors' balls at "
-                           "h = 0.01 cut the cube into 16129 cells per "
-                           "context, more than 8192")
+                           "configuration error: the balls at h = 0.01 cut "
+                           "the cube into 16129 cells per context, more "
+                           "than 8192")
 
     def test_lowerbound_kind_outside_choices_in_config(self, tmp_path,
                                                         capsys, monkeypatch):

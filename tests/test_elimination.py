@@ -720,6 +720,29 @@ class TestFullRun:
         assert np.array_equal(out1["actions"], out2["actions"])
         assert np.array_equal(out1["losses"], out2["losses"])
 
+    @pytest.mark.parametrize("T,refused", [(50, False), (10 ** 5, True)])
+    def test_pe_l_cell_cap_before_the_first_round(self, monkeypatch, T,
+                                                  refused):
+        # 64 random constant policies on the square cut it into 4225 cells
+        # at h_1 = 1/2 and 8918 at h_2 = 1/4.  Every epoch plays at least
+        # delta_T rounds, 50 at T = 50, so only epoch 1 can start and the
+        # run plays; at T = 10^5 an epoch at h_2 can, and the run is
+        # refused before its first round.
+        env = make_named_instance("needle_h", h=0.125, d=2,
+                                  noise="deterministic")
+        pc = PolicyClass.constant(env.space,
+                                  np.random.default_rng(0).random((64, 2)))
+        alg = SmoothPolicyElimination(env, pc, ElimConfig("l", T=T, L=1.0))
+        assert (T <= alg.delta_T) != refused
+        if not refused:
+            assert len(alg.run(np.random.default_rng(0))["losses"]) == T
+            return
+        monkeypatch.setattr(SmoothPolicyElimination, "_play_epoch", _no_play)
+        with pytest.raises(ValueError, match="the balls at h = "
+                           r"\S+ cut the cube into \d+ cells per context, "
+                           "more than 8192"):
+            alg.run(np.random.default_rng(0))
+
 
 class TestBoundedMemory:
     """A scored epoch holds O(rounds) vectors plus CHUNK x survivors

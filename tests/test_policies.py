@@ -389,6 +389,26 @@ class TestUnionBallVolume:
             assert (union_ball_volume(big, h=h1)
                     <= union_ball_volume(big, h=h2) + 1e-12)
 
+    @pytest.mark.parametrize("side,cells", [(9, 19 ** 3), (10, 21 ** 3)])
+    def test_cube_cell_cap(self, monkeypatch, side, cells):
+        # a side^3 grid of centres and h = 0.01 cut each axis into
+        # 2 * side + 1 pieces; more than MAX_CELLS = 8192 cells is refused
+        # from the per-axis counts, before any table is built
+        axis = (np.arange(side) + 0.5) / side
+        grid = np.stack(np.meshgrid(axis, axis, axis), axis=-1)
+        pc = PolicyClass.constant(ActionSpace.cube(3), grid.reshape(-1, 3))
+        if cells <= policies.MAX_CELLS:
+            assert union_ball_volume(VersionSpace(pc), h=0.01) \
+                == pytest.approx(side ** 3 * 0.02 ** 3, rel=1e-12)
+            return
+
+        def no_table(*args):
+            raise AssertionError("a table was built")
+        monkeypatch.setattr(policies, "_union_block", no_table)
+        with pytest.raises(ValueError, match=f"into {cells} cells per "
+                           "context, more than 8192"):
+            union_ball_volume(VersionSpace(pc), h=0.01)
+
 
 class TestVersionSpace:
     def test_nonempty_required(self):
