@@ -246,7 +246,10 @@ def _file_flags(path: str) -> List[str]:
     """The --config file's keys as ``--key=value`` tokens; the ``=`` keeps
     a value that starts with ``-`` from being read as a flag."""
     with open(path) as f:
-        loaded = json.load(f)
+        try:
+            loaded = json.load(f)
+        except ValueError as e:  # not JSON, or not UTF-8 text
+            raise ValueError(f"--config {path!r} is not JSON: {e}") from None
     if not isinstance(loaded, dict):
         raise ValueError(f"--config {path!r} is not a JSON object")
     tokens = []

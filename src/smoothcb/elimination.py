@@ -8,11 +8,11 @@ policies that fall behind the empirical best by more than the epoch radius
 allows.  An epoch is played the same way on every space kind and context
 class: its contexts, mixed draws and realized losses are drawn whole, as
 vectors over its rounds, and a finite context set plays as one block.  With
-one finite context its scores come from per-cell loss sums: every action in
-a cell (a piece between the survivors' ball ends on each axis) has the same
-survivor densities and propensity, so one (cells x survivors) table turns
-each batch's per-cell loss sums into its estimates.  Every other round adds
-its own density row.  An epoch that is not scored forms nothing per survivor.
+one finite context its scores come from per-cell loss sums: on each cell of
+the exploration program's ``union_geometry`` every survivor density and the
+propensity are constant, so one (cells x survivors) table turns each batch's
+per-cell loss sums into its estimates.  Every other round adds its own
+density row.  An epoch that is not scored forms nothing per survivor.
 
 Two schedules: the fixed-bandwidth variant keeps h_m = h and halves the
 radius r_m = 2^-m; the Lipschitz variant halves the bandwidth h_m = 2^-m
@@ -31,7 +31,7 @@ from .environments import (FiniteContexts, StochasticEnv, draw_indices,
                            guide_search)
 from .estimators import median_of_means
 from .kernels import RectKernel
-from .policies import (MAX_CELLS, PolicyClass, VersionSpace, distinct_rows,
+from .policies import (PolicyClass, VersionSpace, distinct_rows,
                        segment_cuts, union_geometry)
 
 VARIANT_S = "s"
@@ -41,10 +41,9 @@ VARIANT_L = "l"
 SOLVER_TOL = 1e-3
 SOLVER_ITER_CAP = 5000
 # rounds per block of an epoch's per-round work; blocks do not depend on the
-# batch length, and a batch may span several blocks.  An epoch forms at most
-# CHUNK cells, so its (cells x survivors) table is no larger than a block.
-CHUNK = MAX_CELLS
-# an action closer than EDGE to a segment's end takes its own density row:
+# batch length, and a batch may span several blocks
+CHUNK = 2 ** 13
+# an action closer than EDGE to a piece's end takes its own density row:
 # there the kernel's distance test and the sorted cuts may round apart
 EDGE = 1e-12
 
@@ -126,13 +125,13 @@ def solve_variance_program(
     blocks = union_geometry(pc.space, c[first], h)
     # each row's volume and term are expanded back onto the panel, not summed
     # per row, so the panel sums add the same terms in the same order
-    V = float(ws @ np.concatenate([vol for _, _, vol in blocks])[inverse])
+    V = float(ws @ np.concatenate([b[2] for b in blocks])[inverse])
     target = V / (1.0 - mu) * (1.0 + SOLVER_TOL)
     hard_target = V / (1.0 - mu) * (1.0 + 10.0 * SOLVER_TOL)
 
     def terms_at(Q):
         per_row = []
-        for dens, meas, _ in blocks:
+        for dens, meas, *_ in blocks:
             q = mu + (1.0 - mu) * (Q @ dens)
             per_row.append(((dens * meas[:, None, :])
                             @ (1.0 / q)[..., None])[..., 0])
@@ -266,51 +265,39 @@ class SmoothPolicyElimination:
         q, dens = self.propensity(state, centers, a)
         return a, q, dens
 
-    def _weights(self, state: EpochState, centers: np.ndarray, a):
-        """W = dens / q at one action per row of survivor centres: row i
-        times a loss realised at a[i] is the survivors' IW estimates."""
-        q, dens = self.propensity(state, centers, a)
-        dens /= q[:, None]  # in place: no second (rows x survivors) array
-        return dens
-
     def _cells(self, state: EpochState, values):
-        """(locate, W) for the cells of an epoch with one finite context.
-
-        A cell is one piece per axis between the survivors' h_m-ball
-        ``segment_cuts``; every action in it has the same survivor densities
-        and propensity, so W[cell] is formed at one point of it.  ``locate``
-        gives each round's cell, or -1 for a round that takes its own row:
-        one within EDGE of a cut on some axis, and every round where no cells
-        are formed (sampled or several contexts, or more than CHUNK cells).
+        """(locate, W) for the cells of an epoch with one finite context:
+        ``union_geometry``'s, the exploration program's own.  Every action
+        in a cell has the same survivor densities and propensity, so W[cell]
+        = dens / q there.  ``locate`` gives each round's cell, or -1 for a
+        round that takes its own row: one in no kept piece or within EDGE of
+        its piece's ends on some axis, and every round where no cells are
+        formed (sampled or several contexts).
         """
-        space, k = self.pc.space, len(state.vs)
-        no_cells = (lambda a: np.full(len(a), -1), np.zeros((0, k)))
         if (not isinstance(self.env.contexts, FiniteContexts)
                 or len(values) != 1):
-            return no_cells
+            return lambda a: np.full(len(a), -1), np.zeros((0, len(state.vs)))
         centers = self.pc.actions_many(values)[:, state.vs.indices]
-        cuts = segment_cuts(space, centers, state.h_m)[0]
-        # an axis of the cube repeats the ends of centres sharing a coordinate
-        axes = [np.unique(x) for x in cuts] if space.d > 1 else list(cuts)
-        shape = [len(x) - 1 for x in axes]
-        if math.prod(shape) > CHUNK:
-            return no_cells
-        searches = [guide_search(x) for x in axes]
+        dens, _, _, pieces = union_geometry(self.pc.space, centers,
+                                            state.h_m)[0]
+        W = dens[0].T.copy()  # (cells x survivors)
+        W /= (state.mu_m + (1.0 - state.mu_m) * W @ state.Q)[:, None]
+        axes = [(lo[0], hi[0], guide_search(lo[0])) for lo, hi in pieces]
+        shape = [len(lo) for lo, _, _ in axes]
 
         def locate(a):
             pos, inside = [], None
-            for x, search, u in zip(axes, searches, a.reshape(len(a), -1).T):
-                pos.append(np.minimum(search(u) - 1, len(x) - 2))
-                ok = (u - x[pos[-1]] > EDGE) & (x[pos[-1] + 1] - u > EDGE)
+            for (lo, hi, search), u in zip(axes, a.reshape(len(a), -1).T):
+                # the last kept piece starting at or before u; a u before
+                # the first has -1, and fails the test as lo[-1] > u
+                p = search(u) - 1
+                ok = (u - lo[p] > EDGE) & (hi[p] - u > EDGE)
+                pos.append(p)
                 inside = ok if inside is None else inside & ok
-            cell = pos[0] if space.d == 1 else np.ravel_multi_index(pos, shape)
+            cell = pos[0] if len(pos) == 1 else np.ravel_multi_index(
+                pos, shape, mode="wrap")  # a -1 wraps, and is masked
             return np.where(inside, cell, -1)
-        # cells in C order over the axes' pieces, as locate numbers them
-        mids = np.stack(np.meshgrid(*[(x[:-1] + x[1:]) / 2.0 for x in axes],
-                                    indexing="ij"), axis=-1)
-        mids = mids.reshape(-1, space.d) if space.d > 1 else mids.ravel()
-        return locate, self._weights(
-            state, np.repeat(centers, len(mids), axis=0), mids)
+        return locate, W
 
     def _score(self, state: EpochState, values, index, a,
                loss: np.ndarray) -> np.ndarray:
@@ -337,9 +324,10 @@ class SmoothPolicyElimination:
                 minlength=n_b * cells).reshape(n_b, cells)
             own = ~at
             if own.any():
-                rows = self._weights(
+                q, rows = self.propensity(
                     state, self._centers(state.vs, values, index[b][own]),
                     a[b][own])
+                rows /= q[:, None]  # in place: no second (rows x k) array
                 rows *= loss[b][own][:, None]
                 # one sum per batch over its consecutive rows
                 starts = np.flatnonzero(np.diff(batch[own], prepend=-1))
@@ -400,6 +388,14 @@ class SmoothPolicyElimination:
 
     # -- full run ----------------------------------------------------------
 
+    def check_cells(self, contexts) -> None:
+        """The cell cap of ``segment_cuts`` for the class's actions at these
+        contexts, at every h_m the horizon can reach (n_m >= delta_T)."""
+        c = self.pc.actions_many(contexts)
+        last = min(self.max_epochs, -(-self.config.T // self.delta_T))
+        for h in sorted({self.schedule(m)[0] for m in range(1, last + 1)}):
+            segment_cuts(self.pc.space, c, h)
+
     def run(self, rng: np.random.Generator,
             rng_env: Optional[np.random.Generator] = None) -> dict:
         """Full horizon; ``rng_env`` (defaults to ``rng``) drives contexts
@@ -409,11 +405,8 @@ class SmoothPolicyElimination:
         rng_env = rng_env or rng
         panel = self.env.context_panel(rng=rng)
         vs = VersionSpace(self.pc)
-        if self.pc.space.d > 1:  # the cell cap at each h_m; n_m >= delta_T
-            c = self.pc.actions_many(panel[0])
-            last = min(self.max_epochs, -(-T // self.delta_T))
-            for h in sorted({self.schedule(m)[0] for m in range(1, last + 1)}):
-                segment_cuts(self.pc.space, c, h)
+        if self.pc.space.d > 1:
+            self.check_cells(panel[0])
         actions: List[np.ndarray] = []
         losses: List[np.ndarray] = []
         mean_losses: List[np.ndarray] = []

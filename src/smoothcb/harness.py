@@ -60,9 +60,10 @@ class RunConfig:
             raise ValueError(f"T must be an integer >= 2, got {self.T!r}")
         check_policy_spec(self.n_policies)
         if (not isinstance(self.seeds, (list, tuple, range))
-                or not self.seeds or not all(map(_whole, self.seeds))):
+                or not self.seeds or not all(map(_whole, self.seeds))
+                or min(self.seeds) < 0):
             raise ValueError(
-                f"seeds must be a non-empty list of integers, "
+                f"seeds must be a non-empty list of non-negative integers, "
                 f"got {self.seeds!r}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(
@@ -200,9 +201,14 @@ def run_one(config: RunConfig, seed: int, env: Optional[StochasticEnv] = None,
 
 
 def run_inputs(config: RunConfig) -> dict:
-    """The env, pc and benchmark ``run_one`` takes, built before any round."""
+    """The env, pc and benchmark ``run_one`` takes, built before any round;
+    elimination's cell cap on the cube in d >= 2 is checked here too."""
     env = make_named_instance(config.env_name, **config.env_params)
     pc = default_policy_class(env, config.n_policies)
+    if config.alg in ("pe-s", "pe-l") and env.space.d > 1:
+        SmoothPolicyElimination(env, pc, ElimConfig(
+            variant=config.alg[3:], T=config.T, h=config.h, L=config.L)
+        ).check_cells(env.context_panel()[0])
     return {"env": env, "pc": pc, "benchmark": _benchmark(config, env, pc)}
 
 

@@ -168,13 +168,15 @@ def union_geometry(space: ActionSpace, centers: np.ndarray, h: float) -> list:
     """Each context's union of h-balls, cut into cells of constant density.
 
     ``centers`` has shape (contexts, k), plus a trailing d on the cube.
-    Returns (dens, meas, volume) blocks of consecutive contexts: ball j's
-    kernel density dens[c, j, s] on cell s of context c, the cell's measure
-    meas[c, s], and the union's measure volume[c].  A cell is one piece per
-    axis between ``segment_cuts``, those of length <= 1e-15 dropped.  Each
-    axis is padded with zero-measure pieces to the most any context keeps,
-    so a context's arrays, and sums over them, do not depend on how the
-    contexts are blocked or grouped.  The volume is the covered cells'
+    Returns (dens, meas, volume, pieces) blocks of consecutive contexts: ball
+    j's kernel density dens[c, j, s] on cell s of context c, the cell's
+    measure meas[c, s], the union's measure volume[c], and per axis the
+    (lo, hi) ends of its pieces, lo[c, p] and hi[c, p].  A cell is one piece
+    per axis between ``segment_cuts``, those of length <= 1e-15 dropped,
+    numbered in C order over the axes.  Each axis is padded, after its kept
+    pieces, with zero-measure pieces to the most any context keeps, so a
+    context's arrays, and sums over them, do not depend on how the contexts
+    are blocked or grouped.  The volume is the covered cells'
     measure, in 1-d the covered runs' lengths summed left to right.  The cap
     of ``segment_cuts`` holds before any table is built.  The exploration
     program builds it once per distinct row of survivor actions.
@@ -238,6 +240,7 @@ def _union_block(space: ActionSpace, c: np.ndarray, cuts: np.ndarray,
     lo, hi, keep = ([np.take_along_axis(x[:, a], order[:, a, :w], axis=1)
                      for a, w in enumerate(widths)]
                     for x in (cuts[..., :-1], cuts[..., 1:], keep))
+    pieces = list(zip(lo, hi))
     meas = [np.where(k, b - a, 0.0) for a, b, k in zip(lo, hi, keep)]
     mids = [(a + b) / 2.0 for a, b in zip(lo, hi)]
     if d > 1:  # a cell is one piece per axis, numbered in C order
@@ -250,13 +253,15 @@ def _union_block(space: ActionSpace, c: np.ndarray, cuts: np.ndarray,
     dens = RectKernel(space, h).densities(c[:, :, None], mids[:, None])
     covered = dens.any(axis=1)
     if d > 1:  # a padding piece gives its cells measure 0
-        return dens, meas, np.minimum(1.0, (covered * meas).sum(axis=1))
+        return (dens, meas, np.minimum(1.0, (covered * meas).sum(axis=1)),
+                pieces)
     # each covered run's right end minus its left end, added left to right
     run = np.diff((covered & keep).astype(int), axis=1, prepend=0, append=0)
     first, after = np.nonzero(run == 1), np.nonzero(run == -1)
     runs = np.zeros_like(meas)
     runs[first] = hi[after[0], after[1] - 1] - lo[first]
-    return dens, meas, np.minimum(1.0, np.cumsum(runs, axis=1)[:, -1])
+    return (dens, meas, np.minimum(1.0, np.cumsum(runs, axis=1)[:, -1]),
+            pieces)
 
 
 def union_ball_volume(subset: VersionSpace, x=None, h: float = 0.1) -> float:

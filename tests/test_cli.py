@@ -126,11 +126,13 @@ class TestBadRunConfig:
             "--h", "0.1", "--seeds", "1", "--policies", "4"]
 
     def _check_exit_2(self, capsys, argv, message):
+        """The one-line refusal's checks; returns what went to stdout."""
         code = main(argv)
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert code == 2
         assert err.count("\n") == 1 and "Traceback" not in err
         assert message in err
+        return out
 
     def _with(self, flag, value):
         argv = list(self.BASE)
@@ -160,6 +162,22 @@ class TestBadRunConfig:
     def test_repeated_seeds(self, capsys):
         self._check_exit_2(capsys, self._with("--seeds", "0,0"),
                            "seeds must not repeat")
+
+    @pytest.mark.parametrize("in_config", [False, True])
+    def test_negative_seed_before_play(self, tmp_path, capsys, monkeypatch,
+                                       in_config):
+        # refused with the configuration, not after seed 0 has played
+        monkeypatch.setattr(harness, "_loop_rounds", _no_play)
+        argv = ["run", "--alg", "exp4", "--env", "absolute", "--h", "0.1",
+                "--T", "50"]
+        if in_config:
+            _write_config(tmp_path, seeds=[0, -1])
+            argv += ["--config", str(tmp_path / "c.json")]
+        else:
+            argv += ["--seeds", "0,-1"]
+        assert self._check_exit_2(
+            capsys, argv, "seeds must be a non-empty list of non-negative "
+            "integers, got [0, -1]") == ""
 
     def test_lipschitz_constant_without_epoch_budget(self, capsys,
                                                      monkeypatch):
@@ -333,7 +351,7 @@ class TestBadRunConfig:
 
     def test_more_cells_than_a_chunk(self, capsys, monkeypatch):
         # a 64 x 64 grid cuts each axis into 127 pieces: 16,129 cells, more
-        # than CHUNK, refused from the per-axis counts before the first
+        # than MAX_CELLS, refused from the per-axis counts before the first
         # round and before any table is built
         def no_table(*args):
             raise AssertionError("a table was built")
@@ -356,6 +374,28 @@ class TestBadRunConfig:
                                     "0.1", "--seeds", "1", "--policies", "4",
                                     "--config", str(tmp_path / "c.json")],
                            "argument --kind: invalid choice: 'x'")
+
+    def test_cell_cap_before_any_configuration_plays(self, capsys,
+                                                     monkeypatch):
+        # the h = 1 configuration could play; h = 0.01 breaks the cap, and
+        # the sweep is refused while its configurations are built
+        monkeypatch.setattr(elimination.SmoothPolicyElimination,
+                            "_play_epoch", _no_play)
+        assert self._check_exit_2(
+            capsys, ["sweep", "--alg", "pe-s", "--env", "needle_h:d=2",
+                     "--h-list", "1,0.01", "--policies", "4096", "--T", "100",
+                     "--seeds", "1"],
+            "configuration error: the balls at h = 0.01 cut the cube into "
+            "16129 cells per context, more than 8192") == ""
+
+    @pytest.mark.parametrize("text", [b"{", b"\xff{"],
+                             ids=["truncated", "not-utf-8"])
+    def test_config_that_is_not_json(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(text)
+        self._check_exit_2(capsys, ["run", "--alg", "exp4", "--config",
+                                    str(cfg)],
+                           f"--config {str(cfg)!r} is not JSON: ")
 
     def test_config_that_is_not_an_object(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

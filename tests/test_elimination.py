@@ -587,25 +587,55 @@ class TestOneEpochPath:
             assert np.array_equal(alg.end_epoch(at, means).mask,
                                   alg.end_epoch(at, ref).mask)
 
-    @pytest.mark.parametrize("name", ["ring", "ring_whole", "cube1"])
+    @pytest.mark.parametrize("name", ["ring", "ring_whole",
+                                      "ring_tiny_segment", "cube1", "cube2"])
     def test_locate_matches_the_complex_key_search(self, name):
-        # every cut, both its neighbouring doubles, 0 and 1, and random
-        # actions, against the search over one context's complex keys
+        # on each axis every cut, both its neighbouring doubles, 0 and 1, and
+        # random actions (on the square, every pair of them), against the
+        # search over one context's complex keys; its raw pieces map to the
+        # kept ones, those over 1e-15 long, numbered in C order over the
+        # axes, and a round in a dropped piece takes its own row
         env, pc, alg, state = self._epoch(name)
         values = np.asarray(env.contexts.values)
         cuts = segment_cuts(pc.space, pc.actions_many(values)[
-            :, state.vs.indices], state.h_m)[:, 0]
+            :, state.vs.indices], state.h_m)[0]
         if name == "ring_whole":
             assert np.array_equal(cuts, [[0.0, 1.0]])
-        a = np.concatenate([cuts.ravel(), np.nextafter(cuts, 0.0).ravel(),
-                            np.nextafter(cuts, 1.0).ravel(), [0.0, 1.0],
-                            np.random.default_rng(5).random(1000)])
+        rng = np.random.default_rng(5)
+        axes, numbers, widths, dropped = [], [], [], []
+        for row in cuts:
+            u = np.concatenate([row, np.nextafter(row, 0.0),
+                                np.nextafter(row, 1.0), [0.0, 1.0],
+                                rng.random(1000 if len(cuts) == 1 else 30)])
+            raw = _complex_key_locate(row[None], np.zeros(len(u), dtype=int),
+                                      u)
+            kept = np.diff(row) > 1e-15
+            piece = np.minimum(row.searchsorted(u, side="right") - 1,
+                               len(kept) - 1)
+            axes.append(u)
+            numbers.append(np.where((raw >= 0) & kept[raw],
+                                    np.cumsum(kept)[raw] - 1, -1))
+            widths.append(int(kept.sum()))
+            dropped.append(~kept[piece] & (row[piece] < u)
+                           & (u < row[piece + 1]))
+        grid = np.meshgrid(*axes, indexing="ij")
+        a = grid[0].ravel() if len(cuts) == 1 else np.stack(
+            [g.ravel() for g in grid], axis=-1)
+        want, in_dropped = 0, False
+        for number, width, drop in zip(
+                np.meshgrid(*numbers, indexing="ij"), widths,
+                np.meshgrid(*dropped, indexing="ij")):
+            want = np.where((want < 0) | (number < 0), -1,
+                            want * width + number)
+            in_dropped = in_dropped | drop
         locate, W = alg._cells(state, values)
-        assert len(W) == cuts.shape[1] - 1
+        assert len(W) == math.prod(widths)
         cell = locate(a)
         assert np.any(cell >= 0) and np.any(cell < 0)
-        assert np.array_equal(
-            cell, _complex_key_locate(cuts, np.zeros(len(a), dtype=int), a))
+        assert np.array_equal(cell, want.ravel())
+        assert np.all(cell[in_dropped.ravel()] == -1)
+        if name == "ring_tiny_segment":
+            assert np.any(in_dropped)
 
     @pytest.mark.parametrize("name", ["ring", "sphere"])
     def test_chunking_changes_nothing_drawn(self, name, monkeypatch):

@@ -45,7 +45,7 @@ class TestRunConfig:
         ("h", float("nan")), ("h", "0.1"), ("n_policies", 0),
         ("seeds", []), ("seeds", 3), ("seeds", [0.5]), ("n_policies", 2.5),
         ("L", float("inf")), ("beta", 2.0), ("L", "1"),
-        ("seeds", [0, 0])])
+        ("seeds", [0, 0]), ("seeds", [0, -1])])
     def test_rejects_bad_values(self, field, value):
         kwargs = {"alg": "exp4", "env_name": "absolute", "T": 10, "h": 0.1}
         kwargs[field] = value

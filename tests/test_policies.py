@@ -244,7 +244,7 @@ class TestUnionGeometry:
         refs = [_reference_geometry(pc.space, pc.actions_at(x), h)
                 for x in xs]
         blocks = policies.union_geometry(pc.space, pc.actions_many(xs), h)
-        vols = np.concatenate([vol for _, _, vol in blocks])
+        vols = np.concatenate([vol for _, _, vol, _ in blocks])
         assert vols == pytest.approx([r[2] for r in refs], abs=1e-12)
         Q, value, _, V = solve_variance_program(pc, vs, h, mu, panel)
         assert V == pytest.approx(np.dot(ws, vols), abs=1e-12)

@@ -232,7 +232,7 @@ class TestImportanceWeightingUnbiased:
         want = RectKernel(pc.space, h).smoothed_losses(centers, loss)
         assert np.max(np.abs(est - want)) <= 1e-12
         assert np.max(np.abs(mass - 1.0)) <= 1e-12
-        volume = np.concatenate([v for _, _, v in
+        volume = np.concatenate([v for _, _, v, _ in
                                  union_geometry(pc.space, centers, h)])
         assert np.max(np.abs(covered - volume)) <= 1e-12
 
