@@ -48,8 +48,6 @@ class CorralMaster:
                  eta: float):
         if len(hs) == 0:
             raise ValueError("the bandwidth family must be nonempty")
-        if 0.0 in hs:
-            raise ValueError("algorithms reject the Dirac kernel h=0")
         self.T = T
         self.buckets: Dict[int, List[float]] = {}
         for h in hs:

@@ -29,7 +29,6 @@ import numpy as np
 
 from .environments import (FiniteContexts, StochasticEnv, draw_indices,
                            guide_search)
-from .estimators import median_of_means
 from .kernels import RectKernel
 from .policies import (PolicyClass, VersionSpace, distinct_rows,
                        segment_cuts, union_geometry)
@@ -342,7 +341,8 @@ class SmoothPolicyElimination:
             raise ValueError("end_epoch needs delta_T batch means per "
                              "survivor")
         # delta_T batches of one mean each: the lower median of the means
-        return self._prune(state, median_of_means(means, k=self.delta_T))
+        return self._prune(state,
+                           np.sort(means, axis=1)[:, (self.delta_T - 1) // 2])
 
     def _prune(self, state: EpochState, scores: np.ndarray) -> VersionSpace:
         thresh = scores.min() + 3.0 * state.r_m

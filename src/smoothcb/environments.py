@@ -218,12 +218,14 @@ class StochasticEnv:
     def smoothed_policy_losses(self, pc: PolicyClass, h: float,
                                panel=None) -> np.ndarray:
         """lambda_h(pi) for every policy: one batched kernel integral over
-        the panel's (contexts x policies), weighted over the contexts (h = 0
-        gives unsmoothed values).  ``panel`` defaults to context_panel()."""
-        kern = RectKernel(self.space, h)
+        the panel's (contexts x policies), weighted over the contexts; h = 0
+        gives the unsmoothed lambda(pi), from the mean loss at the policies'
+        actions.  ``panel`` defaults to context_panel()."""
         xs, ws = panel if panel is not None else self.context_panel()
-        return ws @ kern.smoothed_losses(pc.actions_many(xs),
-                                         self.mean_losses(xs))
+        acts, loss = pc.actions_many(xs), self.mean_losses(xs)
+        if h == 0.0:
+            return ws @ np.reshape(loss(acts), acts.shape[:2]).astype(float)
+        return ws @ RectKernel(self.space, h).smoothed_losses(acts, loss)
 
     def smoothed_benchmark(self, pc: PolicyClass, h: float,
                            panel=None) -> Tuple[float, int]:

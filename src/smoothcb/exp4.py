@@ -37,8 +37,6 @@ class Exp4State:
             raise ValueError("horizon must be >= 1")
         if len(hs) == 0:
             raise ValueError("the bandwidth list must be nonempty")
-        if 0.0 in hs:
-            raise ValueError("algorithms reject the Dirac kernel h=0")
         self.pc = pc
         self.kernels = [RectKernel(pc.space, h) for h in hs]
         self.T = T

@@ -1,11 +1,13 @@
 """Rectangular smoothing kernels and the discretized bandwidth grid.
 
-A kernel with bandwidth h turns an action a into the uniform distribution
-over the metric ball B(a, h).  Its density sup, kappa, acts as the effective
-number of actions.  Densities and smoothed losses are batch-first, and the
-one-centre methods are their one-row cases.  The bandwidth grid holds the
-multiples of 1/D that the snapping rule maps arbitrary bandwidths onto; it
-is kept virtual because its cardinality grows like D = d * 2^(d+2) * T^2.
+A kernel with bandwidth h in (0, 1] turns an action a into the uniform
+distribution over the metric ball B(a, h); the unsmoothed benchmark at
+h = 0 is the mean loss itself (``StochasticEnv.smoothed_policy_losses``).
+A kernel's density sup, kappa, acts as the effective number of actions.
+Densities and smoothed losses are batch-first, and the one-centre methods
+are their one-row cases.  The bandwidth grid holds the multiples of 1/D
+that the snapping rule maps arbitrary bandwidths onto; it is kept virtual
+because its cardinality grows like D = d * 2^(d+2) * T^2.
 """
 
 from __future__ import annotations
@@ -19,15 +21,11 @@ from .spaces import CUBE, RING, ActionSpace
 
 
 class RectKernel:
-    """Uniform-over-ball smoothing kernel on an action space.
-
-    h = 0 is a Dirac diagnostic kernel: density queries error out and
-    smoothed losses are the loss at the centre.  Algorithms reject h = 0.
-    """
+    """Uniform-over-ball smoothing kernel on an action space."""
 
     def __init__(self, space: ActionSpace, h: float):
-        if not 0.0 <= h <= 1.0:
-            raise ValueError("bandwidth must lie in [0, 1]")
+        if not 0.0 < h <= 1.0:
+            raise ValueError("bandwidth must lie in (0, 1]")
         self.space = space
         self.h = float(h)
 
@@ -45,8 +43,6 @@ class RectKernel:
         a trailing d on the cube, against actions (n,) or (n, d); the result
         is (n,) or (n, k).
         """
-        if self.h == 0.0:
-            raise ValueError("Dirac kernel has no density")
         dist = self.space.distances(centers, a)
         if self.space.kind == RING:
             return np.where(dist <= self.h, 1.0 / min(1.0, 2.0 * self.h), 0.0)
@@ -55,8 +51,6 @@ class RectKernel:
 
     def kappa(self) -> float:
         """sup over centers and points of the kernel density."""
-        if self.h == 0.0:
-            return math.inf
         if self.space.kind == RING:
             return 1.0 / min(1.0, 2.0 * self.h)
         return min(1.0, self.h) ** (-self.space.d)
@@ -66,8 +60,6 @@ class RectKernel:
         one-row draw, taken on the ring and the 1-d cube as scalar
         ``rng.uniform(lo, hi)`` doubles, ``lo + (hi - lo) * rng.random()``."""
         sp, h = self.space, self.h
-        if h == 0.0:
-            return center
         if sp.kind == RING:
             u = -h + (h + h) * rng.random()
             if 2.0 * h >= 1.0:
@@ -94,9 +86,6 @@ class RectKernel:
         """
         c = np.asarray(centers, dtype=float)
         sp, h = self.space, self.h
-        if h == 0.0:
-            return np.reshape(loss(c), c.shape[:-1] if sp.d > 1
-                              else c.shape).astype(float)
         if sp.d > 1:
             val = loss.integrate_box(np.maximum(0.0, c - h),
                                      np.minimum(1.0, c + h))

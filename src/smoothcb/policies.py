@@ -255,7 +255,10 @@ def _union_block(space: ActionSpace, c: np.ndarray, cuts: np.ndarray,
     if d > 1:  # a padding piece gives its cells measure 0
         return (dens, meas, np.minimum(1.0, (covered * meas).sum(axis=1)),
                 pieces)
-    # each covered run's right end minus its left end, added left to right
+    # each covered run's right end minus its left end, added left to right;
+    # a sum of the cells' measures rounds once per cell and reads
+    # 0.9999999999999968 where balls at h = 1/4 cover the ring, and V_m
+    # sets the epoch budgets and goes into the epoch rows
     run = np.diff((covered & keep).astype(int), axis=1, prepend=0, append=0)
     first, after = np.nonzero(run == 1), np.nonzero(run == -1)
     runs = np.zeros_like(meas)

@@ -82,11 +82,12 @@ class ActionSpace:
         if lead > 0 and c.ndim > x.ndim:
             x = x.reshape(x.shape[:lead] + (1,) * (c.ndim - x.ndim)
                           + x.shape[lead:])
-        dd = np.abs(c - x)
+        dd = np.abs(c - x) if self.d == 1 else np.abs(c[..., 0] - x[..., 0])
+        for i in range(1, self.d):  # the sup one axis at a time, in place
+            t = c[..., i] - x[..., i]
+            np.maximum(dd, np.abs(t, out=t), out=dd)
         if self.kind == RING:
             np.minimum(dd, 1.0 - dd, out=dd)
-        elif self.d > 1:
-            dd = np.max(dd, axis=-1)
         return dd
 
     def ball_volume(self, a, r: float) -> float:

@@ -1,7 +1,10 @@
 """Every global name that a module of the package reads is bound on the
 module or is a builtin: a name left behind by deleted code fails here at
-once, not only when the line that reads it runs."""
+once, not only when the line that reads it runs.  And the other way round,
+every name a module imports at its top level is read in it, so that
+deleting the last reader of an import deletes the import too."""
 
+import ast
 import builtins
 import importlib
 import pathlib
@@ -32,3 +35,22 @@ def test_every_global_read_is_bound():
     paths = sorted(p for p in SRC.glob("*.py") if p.stem != "__main__")
     assert len(paths) > 10
     assert [n for p in paths for n in _unbound_reads(p)] == []
+
+
+def _unread_imports(path):
+    tree = ast.parse(path.read_text())
+    bound = {(alias.asname or alias.name).split(".")[0]
+             for node in tree.body
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{path.stem}.{n}" for n in bound - read)
+
+
+def test_every_top_level_import_is_read():
+    # __init__ imports to re-export
+    paths = sorted(p for p in SRC.glob("*.py") if p.stem != "__init__")
+    assert len(paths) > 10
+    assert [n for p in paths for n in _unread_imports(p)] == []

@@ -4,8 +4,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from bandwidth_grid import grid_contains, grid_members
 
+from smoothcb.environments import make_named_instance
+from smoothcb.harness import default_policy_class
 from smoothcb.kernels import BandwidthGrid, RectKernel
 from smoothcb.losses import PiecewiseConstantLoss, PiecewiseLinearLoss
+from smoothcb.policies import PolicyClass
 from smoothcb.spaces import ActionSpace
 
 
@@ -29,9 +32,9 @@ class TestDensity:
         assert k.density(0.0, 0.05) == pytest.approx(10.0, abs=1e-12)
 
     def test_dirac_density_rejected(self):
-        k = RectKernel(ActionSpace.ring(), 0.0)
-        with pytest.raises(ValueError):
-            k.density(0.5, 0.5)
+        # a kernel always has a ball: h = 0 is refused when it is built
+        with pytest.raises(ValueError, match=r"must lie in \(0, 1\]"):
+            RectKernel(ActionSpace.ring(), 0.0)
 
     def test_normalization(self):
         # integral of the density against the base measure is 1 everywhere
@@ -146,9 +149,25 @@ class TestSmoothedLoss:
         assert k.smoothed_loss(0.5, mean) == pytest.approx(0.5, abs=1e-9)
 
     def test_dirac_returns_point_value(self):
-        mean = PiecewiseLinearLoss([0.0, 1.0], [0.0, 1.0])
-        k = RectKernel(ActionSpace.ring(), 0.0)
-        assert k.smoothed_loss(0.3, mean) == pytest.approx(0.3, abs=1e-12)
+        # the unsmoothed benchmark, h = 0, weighs the mean loss at each
+        # policy's action over the panel, evaluated here one context and one
+        # policy at a time: a ring class through the point dip at 0.7, the
+        # d = 2 needle field, and linear policies over sampled contexts
+        rng = np.random.default_rng(8)
+        w = rng.normal(size=(30, 2))
+        needle = make_named_instance("needle_h", d=2)
+        cases = [
+            (make_named_instance("discontinuous"),
+             PolicyClass.constant(ActionSpace.ring(), np.arange(40) / 40)),
+            (needle, default_policy_class(needle, 400)),
+            (make_named_instance("linear_sphere"), PolicyClass.linear_sphere(
+                ActionSpace.cube(1), w / np.linalg.norm(w, axis=1)[:, None]))]
+        for env, pc in cases:
+            xs, ws = env.context_panel(n_ctx=50)
+            point = [[np.asarray(env.mean_loss_of(x)(pc.act(p, x))).item()
+                      for p in range(pc.size)] for x in xs]
+            got = env.smoothed_policy_losses(pc, 0.0, panel=(xs, ws))
+            assert _bits(got) == _bits(ws @ np.array(point))
 
     def test_lipschitz_gap(self):
         # |smoothed value - point value| <= L * h

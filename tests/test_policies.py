@@ -224,6 +224,27 @@ def _reference_geometry(space, centers, h):
     return dens, meas, min(1.0, total + (cur_hi - cur_lo))
 
 
+def _run_length_volume(space, acts, h):
+    """One context's ball-union measure on a 1-d space, one piece at a time:
+    over the pieces between its segment_cuts, those of length <= 1e-15
+    skipped, each run of covered pieces adds its right end minus its left
+    end, left to right."""
+    cuts = policies.segment_cuts(space, np.asarray(acts)[None], h)[0, 0]
+    total, run = 0.0, None
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if hi - lo <= 1e-15:
+            continue
+        mid = (lo + hi) / 2.0
+        if any(space.distance(c, mid) <= h for c in acts):
+            run = (lo if run is None else run[0], hi)
+        elif run is not None:
+            total += run[1] - run[0]
+            run = None
+    if run is not None:
+        total += run[1] - run[0]
+    return min(1.0, total)
+
+
 _RING, _CUBE1 = ActionSpace.ring(), ActionSpace.cube(1)
 _GEOMETRY_CASES = {
     "ring-wraparound": (_RING, [0.02, 0.5, 0.97, 0.9], 0.1),
@@ -388,6 +409,33 @@ class TestUnionBallVolume:
                     <= union_ball_volume(big, h=h1) + 1e-12)
             assert (union_ball_volume(big, h=h1)
                     <= union_ball_volume(big, h=h2) + 1e-12)
+
+    @pytest.mark.parametrize("h", [1 / 2, 1 / 4, 1 / 8, 1 / 16])
+    def test_evenly_spaced_ring_class_covers_exactly_one(self, h):
+        # the class pe-absolute eliminates over: its covered runs add up to
+        # exactly 1.0, where the cells' measures summed give
+        # 0.9999999999999968 at h = 1/4, and V_m sets the epoch budgets
+        pc = PolicyClass.constant(ActionSpace.ring(), np.arange(100) / 100)
+        assert union_ball_volume(VersionSpace(pc), h=h) == 1.0
+
+    @pytest.mark.parametrize("space", [_RING, _CUBE1], ids=repr)
+    def test_one_d_volume_same_bits_as_the_run_reference(self, space):
+        # random classes, some evenly spaced with dyadic h so that balls
+        # touch, several contexts per call so that rows are padded
+        rng = np.random.default_rng(11)
+        for _ in range(400):
+            k = int(rng.integers(1, 10))
+            if rng.random() < 0.3:
+                acts = np.tile(np.arange(k) / k, (3, 1))
+                h = 2.0 ** -int(rng.integers(1, 7))
+            else:
+                acts = rng.random((3, k))
+                h = float(rng.uniform(0.005, 0.4))
+            blocks = policies.union_geometry(space, acts, h)
+            got = np.concatenate([vol for _, _, vol, _ in blocks])
+            want = np.array([_run_length_volume(space, row, h)
+                             for row in acts])
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("side,cells", [(9, 19 ** 3), (10, 21 ** 3)])
     def test_cube_cell_cap(self, monkeypatch, side, cells):

@@ -60,6 +60,30 @@ class TestDistance:
                 assert (space.distance(a, c)
                         <= space.distance(a, b) + space.distance(b, c) + 1e-12)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_cube_distances_same_bits_as_the_d_wide_max(self, d):
+        # the sup taken one axis at a time against np.max over the whole
+        # (..., d) difference array: one action against k centres, one
+        # action per round, and _union_block's (n, k, 1, d) centres against
+        # (n, 1, cells, d) cell midpoints; faces and ties included
+        space = ActionSpace.cube(d)
+        rng = np.random.default_rng(d)
+        for cs, xs in [((9, d), (d,)), ((5, 7, d), (5, d)),
+                       ((4, 6, 1, d), (4, 1, 11, d))]:
+            c, x = rng.random(cs), rng.random(xs)
+            rows = c.reshape(-1, d)  # a view: faces, and a zero distance
+            rows[0], rows[1], rows[2] = 0.0, 1.0, x.reshape(-1, d)[0]
+            lead = x.ndim - 1
+            if lead and c.ndim > x.ndim:
+                x_b = x.reshape(x.shape[:lead] + (1,) * (c.ndim - x.ndim)
+                                + x.shape[lead:])
+            else:
+                x_b = x
+            want = np.max(np.abs(c - x_b), axis=-1)
+            got = space.distances(c, x)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
 
 class TestBallVolume:
     def test_ring_arc(self):
