@@ -67,9 +67,12 @@ def parse_env_spec(spec: str):
 
 
 def seed_list(text: str) -> List[int]:
-    """A seed count n (seeds 0 to n - 1) or an explicit comma list."""
-    return ([int(s) for s in text.split(",")] if "," in text
-            else list(range(int(text))))
+    """A seed count n >= 1 (seeds 0 to n - 1) or an explicit comma list."""
+    seeds = ([int(s) for s in text.split(",")] if "," in text
+             else list(range(int(text))))
+    if not seeds:
+        raise ValueError(text)
+    return seeds
 
 
 def float_list(text: str) -> List[float]:

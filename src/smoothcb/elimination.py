@@ -351,17 +351,16 @@ class SmoothPolicyElimination:
         return VersionSpace(self.pc, new_mask)
 
     def _play_epoch(self, state: EpochState, n: int,
-                    rng: np.random.Generator, rng_env: np.random.Generator,
-                    score: bool = True):
+                    rng: np.random.Generator, rng_env: np.random.Generator):
         """Play n rounds; returns (actions, losses, mean losses, means).
 
         Contexts, draws and losses are drawn whole, in that order.  Picked
         centres are one flat take per block of rounds: a finite set (few
         context rows) plays as one block, a sampler CHUNK rounds at a time.
-        With ``score`` (which needs n = n_m), means is ``_score``'s
-        (survivors x delta_T) batch means: batch b's mean estimate of each
-        survivor's smoothed loss.  Without it nothing per survivor is formed
-        and means is None.
+        An epoch that plays its whole budget (n = n_m) is scored: means is
+        ``_score``'s (survivors x delta_T) batch means, batch b's mean
+        estimate of each survivor's smoothed loss.  Any other n forms
+        nothing per survivor and means is None.
         """
         values, index = self.env.contexts.sample_many(rng_env, n)
         step = n if isinstance(self.env.contexts, FiniteContexts) else CHUNK
@@ -380,10 +379,8 @@ class SmoothPolicyElimination:
 
         a = self._draw(state, n, picked_centers, rng)
         loss, mean = self.env.realize_many(values, index, a, rng_env)
-        if not score:
-            return a, loss, mean, None
         if n != state.n_m:
-            raise ValueError("a scored epoch plays n_m rounds")
+            return a, loss, mean, None
         return a, loss, mean, self._score(state, values, index, a, loss)
 
     # -- full run ----------------------------------------------------------
@@ -398,8 +395,10 @@ class SmoothPolicyElimination:
 
     def run(self, rng: np.random.Generator,
             rng_env: Optional[np.random.Generator] = None) -> dict:
-        """Full horizon; ``rng_env`` (defaults to ``rng``) drives contexts
-        and loss noise so the environment stream is reproducible on its own.
+        """Full horizon: epoch m plays min(n_m, T - t) rounds, and the last,
+        ceil(log2 T), every round left.  ``rng_env`` (defaults to ``rng``)
+        drives contexts and loss noise so the environment stream is
+        reproducible on its own.
         """
         T = self.config.T
         rng_env = rng_env or rng
@@ -412,14 +411,11 @@ class SmoothPolicyElimination:
         mean_losses: List[np.ndarray] = []
         epoch_rows = []
         t = 0
-        m = 1
-        while t < T:
-            if m <= self.max_epochs:
-                state = self.start_epoch(m, vs, panel)
-            n_play = min(state.n_m, T - t)
-            full = n_play == state.n_m and m <= self.max_epochs
+        for m in range(1, self.max_epochs + 1):
+            state = self.start_epoch(m, vs, panel)
+            n_play = T - t if m == self.max_epochs else min(state.n_m, T - t)
             a_arr, loss_arr, mean_arr, means = self._play_epoch(
-                state, n_play, rng, rng_env, score=full)
+                state, n_play, rng, rng_env)
             actions.append(a_arr)
             losses.append(loss_arr)
             mean_losses.append(mean_arr)
@@ -429,12 +425,13 @@ class SmoothPolicyElimination:
                 "n_m": state.n_m, "played": n_play,
                 "solver_value": state.solver_value,
                 "solver_iters": state.solver_iters,
-                "eliminated": full,
+                "eliminated": means is not None,
             })
-            t += n_play
-            if full:
+            if means is not None:
                 vs = self.end_epoch(state, means)
-            m += 1
+            t += n_play
+            if t == T:
+                break
         return {
             "actions": np.concatenate(actions),
             "losses": np.concatenate(losses),

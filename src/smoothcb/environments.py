@@ -208,12 +208,10 @@ class StochasticEnv:
 
     # -- benchmarks -------------------------------------------------------
 
-    def context_panel(self, n_ctx: Optional[int] = None,
-                      rng: Optional[np.random.Generator] = None):
-        """(contexts, weights): the finite set itself, or ``n_ctx``
-        (default N_CTX) contexts sampled from ``rng`` (default seed 0)."""
-        rng = rng or np.random.default_rng(0)
-        return self.contexts.panel(N_CTX if n_ctx is None else n_ctx, rng)
+    def context_panel(self, rng: Optional[np.random.Generator] = None):
+        """(contexts, weights): the finite set itself, or N_CTX contexts
+        sampled from ``rng`` (default seed 0)."""
+        return self.contexts.panel(N_CTX, rng or np.random.default_rng(0))
 
     def smoothed_policy_losses(self, pc: PolicyClass, h: float,
                                panel=None) -> np.ndarray:
@@ -240,10 +238,6 @@ class StochasticEnv:
 # ---------------------------------------------------------------------------
 
 
-def _single_context(space: ActionSpace) -> FiniteContexts:
-    return FiniteContexts([None], [1.0])
-
-
 def _discontinuous(ap: float = 0.7, noise: str = BERNOULLI) -> StochasticEnv:
     """V-shaped mean loss on the ring with an isolated dip at a single point.
 
@@ -256,7 +250,7 @@ def _discontinuous(ap: float = 0.7, noise: str = BERNOULLI) -> StochasticEnv:
     mean = PiecewiseLinearLoss([0.0, 0.5, 1.0], [1.0, 0.25, 1.0],
                                special_points={ap: 0.1})
     return StochasticEnv(
-        space, _single_context(space), lambda xs: mean, noise=noise,
+        space, FiniteContexts([None]), lambda xs: mean, noise=noise,
         metadata={"ap": ap})
 
 
@@ -266,7 +260,7 @@ def _absolute(astar: float = 0.5, noise: str = BERNOULLI) -> StochasticEnv:
     space = ActionSpace.ring()
     mean = PiecewiseLinearLoss([0.0, astar, 1.0], [astar, 0.0, 1.0 - astar])
     return StochasticEnv(
-        space, _single_context(space), lambda xs: mean, noise=noise,
+        space, FiniteContexts([None]), lambda xs: mean, noise=noise,
         lipschitz_constant=1.0, metadata={"astar": astar})
 
 
@@ -411,7 +405,7 @@ def _needle_h(h: float = 0.125, R: float = 10.0, d: int = 1, index: int = 0,
                          for b in p.factors[0].breaks})
         mean = PiecewiseConstantLoss(breaks, mean(breaks[:-1]))
     return StochasticEnv(
-        space, _single_context(space), lambda xs: mean, noise=noise,
+        space, FiniteContexts([None]), lambda xs: mean, noise=noise,
         metadata={"h": h, "R": R, "delta": delta, "N": N, "center": c,
                   "index": index, "c0": np.full(d, 0.75) if d > 1 else 0.75})
 
@@ -448,7 +442,7 @@ def _needle_L(L: float = 4.0, R: float = 10.0, index: int = 0,
 
     mean = PiecewiseLinearLoss(bs, [phi(b) for b in bs])
     return StochasticEnv(
-        space, _single_context(space), lambda xs: mean, noise=noise,
+        space, FiniteContexts([None]), lambda xs: mean, noise=noise,
         lipschitz_constant=L if index >= 1 else 1.0,
         metadata={"L": L, "R": R, "delta": delta, "N": N, "center": ci,
                   "index": index, "c0": c0})

@@ -88,7 +88,7 @@ class RegretTrace:
     benchmark: float
     benchmark_h: Optional[float]
     regret: float
-    pseudo_regret: Optional[float]
+    pseudo_regret: float
     walltime: float
     epochs: Optional[List[dict]] = None
 
@@ -276,9 +276,8 @@ def write_outputs(config: RunConfig, traces: List[RegretTrace],
         "benchmark_h": traces[0].benchmark_h,
         "regret_mean": stats["regret_mean"],
         "regret_std": stats["regret_std"],
-        "pseudo_regret_mean": (
-            float(np.mean([tr.pseudo_regret for tr in traces]))
-            if traces[0].pseudo_regret is not None else None),
+        "pseudo_regret_mean": float(
+            np.mean([tr.pseudo_regret for tr in traces])),
         "runtime_total": float(sum(tr.walltime for tr in traces)),
         "seeds": [tr.seed for tr in traces],
     }

@@ -254,7 +254,7 @@ def test_09_policy_elimination_correctness():
     env = make_named_instance("absolute")
     pc = default_policy_class(env, 100)
     h, T = 0.05, 2 ** 16
-    panel = env.context_panel(2000, np.random.default_rng(0))
+    panel = env.contexts.panel(2000, np.random.default_rng(0))
     vals = env.smoothed_policy_losses(pc, h, panel=panel)
     opt_idx = int(np.argmin(vals))
     survived = 0
@@ -281,29 +281,29 @@ def test_09_policy_elimination_correctness():
 
 
 def _pe_l_exact_epochs(env, pc, L, T):
-    # the epochs pe-l plays to horizon T, walked with the learner's own
-    # start_epoch and _prune, each survivor scored by its exact smoothed
-    # loss; one row (rounds played, expected per-round pseudo-regret,
-    # survivors at the start, tilde n_m) per epoch
-    panel = env.context_panel(2000, np.random.default_rng(0))
+    # the epochs pe-l plays to horizon T, walked as run walks them with the
+    # learner's own start_epoch and _prune, each survivor scored by its
+    # exact smoothed loss; one row (rounds played, expected per-round
+    # pseudo-regret, survivors at the start, tilde n_m) per epoch
+    panel = env.contexts.panel(2000, np.random.default_rng(0))
     lam0, _ = env.smoothed_benchmark(pc, 0.0, panel=panel)
     uniform = sum(w * env.mean_loss_of(x).integrate_intervals([(0.0, 1.0)])
                   for x, w in zip(*panel))
     alg = SmoothPolicyElimination(env, pc, ElimConfig(variant="l", T=T, L=L))
-    vs, t, m, rows = VersionSpace(pc), 0, 1, []
-    while t < T:
-        if m <= alg.max_epochs:
-            state = alg.start_epoch(m, vs, panel)
-            lam = env.smoothed_policy_losses(
-                pc, state.h_m, panel=panel)[state.vs.indices]
-            gap = (state.mu_m * uniform
-                   + (1.0 - state.mu_m) * float(state.Q @ lam) - lam0)
-        n = min(state.n_m, T - t)
+    vs, t, rows = VersionSpace(pc), 0, []
+    for m in range(1, alg.max_epochs + 1):
+        state = alg.start_epoch(m, vs, panel)
+        lam = env.smoothed_policy_losses(
+            pc, state.h_m, panel=panel)[state.vs.indices]
+        gap = (state.mu_m * uniform
+               + (1.0 - state.mu_m) * float(state.Q @ lam) - lam0)
+        n = T - t if m == alg.max_epochs else min(state.n_m, T - t)
         rows.append((n, gap, len(state.vs), state.tilde_n_m))
-        t += n
-        if n == state.n_m and m <= alg.max_epochs:
+        if n == state.n_m:
             vs = alg._prune(state, lam)
-        m += 1
+        t += n
+        if t == T:
+            break
     return rows
 
 
@@ -381,7 +381,7 @@ def test_10_zooming_speedup_trend():
         exponents[name] = float(np.polyfit(
             np.log(horizons), np.log(np.maximum(regs, 1e-9)), 1)[0])
         lam0, _ = env.smoothed_benchmark(
-            pc, 0.0, panel=env.context_panel(2000, np.random.default_rng(0)))
+            pc, 0.0, panel=env.contexts.panel(2000, np.random.default_rng(0)))
         for T in [2 ** k for k in range(12, 17)]:
             cfg = RunConfig(alg="pe-l", env_name=name, T=T, L=L,
                             n_policies=100)
@@ -423,7 +423,7 @@ def test_11_corral_single_learner_degeneracy():
     def lines(actions, losses):
         tr = RegretTrace(seed=0, actions=actions, losses=losses,
                          benchmark=0.0, benchmark_h=h, regret=0.0,
-                         pseudo_regret=None, walltime=0.0)
+                         pseudo_regret=0.0, walltime=0.0)
         return trace_csv_lines(tr)
 
     ok = lines(a1, l1) == lines(a2, l2)

@@ -139,8 +139,18 @@ class TestBadRunConfig:
         argv[argv.index(flag) + 1] = value
         return argv
 
-    def test_zero_seeds(self, capsys):
-        self._check_exit_2(capsys, self._with("--seeds", "0"), "seeds")
+    @pytest.mark.parametrize("in_config", [False, True],
+                             ids=["flag", "config"])
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_zero_seeds(self, tmp_path, capsys, count, in_config):
+        argv = self._with("--seeds", count)
+        if in_config:
+            i = argv.index("--seeds")
+            del argv[i:i + 2]
+            _write_config(tmp_path, seeds=int(count))
+            argv += ["--config", str(tmp_path / "c.json")]
+        self._check_exit_2(capsys, argv, "argument --seeds: invalid "
+                           f"seed_list value: '{count}'")
 
     def test_nan_bandwidth(self, capsys):
         self._check_exit_2(capsys, self._with("--h", "nan"), "h must lie")

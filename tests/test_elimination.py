@@ -20,7 +20,8 @@ from smoothcb.elimination import (SOLVER_TOL, ElimConfig, EpochState,
 from smoothcb.environments import (FiniteContexts, StochasticEnv,
                                    make_named_instance)
 from smoothcb.estimators import IWSample, iw_estimate
-from smoothcb.harness import RunConfig, default_policy_class, run_experiment
+from smoothcb.harness import (RunConfig, default_policy_class,
+                              run_experiment, run_one)
 from smoothcb.kernels import RectKernel
 from smoothcb.losses import PiecewiseConstantLoss, PiecewiseLinearLoss
 from smoothcb.policies import (PolicyClass, VersionSpace, segment_cuts,
@@ -183,7 +184,7 @@ def _cube2_tabular():
 
 def _sampled_panel(pc, n=500):
     env = make_named_instance("linear_sphere")
-    xs, ws = env.context_panel(n, np.random.default_rng(1))
+    xs, ws = env.contexts.panel(n, np.random.default_rng(1))
     return pc, (xs, ws)
 
 
@@ -510,16 +511,18 @@ class TestOneEpochPath:
     def _epoch(self, name):
         env, pc, alg = self._alg(name)
         rng = np.random.default_rng(0)
-        panel = env.context_panel(50, rng)
+        panel = env.contexts.panel(50, rng)
         return env, pc, alg, alg.start_epoch(1, VersionSpace(pc), panel)
 
     @pytest.mark.parametrize("name", sorted(_INSTANCES))
     def test_estimates_and_propensities_exact(self, name):
         env, pc, alg, state = self._epoch(name)
         n = 200
-        a, loss, _, _ = alg._play_epoch(state, n, np.random.default_rng(2),
-                                        np.random.default_rng(1),
-                                        score=False)
+        assert n != state.n_m
+        a, loss, _, means = alg._play_epoch(state, n,
+                                            np.random.default_rng(2),
+                                            np.random.default_rng(1))
+        assert means is None  # not the whole budget: not scored
         # the same epoch, step by step
         rng_env = np.random.default_rng(1)
         values, index = env.contexts.sample_many(rng_env, n)
@@ -550,10 +553,13 @@ class TestOneEpochPath:
         state = dataclasses.replace(state, tilde_n_m=37,
                                     n_m=37 * alg.delta_T)
         n = state.n_m
-        a, loss, _, _ = alg._play_epoch(state, n, np.random.default_rng(2),
-                                        np.random.default_rng(1),
-                                        score=False)
+        a, loss, _, scored = alg._play_epoch(state, n,
+                                             np.random.default_rng(2),
+                                             np.random.default_rng(1))
         values, index = env.contexts.sample_many(np.random.default_rng(1), n)
+        # the whole budget is scored, by the scorer this test checks below
+        assert np.array_equal(scored.view(np.uint64), alg._score(
+            state, values, index, a, loss).view(np.uint64))
         finite = isinstance(env.contexts, FiniteContexts)
         cells = finite and len(values) == 1
         if finite:
@@ -750,6 +756,20 @@ class TestFullRun:
         assert np.array_equal(out1["actions"], out2["actions"])
         assert np.array_equal(out1["losses"], out2["losses"])
 
+    def test_last_epoch_plays_out_the_horizon(self):
+        # at L = 10^6 the budgets stay small, so the schedule reaches its
+        # last epoch, ceil(log2 10^4) = 14, with 8,880 rounds left: one row
+        # plays them all, and as that is not its budget it is not scored
+        tr = run_one(RunConfig(alg="pe-l", env_name="absolute", T=10 ** 4,
+                               L=1e6, n_policies=64), 0)
+        rows = tr.epochs
+        assert [row["m"] for row in rows] == list(range(1, 15))
+        assert all(row["played"] == row["n_m"] and row["eliminated"]
+                   for row in rows[:-1])
+        assert (rows[-1]["played"], rows[-1]["n_m"]) == (8880, 480)
+        assert rows[-1]["eliminated"] is False
+        assert sum(row["played"] for row in rows) == 10 ** 4
+
     @pytest.mark.parametrize("T,refused", [(50, False), (10 ** 5, True)])
     def test_pe_l_cell_cap_before_the_first_round(self, monkeypatch, T,
                                                   refused):
@@ -785,7 +805,7 @@ class TestBoundedMemory:
             env, pc, ElimConfig(variant="l", T=2 ** 18, L=1.0))
         rng = np.random.default_rng(0)
         state = alg.start_epoch(1, VersionSpace(pc),
-                                env.context_panel(2000, rng))
+                                env.contexts.panel(2000, rng))
         assert state.n_m == 128_000 and len(state.vs) == 100
         tracemalloc.start()
         try:

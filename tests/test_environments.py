@@ -338,7 +338,8 @@ class TestLinearSphere:
         ws = np.vstack([wstar, ws])
         pc = PolicyClass.linear_sphere(env.space, ws)
         vals = env.smoothed_policy_losses(pc, 0.0,
-                                           panel=env.context_panel(400))
+                                           panel=env.contexts.panel(
+                                               400, np.random.default_rng(0)))
         assert np.argmin(vals) == 0
 
     def test_mean_loss_range_and_floor(self):
@@ -644,9 +645,9 @@ class TestNeedleCube:
         # Monte Carlo 1.088 and 1.0944 where the exact cells give 1.0
         play = elimination.SmoothPolicyElimination._play_epoch
 
-        def past_the_draws(self, state, n, rng, rng_env, score=True):
+        def past_the_draws(self, state, n, rng, rng_env):
             rng.uniform(0.0, 1.0, size=(1, 10 ** 4, 2))
-            return play(self, state, n, rng, rng_env, score)
+            return play(self, state, n, rng, rng_env)
         monkeypatch.setattr(elimination.SmoothPolicyElimination,
                             "_play_epoch", past_the_draws)
         assert self._digest("pe-s", 2048, epochs=False) == (

@@ -2,7 +2,8 @@
 module or is a builtin: a name left behind by deleted code fails here at
 once, not only when the line that reads it runs.  And the other way round,
 every name a module imports at its top level is read in it, so that
-deleting the last reader of an import deletes the import too."""
+deleting the last reader of an import deletes the import too, and every
+parameter of a module-level function is read in its body."""
 
 import ast
 import builtins
@@ -54,3 +55,26 @@ def test_every_top_level_import_is_read():
     paths = sorted(p for p in SRC.glob("*.py") if p.stem != "__init__")
     assert len(paths) > 10
     assert [n for p in paths for n in _unread_imports(p)] == []
+
+
+def _unread_parameters(path):
+    unread = []
+    for node in ast.parse(path.read_text()).body:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args
+                  + args.kwonlyargs + [args.vararg, args.kwarg] if a]
+        read = {n.id for n in ast.walk(node)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [f"{path.stem}.{node.name}({p})" for p in params
+                   if p not in read]
+    return unread
+
+
+def test_every_function_parameter_is_read():
+    # module-level functions only: a method may keep a parameter that its
+    # protocol passes
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) > 10
+    assert [n for p in paths for n in _unread_parameters(p)] == []

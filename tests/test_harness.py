@@ -225,7 +225,7 @@ class TestOutputs:
         losses[400:600] = 1.0
         tr = RegretTrace(seed=0, actions=actions, losses=losses,
                          benchmark=0.0, benchmark_h=None, regret=0.0,
-                         pseudo_regret=None, walltime=0.0)
+                         pseudo_regret=0.0, walltime=0.0)
         assert trace_csv_lines(tr) == _csv_lines_loop(tr)
 
     def test_csv_format(self):

@@ -163,7 +163,7 @@ class TestSmoothedLoss:
             (make_named_instance("linear_sphere"), PolicyClass.linear_sphere(
                 ActionSpace.cube(1), w / np.linalg.norm(w, axis=1)[:, None]))]
         for env, pc in cases:
-            xs, ws = env.context_panel(n_ctx=50)
+            xs, ws = env.contexts.panel(50, np.random.default_rng(0))
             point = [[np.asarray(env.mean_loss_of(x)(pc.act(p, x))).item()
                       for p in range(pc.size)] for x in xs]
             got = env.smoothed_policy_losses(pc, 0.0, panel=(xs, ws))
