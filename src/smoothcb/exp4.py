@@ -16,6 +16,7 @@ restarts with a re-tuned learning rate.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -66,15 +67,12 @@ class Exp4State:
         self._logw = value
         self._cum = None
 
-    @property
-    def P(self) -> np.ndarray:
-        w = np.exp(self.logw - self.logw.max())
-        return w / w.sum()
-
     def density_vector(self, x, a, acts=None) -> np.ndarray:
         """xi(a|x) for every member of Xi (``acts``: pc.actions_at(x))."""
         if acts is None:
             acts = self.pc.actions_at(x)
+        if len(self.kernels) == 1:
+            return self.kernels[0].densities(acts, a)
         return np.concatenate([k.densities(acts, a) for k in self.kernels])
 
     # -- protocol ---------------------------------------------------------
@@ -84,11 +82,12 @@ class Exp4State:
         if self.t >= self.T:
             raise RuntimeError("horizon exhausted")
         if self._cum is None:
-            # update leaves max(logw) == 0, so these are the weights P gives
+            # update leaves max(logw) == 0, so exp(logw) needs no shift
             w = np.exp(self.logw)
             self._P = w / w.sum()
-            self._cum = self._P.cumsum()
-        j = min(int(self._cum.searchsorted(rng.random())), self.n - 1)
+            # bisect_left picks as searchsorted's default side="left" does
+            self._cum = self._P.cumsum().tolist()
+        j = min(bisect_left(self._cum, rng.random()), self.n - 1)
         i, pol = divmod(j, self.pc.size)
         acts = self.pc.actions_at(x)
         a = self.kernels[i].sample(acts[pol], rng)
@@ -125,8 +124,9 @@ class Exp4State:
         else:
             p = self.propensity(x)
             est = self._pending[3] * (observed_loss / p)
-            self.logw = self.logw - self.eta * est
-            self.logw -= self.logw.max()
+            logw = self.logw - self.eta * est
+            logw -= logw.max()
+            self.logw = logw
         self.t += 1
         self._pending = None
         return est

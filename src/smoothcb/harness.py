@@ -17,12 +17,15 @@ import numpy as np
 
 from . import corral as corral_mod
 from .elimination import ElimConfig, SmoothPolicyElimination
-from .environments import StochasticEnv, _real, _whole, make_named_instance
+from .environments import (FiniteContexts, StochasticEnv, _real, _whole,
+                           make_named_instance)
 from .exp4 import Exp4State
 from .kernels import BandwidthGrid
 from .policies import PolicyClass, packing_number
 
 ALGORITHMS = ("exp4", "pe-s", "pe-l", "corral-uniform-h", "corral-lipschitz")
+# doubles a per-round loop draws from a generator at a time
+RNG_BLOCK = 4096
 
 
 def check_policy_spec(n_policies) -> None:
@@ -122,21 +125,56 @@ def default_policy_class(env: StochasticEnv, n: int) -> PolicyClass:
 # ---------------------------------------------------------------------------
 
 
+class BlockRandom:
+    """A generator's ``random()`` doubles, drawn RNG_BLOCK at a time.
+
+    ``random()`` and ``random(shape)`` return the doubles the generator's
+    own calls would, in the same order: a block of ``rng.random(n)`` holds
+    the doubles of n scalar draws.  Only the generator's state after the
+    last read differs, by the block's unread rest.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._it = iter(())
+
+    def random(self, size=None):
+        if size is not None:
+            n = int(np.prod(size))
+            return np.array([self.random() for _ in range(n)]).reshape(size)
+        try:
+            return next(self._it)
+        except StopIteration:
+            self._it = iter(self._rng.random(RNG_BLOCK).tolist())
+            return next(self._it)
+
+
 def _loop_rounds(env: StochasticEnv, learner, env_rng, alg_rng):
     """Play ``learner.T`` rounds of a learner with the ``round(x, loss_eval,
-    rng)`` protocol (``Exp4State`` or ``CorralMaster``)."""
+    rng)`` protocol (``Exp4State`` or ``CorralMaster``).
+
+    The algorithm stream is read through a ``BlockRandom``, and so is the
+    environment stream of a ``FiniteContexts`` env, which draws only
+    ``random()`` doubles; a sampled context set draws normals, so its
+    stream stays the generator itself.
+    """
     T = learner.T
     actions = np.empty(T) if env.space.d == 1 else np.empty((T, env.space.d))
     losses = np.empty(T)
     means = np.empty(T)
+    if isinstance(env.contexts, FiniteContexts):
+        env_rng = BlockRandom(env_rng)
+    alg_rng = BlockRandom(alg_rng)
+    sample, realize_at = env.contexts.sample, env.realize_at
+    play = learner.round
     for t in range(T):
-        x = env.contexts.sample(env_rng)
+        x = sample(env_rng)
 
         def loss_eval(a):
-            losses[t], means[t] = env.realize_at(x, a, env_rng)
+            losses[t], means[t] = realize_at(x, a, env_rng)
             return losses[t]
 
-        actions[t], _ = learner.round(x, loss_eval, alg_rng)
+        actions[t], _ = play(x, loss_eval, alg_rng)
     return actions, losses, means
 
 

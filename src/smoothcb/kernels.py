@@ -128,14 +128,15 @@ class BandwidthGrid:
         return self.D - math.ceil(self.D * self.kappa_cap ** (-1.0 / self.d)) + 1
 
     def snap(self, h: float) -> float:
-        """Largest grid multiple below h; keeps kappa within a factor 2.
+        """Largest grid multiple m / D at or below h; keeps kappa within a
+        factor 2.  m = floor(h * D) is exact, in integers from h's ratio,
+        and m / D rounds to a double that is still at or below h.
 
         Requires h >= T^(-1/d) (below that the caller should fall back to
         the trivial regret bound).
         """
         if h < self.T ** (-1.0 / self.d) - 1e-12:
             raise ValueError("bandwidth below T^(-1/d); snapping undefined")
-        m = math.floor(h * self.D + 1e-12)
-        if m / self.D > h:  # the slack carried h up to the multiple above
-            m -= 1
+        num, den = float(h).as_integer_ratio()
+        m = num * self.D // den
         return min(m / self.D, 1.0)

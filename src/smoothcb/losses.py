@@ -10,6 +10,7 @@ integrals are products of the factors' exact 1-d integrals.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -100,19 +101,39 @@ class PiecewiseLinearLoss(LossFunction):
         _check_range(list(self.special_points.values()))
         self._F = np.concatenate([[0.0], np.cumsum(
             np.diff(self.breaks) * (self.knots[:-1] + self.knots[1:]) / 2.0)])
+        # the table as floats, with np.interp's slope on each piece
+        self._xs, self._ys = self.breaks.tolist(), self.knots.tolist()
+        self._slopes = [(y1 - y0) / (x1 - x0) for x0, x1, y0, y1 in zip(
+            self._xs, self._xs[1:], self._ys, self._ys[1:])]
 
     def __call__(self, a):
         if isinstance(a, float) or np.ndim(a) == 0:
             af = float(a)
             if af in self.special_points:
                 return self.special_points[af]
-            return float(np.interp(af, self.breaks, self.knots))
+            return self._interp(af)
         arr = np.atleast_1d(np.asarray(a, dtype=float))
         out = np.interp(arr, self.breaks, self.knots)
         if self.special_points:
             for p, v in self.special_points.items():
                 out = np.where(arr == p, v, out)
         return out
+
+    def _interp(self, x: float) -> float:
+        """``float(np.interp(x, breaks, knots))`` in float arithmetic: NaN
+        passes through, x is clamped to the ends, a break gives its knot,
+        and otherwise slope * (x - x_j) + y_j on the piece [x_j, x_j+1)."""
+        xs, ys = self._xs, self._ys
+        if x != x:
+            return x
+        if x <= xs[0]:
+            return ys[0]
+        if x >= xs[-1]:
+            return ys[-1]
+        j = bisect_right(xs, x) - 1
+        if xs[j] == x:
+            return ys[j]
+        return self._slopes[j] * (x - xs[j]) + ys[j]
 
     def _antiderivative(self, x: np.ndarray) -> np.ndarray:
         # the table up to the piece holding x, plus a trapezoid within it

@@ -8,6 +8,13 @@ import numpy as np
 from smoothcb.exp4 import Exp4State, StableExp4
 
 
+def mixture_weights(learner) -> np.ndarray:
+    """The learner's weight distribution P_t, exp(logw) normalised from the
+    shift that makes its largest entry 0."""
+    w = np.exp(learner.logw - learner.logw.max())
+    return w / w.sum()
+
+
 class EagerRounds:
     """step, propensity, update and round as one eager computation each."""
 

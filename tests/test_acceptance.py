@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from exp4_reference import mixture_weights
 
 from smoothcb import corral
 from smoothcb.elimination import (ElimConfig, SmoothPolicyElimination,
@@ -234,7 +235,7 @@ def test_08_hedge_inequality_exact():
             x = env.contexts.sample(rng)
             a = s.step(x, rng)
             loss, _ = env.realize_at(x, a, rng)
-            P = s.P.copy()
+            P = mixture_weights(s).copy()
             est = s.update(x, a, loss)
             lhs_mix += float(np.dot(P, est))
             sq += float(np.dot(P, est ** 2))

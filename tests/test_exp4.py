@@ -1,9 +1,11 @@
 import copy
 import math
+from bisect import bisect_left
 
 import numpy as np
 import pytest
-from exp4_reference import EagerExp4, EagerStableExp4, eager
+from exp4_reference import (EagerExp4, EagerStableExp4, eager,
+                            mixture_weights)
 
 from smoothcb import corral
 from smoothcb.environments import (FiniteContexts, StochasticEnv,
@@ -74,7 +76,7 @@ class TestPropensity:
         s = _state([0.2, 0.6])
         dens = s.density_vector(None, 0.25)
         assert np.allclose(dens, [5.0, 0.0])
-        assert float(np.dot(s.P, dens)) == pytest.approx(2.5)
+        assert float(np.dot(mixture_weights(s), dens)) == pytest.approx(2.5)
 
 
 def _policy_case(kind):
@@ -121,7 +123,7 @@ class TestPropensityEverySpace:
         rng = np.random.default_rng(12)
         for _ in range(40):
             x = draw(rng)
-            P = s.P.copy()
+            P = mixture_weights(s).copy()
             a = s.step(x, rng)
             p = s.propensity(x)
             want = sum(P[j] * k.density(pc.act(int(i), x), a)
@@ -136,16 +138,16 @@ class TestUpdate:
         s = _state([0.2, 0.6])
         rng = np.random.default_rng(2)
         a = s.step(None, rng)
-        before = s.P.copy()
+        before = mixture_weights(s).copy()
         s.update(None, a, 0.0)
-        assert np.allclose(s.P, before)
+        assert np.allclose(mixture_weights(s), before)
 
     def test_unsupported_members_keep_relative_weight(self):
         s = _state([0.2, 0.6, 0.62])
         a = 0.22  # inside member 0's ball only
         est = _replay(s, None, a, 0.5, 1.0)
         assert est[1] == est[2] == 0.0
-        P = s.P
+        P = mixture_weights(s)
         assert P[1] == pytest.approx(P[2], abs=1e-12)
         assert P[0] < P[1]
 
@@ -171,7 +173,7 @@ class TestUpdate:
         rng = np.random.default_rng(6)
         for _ in range(50):
             a = s.step(None, rng)
-            P = s.P.copy()
+            P = mixture_weights(s).copy()
             loss = float(rng.random())
             est = s.update(None, a, loss)
             assert float(np.dot(P, est)) == pytest.approx(loss, abs=1e-10)
@@ -195,7 +197,7 @@ class TestStepInvariants:
 
     @staticmethod
     def _step_checked(learner, rng):
-        P = learner.P
+        P = mixture_weights(learner)
         u = copy.deepcopy(rng).random()
         a = learner.step(None, rng)
         p = learner.propensity(None)
@@ -228,6 +230,24 @@ class TestStepInvariants:
         assert st.restart_count >= 5
 
 
+class TestMemberPick:
+    def test_bisect_equals_searchsorted(self):
+        # step picks with bisect_left on the cumulative weights as a list:
+        # searchsorted's default side="left" on the array, ties and
+        # zero-weight members included
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            w = rng.random(n) * (rng.random(n) < 0.7)
+            w[rng.integers(n)] = 1.0
+            cum = (w / w.sum()).cumsum()
+            us = np.concatenate([rng.random(50), cum, np.nextafter(cum, 0.0),
+                                 np.nextafter(cum, 2.0), [0.0]])
+            lst = cum.tolist()
+            for u in us.tolist():
+                assert bisect_left(lst, u) == int(cum.searchsorted(u))
+
+
 class TestHedgeInequality:
     def test_recorded_trajectories(self):
         # cumulative expected estimate minus the best member's total is
@@ -243,7 +263,7 @@ class TestHedgeInequality:
                 x = env.contexts.sample(rng)
                 a = s.step(x, rng)
                 loss, _ = env.realize_at(x, a, rng)
-                P = s.P.copy()
+                P = mixture_weights(s).copy()
                 est = s.update(x, a, loss)
                 lhs_mix += float(np.dot(P, est))
                 sq_term += float(np.dot(P, est ** 2))
@@ -580,4 +600,4 @@ class TestZeroLossRound:
         p = s.propensity(None)
         dens = s._pending[3]
         assert s.propensity(None) == p and s._pending[3] is dens
-        assert p == float(s.P @ s.density_vector(None, a))
+        assert p == float(mixture_weights(s) @ s.density_vector(None, a))

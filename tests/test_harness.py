@@ -12,9 +12,10 @@ from smoothcb import environments, harness
 from smoothcb.cli import parse_env_spec
 from smoothcb.environments import (FiniteContexts, StochasticEnv,
                                    make_named_instance)
-from smoothcb.harness import (RegretTrace, RunConfig, default_policy_class,
-                              diagnose, run_experiment, run_inputs,
-                              run_one, trace_csv_lines, write_outputs)
+from smoothcb.harness import (RNG_BLOCK, BlockRandom, RegretTrace, RunConfig,
+                              default_policy_class, diagnose, run_experiment,
+                              run_inputs, run_one, trace_csv_lines,
+                              write_outputs)
 from smoothcb.losses import PiecewiseConstantLoss, PiecewiseLinearLoss
 from smoothcb.policies import PolicyClass
 from smoothcb.spaces import ActionSpace
@@ -117,13 +118,25 @@ class TestDeterminism:
         assert not np.array_equal(t0.actions, t1.actions)
 
 
+def _digest(traces):
+    digest = hashlib.sha256()
+    for tr in traces:
+        digest.update(np.asarray(tr.actions, dtype=np.float64).tobytes())
+        digest.update(np.asarray(tr.losses, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
 class TestSeededLearnerTrajectories:
     # sha256 of actions and losses of seeded exp4 and corral runs; the
     # uniform-h master's kappa = 1 bucket holds h = 1/2 and h = 1, and the
-    # Lipschitz master's buckets hold two bandwidths each.
+    # Lipschitz master's buckets hold two bandwidths each.  On linear_sphere
+    # the environment stream draws normal contexts between its Bernoulli
+    # doubles.
     DIGESTS = {
         ("exp4", "discontinuous"): "117ac57f78b96c879c6c009016e73828"
                                    "66a5dbd43f39c265c6d2f13478013af6",
+        ("exp4", "linear_sphere"): "b46affcd64f1e67152198567bb54a550"
+                                   "66f1704ced3826cd68c15e3b70fb4873",
         ("exp4", "needle_h:d=2"):
             "3742ff9af2d582968f58ff01618cbb9f9cb0dc90ee1c72146348b32fdf62b724",
         ("corral-uniform-h", "absolute"): "7c526661e3353551116b2da511274574"
@@ -140,11 +153,25 @@ class TestSeededLearnerTrajectories:
         env_name, params = parse_env_spec(env_spec)
         cfg = RunConfig(alg=alg, env_name=env_name, env_params=params,
                         T=2048, seeds=[0, 1], n_policies=16, **extra)
-        digest = hashlib.sha256()
-        for tr in run_experiment(cfg):
-            digest.update(np.asarray(tr.actions, dtype=np.float64).tobytes())
-            digest.update(np.asarray(tr.losses, dtype=np.float64).tobytes())
-        assert digest.hexdigest() == self.DIGESTS[(alg, env_spec)]
+        assert _digest(run_experiment(cfg)) == self.DIGESTS[(alg, env_spec)]
+
+    def test_weighted_contexts_digest(self):
+        # three weighted contexts and Bernoulli noise: each round's context
+        # pick and its noise double come from one environment stream
+        space = ActionSpace.ring()
+        losses = [PiecewiseLinearLoss([0.0, x, 1.0], [x, 0.0, 1.0 - x])
+                  for x in (0.2, 0.5, 0.9)]
+        env = StochasticEnv(space, FiniteContexts([0, 1, 2], [0.5, 0.3, 0.2]),
+                            lambda xs: ByContext(losses, xs),
+                            noise="bernoulli")
+        pc = PolicyClass.tabular(space, np.array(
+            [[0.05, 0.2, 0.3, 0.6, 0.8], [0.1, 0.45, 0.5, 0.55, 0.97],
+             [0.0, 0.35, 0.7, 0.9, 0.95]]))
+        cfg = RunConfig(alg="exp4", env_name="custom", T=2048, h=0.1,
+                        seeds=[0, 1])
+        traces = [run_one(cfg, s, env=env, pc=pc) for s in cfg.seeds]
+        assert _digest(traces) == ("07cc464bd164b841ba2aadd36d20c85f"
+                                   "27917cbe0a96054db9b33d55f90b2278")
 
 
 class TestRegretAccounting:
@@ -353,6 +380,56 @@ class TestDiagnosticsReference:
         pc = PolicyClass.tabular(env.space, table)
         got, want = _diagnose_both(monkeypatch, env, pc)
         assert got == want
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).tobytes()
+
+
+class TestBlockRandom:
+    """The block reader serves the generator's own random() doubles, in
+    the order its scalar and shaped calls would draw them."""
+
+    @staticmethod
+    def _pair(seed):
+        return (BlockRandom(np.random.default_rng(seed)),
+                np.random.default_rng(seed))
+
+    def test_scalar_draws(self):
+        block, ref = self._pair(1)
+        n = 2 * RNG_BLOCK + 5
+        got = [block.random() for _ in range(n)]
+        assert all(type(v) is float for v in got)
+        assert _bits(got) == _bits([ref.random() for _ in range(n)])
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_shaped_draws(self, d):
+        # (1, d) draws, as sample_ball takes on the cube, between scalars
+        block, ref = self._pair(d)
+        for _ in range(3000):
+            got, want = block.random((1, d)), ref.random((1, d))
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert _bits(got) == _bits(want)
+            assert _bits(block.random()) == _bits(ref.random())
+
+    def test_draw_across_a_block_boundary(self):
+        block, ref = self._pair(3)
+        for _ in range(RNG_BLOCK - 2):
+            block.random()
+            ref.random()
+        assert _bits(block.random((1, 5))) == _bits(ref.random((1, 5)))
+        assert _bits(block.random()) == _bits(ref.random())
+
+    def test_state_after_whole_blocks(self):
+        gen, ref = np.random.default_rng(4), np.random.default_rng(4)
+        block = BlockRandom(gen)
+        for _ in range(1000):
+            block.random((1, 3))
+        for _ in range(2 * RNG_BLOCK - 3000):
+            block.random()
+        for _ in range(2 * RNG_BLOCK):
+            ref.random()
+        assert gen.bit_generator.state == ref.bit_generator.state
 
 
 class TestSeedStreams:

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -249,6 +252,20 @@ class TestBandwidthGrid:
         cube = ActionSpace.cube(d)
         assert (RectKernel(cube, h_hat).kappa()
                 <= 2.0 * RectKernel(cube, h).kappa())
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("T", [10 ** 8, 10 ** 9])
+    def test_snap_is_exact_at_large_T(self, d, T):
+        # h * D in floats rounds by more than one multiple of 1/D here;
+        # the snap is floor(h * D) / D in exact rationals, then rounded
+        grid = BandwidthGrid(d, T)
+        floor_h = T ** (-1.0 / d)
+        rng = np.random.default_rng(d)
+        for u in rng.random(2000).tolist():
+            h = floor_h + u * (1.0 - floor_h)
+            want = float(Fraction(math.floor(Fraction(h) * grid.D), grid.D))
+            assert grid.snap(h) == want, h
+            assert grid.snap(h) <= h
 
     def test_members_are_grid_multiples(self):
         grid = BandwidthGrid(1, 4)

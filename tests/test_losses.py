@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,26 @@ class TestPiecewiseLinear:
             grid = np.linspace(lo, hi, 20001)
             approx = np.trapezoid(loss(grid), grid)
             assert loss.integrate(lo, hi) == pytest.approx(approx, abs=1e-6)
+
+    def test_scalar_call_is_np_interp(self):
+        # a float's value, computed in float arithmetic, has np.interp's
+        # bits at and beside every break, at NaN and at random points, and
+        # a special point gives its value
+        rng = np.random.default_rng(7)
+        for k in range(100):
+            base = _random_pw_linear(rng, n_knots=int(rng.integers(2, 12)))
+            br, knots = base.breaks, base.knots
+            special = ({float(rng.random()): float(rng.random()),
+                        float(br[-2]): 0.5} if k % 2 else {})
+            loss = PiecewiseLinearLoss(br, knots, special_points=special)
+            xs = np.concatenate([
+                br, np.nextafter(br, -np.inf), np.nextafter(br, np.inf),
+                list(special), [np.nan], rng.uniform(-0.1, 1.1, 100)])
+            for x in xs.tolist():
+                got = loss(x)
+                want = special.get(x, float(np.interp(x, br, knots)))
+                assert type(got) is float
+                assert struct.pack("<d", got) == struct.pack("<d", want), x
 
     def test_lipschitz_constant(self):
         loss = PiecewiseLinearLoss([0.0, 0.25, 1.0], [0.0, 0.75, 0.5])
